@@ -2,8 +2,7 @@
 structure constants.
 
 Coordinates are row vectors; for an element a, ``coords(a*x) =
-coords(x) * Lmat(a)``.  The exported regular representation is the
-transpose of Lmat, which makes it a homomorphism.
+coords(x) * Lmat(a)``.
 """
 
 import random
@@ -17,24 +16,8 @@ from .errors import (
     NeedsSuppliedIdempotents,
     NotSemisimple,
 )
-from .exactlin import Matrix
+from .exactlin import FractionField, Matrix, kernel, rref, solve
 from .rings import Frac, frac0, frac1
-
-
-def solve_left(B, vec):
-    """Solve x * B = vec for a full-row-rank B; returns list of Frac or None."""
-    ring = B.ring
-    vec = [Frac.of(ring, v) for v in vec]
-    bt = B.transpose()
-    aug = bt.hstack(Matrix(ring, [[v] for v in vec], 1))
-    red, pivots = aug.rref()
-    if B.nrows in pivots:
-        return None
-    if pivots != list(range(B.nrows)):
-        # rank-deficient B: a solution may still exist but is not unique;
-        # callers always pass independent rows
-        return None
-    return [red.rows[i][B.nrows] for i in range(B.nrows)]
 
 
 class Algebra:
@@ -51,28 +34,13 @@ class Algebra:
         self.one_coords = [Frac.of(ring, c) for c in one_coords]
         self.basis_names = basis_names or ["b%d" % i for i in range(self.dim)]
         self.trusted_semisimple = trusted_semisimple
-        self._lb = None
-        self._rb = None
+        self.field = FractionField(ring)
         if self.dim < 1:
             raise ValueError("algebra must have dim >= 1")
         if validate:
             self._validate()
 
     # -- internals ------------------------------------------------------------
-
-    def _basis_mats(self):
-        if self._lb is None:
-            n = self.dim
-            # Lb[j][i][k]: coefficient of b_k in b_j * b_i
-            self._lb = [
-                Matrix(self.ring, [self.table[j][i] for i in range(n)], n)
-                for j in range(n)
-            ]
-            self._rb = [
-                Matrix(self.ring, [self.table[i][j] for i in range(n)], n)
-                for j in range(n)
-            ]
-        return self._lb, self._rb
 
     def _validate(self):
         n = self.dim
@@ -148,10 +116,6 @@ class Algebra:
                 for i in range(self.dim)]
         return Matrix(self.ring, rows, self.dim)
 
-    def regular_representation(self, a):
-        """Left-multiplication operator as a homomorphism A -> Mat_dim(K)."""
-        return self.left_mul_matrix(a).transpose()
-
     def trace(self, a):
         return self.left_mul_matrix(a).trace()
 
@@ -164,10 +128,9 @@ class Algebra:
         power = self.one()
         while True:
             power = power * a
-            mat = Matrix(self.ring, rows, self.dim)
-            sol = solve_left(mat, power.coords)
+            sol = solve(self.field, rows, [power.coords])
             if sol is not None:
-                return [-c for c in sol] + [frac1(self.ring)]
+                return [-c for c in sol[0]] + [frac1(self.ring)]
             rows.append(power.coords)
 
     def eval_poly(self, coeffs, a):
@@ -185,17 +148,11 @@ class Algebra:
 
     def center(self):
         """Basis of the center, as a list of elements (rref-canonical)."""
-        lb, rb = self._basis_mats()
-        blocks = None
-        for j in range(self.dim):
-            d = Matrix(self.ring,
-                       [[rb[j].rows[i][k] - lb[j].rows[i][k]
-                         for k in range(self.dim)] for i in range(self.dim)],
-                       self.dim)
-            blocks = d if blocks is None else blocks.hstack(d)
-        ker = blocks.row_kernel()
-        red, _ = ker.rref()
-        return [self.element(row) for row in red.rows if any(row)]
+        n, t = self.dim, self.table
+        ker = kernel(self.field, [
+            [a - b for j in range(n) for a, b in zip(t[i][j], t[j][i])]
+            for i in range(n)])
+        return [self.element(row) for row in rref(self.field, ker)[0]]
 
     def is_commutative(self):
         return len(self.center()) == self.dim
@@ -374,29 +331,19 @@ def decompose(alg, idems):
     embeddings = []
     total = 0
     for e in idems:
-        span_rows = [(e * b * e).coords for b in alg.basis()]
-        red, _ = Matrix(ring, span_rows, alg.dim).rref()
-        basis_rows = [row for row in red.rows if any(row)]
+        basis_rows, _ = rref(alg.field,
+                             [(e * b * e).coords for b in alg.basis()])
         d = len(basis_rows)
         total += d
-        bmat = Matrix(ring, basis_rows, alg.dim)
-        table = []
-        for i in range(d):
-            row_i = []
-            for j in range(d):
-                prod = alg.mul_coords(basis_rows[i], basis_rows[j])
-                sol = solve_left(bmat, prod)
-                if sol is None:
-                    raise BadIdempotents("idempotent block is not closed")
-                row_i.append(sol)
-            table.append(row_i)
-        one_sol = solve_left(bmat, e.coords)
-        if one_sol is None:
-            raise BadIdempotents("idempotent not inside its own block")
-        factors.append(Algebra(ring, table, one_sol,
+        prods = [alg.mul_coords(x, y) for x in basis_rows for y in basis_rows]
+        sol = solve(alg.field, basis_rows, prods + [e.coords])
+        if sol is None:
+            raise BadIdempotents("idempotent block is not closed")
+        table = [sol[i * d:(i + 1) * d] for i in range(d)]
+        factors.append(Algebra(ring, table, sol[-1],
                                trusted_semisimple=alg.trusted_semisimple,
                                validate=False))
-        embeddings.append(bmat)
+        embeddings.append(Matrix(ring, basis_rows, alg.dim))
     if total != alg.dim:
         raise BadIdempotents("blocks do not fill the algebra")
     return Decomposition(alg, list(idems), factors, embeddings)

@@ -21,7 +21,11 @@ from .serialize import (
     format_certificate,
     format_matrix,
     format_order,
+    integer,
+    located,
     parse_algebra,
+    parse_at,
+    parse_frac,
     parse_isogeny_type,
     parse_matrix,
     parse_order,
@@ -32,7 +36,15 @@ from .serialize import (
 from .serre import minimal_isogeny, tensor_isogeny_class, tensor_lattice
 
 
-def _load(path):
+def _load(path, parse):
+    """parse(the JSON document at path); a malformed document is a
+    ParseError located by a JSON pointer."""
+    doc = _read(path)
+    with located(""):
+        return parse(doc)
+
+
+def _read(path):
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -82,20 +94,19 @@ def _candidate_primes(order, args):
 def _load_idempotents(alg, args):
     if not args.idempotents_file:
         return None
-    doc = _load(args.idempotents_file)
-    from .serialize import parse_frac
-    return [alg.element([parse_frac(alg.ring, c) for c in row]) for row in doc]
+    return _load(args.idempotents_file, lambda doc: [
+        alg.element([parse_frac(alg.ring, c) for c in row]) for row in doc])
 
 
 def cmd_center(args):
-    alg = parse_algebra(_load(args.input))
+    alg = _load(args.input, parse_algebra)
     basis = [ [str(c) for c in z.coords] for z in alg.center() ]
     _emit({"center": basis, "dim": len(basis)}, args)
     return 0
 
 
 def cmd_decompose(args):
-    alg = parse_algebra(_load(args.input))
+    alg = _load(args.input, parse_algebra)
     idems = _load_idempotents(alg, args)
     if idems is None:
         idems = alg.central_idempotents(seed=args.seed)
@@ -109,7 +120,7 @@ def cmd_decompose(args):
 
 
 def cmd_maximal_order(args):
-    order = parse_order(_load(args.input))
+    order = _load(args.input, parse_order)
     ring = order.algebra.ring
     idems = _load_idempotents(order.algebra, args)
     extra = parse_primes(ring, args.primes or "") or None
@@ -124,7 +135,7 @@ def cmd_maximal_order(args):
 
 
 def cmd_certify(args):
-    order = parse_order(_load(args.input))
+    order = _load(args.input, parse_order)
     ring = order.algebra.ring
     certs = []
     verdict = True
@@ -143,7 +154,7 @@ def cmd_certify(args):
 
 
 def cmd_radical(args):
-    order = parse_order(_load(args.input))
+    order = _load(args.input, parse_order)
     ring = order.algebra.ring
     primes = parse_primes(ring, args.primes or "")
     if not primes:
@@ -157,31 +168,40 @@ def cmd_radical(args):
 
 
 def cmd_disc(args):
-    order = parse_order(_load(args.input))
+    order = _load(args.input, parse_order)
     ring = order.algebra.ring
     _emit({"discriminant": ring.to_str(discriminant(order))}, args)
     return 0
 
 
 def cmd_endo_order(args):
-    doc = _load(args.input)
     from .orders import endomorphism_order
-    delta = parse_order(doc["delta"])
-    ring = delta.algebra.ring
-    basis = parse_matrix(ring, doc["lattice"])
-    lat = Lattice.from_rows(ring, basis, basis.ncols)
-    out = endomorphism_order(delta, lat, r=doc.get("r"))
+
+    def parse(doc):
+        delta = parse_at(doc, "delta", parse_order)
+        ring = delta.algebra.ring
+        basis = parse_at(doc, "lattice", lambda rows: parse_matrix(ring, rows))
+        r = integer(doc, "r") if doc.get("r") is not None else None
+        return delta, Lattice.from_rows(ring, basis, basis.ncols), r
+
+    out = endomorphism_order(*_load(args.input, parse))
     _emit(format_order(out, include_algebra=False), args)
     return 0
 
 
+def _order_and_presentation(doc):
+    order = parse_at(doc, "order", parse_order)
+    return order, parse_presentation(doc, order=order)
+
+
 def cmd_serre_class(args):
-    doc = _load(args.input)
-    order = parse_order(doc["order"])
-    pres = parse_presentation(doc, order=order)
-    itype = parse_isogeny_type(doc["type"])
-    emb = parse_matrix(order.algebra.ring, doc["embedding"])
-    out = tensor_isogeny_class(pres, itype, emb)
+    def parse(doc):
+        order, pres = _order_and_presentation(doc)
+        emb = parse_at(doc, "embedding",
+                       lambda rows: parse_matrix(order.algebra.ring, rows))
+        return pres, parse_at(doc, "type", parse_isogeny_type), emb
+
+    out = tensor_isogeny_class(*_load(args.input, parse))
     _emit({
         "factors": [
             {"label": f.label, "mult": f.mult} for f in out.factors
@@ -192,12 +212,13 @@ def cmd_serre_class(args):
 
 
 def cmd_serre_lattice(args):
-    doc = _load(args.input)
-    order = parse_order(doc["order"])
-    pres = parse_presentation(doc, order=order)
-    t = parse_period_lattice(doc["lattice"], order)
-    out, divisors = tensor_lattice(pres, t)
-    ring = order.algebra.ring
+    def parse(doc):
+        order, pres = _order_and_presentation(doc)
+        return pres, parse_at(
+            doc, "lattice", lambda t: parse_period_lattice(t, order))
+
+    out, divisors = tensor_lattice(*_load(args.input, parse))
+    ring = out.order.algebra.ring
     _emit({
         "rank": out.lattice.rank,
         "basis": format_matrix(out.lattice.basis),
@@ -207,11 +228,16 @@ def cmd_serre_lattice(args):
 
 
 def cmd_minimal_isogeny(args):
-    doc = _load(args.input)
-    order = parse_order(doc["order"])
-    o_prime = parse_order(doc["orderPrime"], algebra=order.algebra)
-    itype = parse_isogeny_type(doc["type"])
-    lattices = [parse_period_lattice(t, order) for t in doc["lattices"]]
+    def parse(doc):
+        order = parse_at(doc, "order", parse_order)
+        o_prime = parse_at(doc, "orderPrime",
+                           lambda o: parse_order(o, algebra=order.algebra))
+        lattices = parse_at(doc, "lattices", lambda ts: [
+            parse_period_lattice(t, order) for t in ts])
+        itype = parse_at(doc, "type", parse_isogeny_type)
+        return order, o_prime, itype, lattices
+
+    order, o_prime, itype, lattices = _load(args.input, parse)
     desc = minimal_isogeny(order, o_prime, itype, lattices)
     ring = order.algebra.ring
     _emit({

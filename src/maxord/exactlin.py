@@ -1,13 +1,185 @@
 """Exact linear algebra over the ground ring and its fraction field.
 
-Matrices carry fraction entries; Hermite and Smith normal forms operate on
-integral matrices and return unimodular transformations.  Lattices are
-stored with canonical (HNF) bases so lattice equality is representation
-equality.
+Echelon form, quotient spaces, kernels, solving and the Hessenberg
+characteristic polynomial are written once, over a field interface with
+two instances: Frac(R) and F_p.  Matrices carry fraction entries; Hermite
+and Smith normal forms operate on integral matrices and return unimodular
+transformations.  Lattices are stored with canonical (HNF) bases so
+lattice equality is representation equality.
 """
 
 from .errors import InputNotIntegral, NotSublattice, RankDeficient
 from .rings import Frac, frac0, frac1
+
+
+# ---------------------------------------------------------------------------
+# one linear-algebra kernel for every field
+#
+# A matrix is a list of rows and x * M is the row vector x times M.  A field
+# supplies its scalars and the two row operations the kernel needs, so F_p
+# stays on plain ints with no wrapper object per element.
+
+
+class FractionField:
+    """Frac(R) on Frac elements: Q over Z, F_p(t) over F_p[t]."""
+
+    def __init__(self, ring):
+        self.ring, self.zero, self.one = ring, frac0(ring), frac1(ring)
+
+    def row(self, xs):
+        ring = self.ring
+        return [Frac.of(ring, x) for x in xs]
+
+    def inv(self, x):
+        return x.inverse()
+
+    def scale(self, row, c):
+        return [x * c for x in row]
+
+    def sub_mul(self, row, c, piv):
+        """row - c * piv."""
+        return [a - c * b if b else a for a, b in zip(row, piv)]
+
+
+class PrimeField:
+    """F_p on plain ints in [0, p)."""
+
+    zero, one = 0, 1
+
+    def __init__(self, p):
+        self.p = p
+
+    def row(self, xs):
+        p = self.p
+        return [x % p for x in xs]
+
+    def inv(self, x):
+        return pow(x, self.p - 2, self.p)
+
+    def scale(self, row, c):
+        p = self.p
+        return [x * c % p for x in row]
+
+    def sub_mul(self, row, c, piv):
+        p = self.p
+        return [(a - c * b) % p for a, b in zip(row, piv)]
+
+
+def rref(F, rows):
+    """Reduced row echelon form over F: (nonzero rows, pivot columns)."""
+    m = [F.row(row) for row in rows]
+    pivots = []
+    for j in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == len(m):
+            break
+        i = next((i for i in range(r, len(m)) if m[i][j]), None)
+        if i is None:
+            continue
+        m[r], m[i] = m[i], m[r]
+        piv = m[r] = F.scale(m[r], F.inv(m[r][j]))
+        for i in range(len(m)):
+            if i != r and m[i][j]:
+                m[i] = F.sub_mul(m[i], m[i][j], piv)
+        pivots.append(j)
+    return m[:len(pivots)], pivots
+
+
+def quotient_space(F, rows, ncols):
+    """F^ncols modulo the span of rows: (project, lift, dim).
+
+    Quotient coordinates sit on the non-pivot columns of rref(rows);
+    project reduces a vector against the echelon rows and reads them off,
+    lift puts quotient coordinates back on those columns.
+    """
+    red, pivots = rref(F, rows)
+    free = [c for c in range(ncols) if c not in pivots]
+
+    def project(vec):
+        v = F.row(vec)
+        for row, c in zip(red, pivots):
+            if v[c]:
+                v = F.sub_mul(v, v[c], row)
+        return [v[c] for c in free]
+
+    def lift(qvec):
+        out = [F.zero] * ncols
+        for c, x in zip(free, qvec):
+            out[c] = x
+        return F.row(out)
+
+    return project, lift, len(free)
+
+
+def kernel(F, rows):
+    """Basis of {x : x * M = 0} for the matrix M with these rows."""
+    red, pivots = rref(F, [list(col) for col in zip(*rows)])
+    out = []
+    for f in range(len(rows)):
+        if f not in pivots:
+            v = [F.zero] * len(rows)
+            v[f] = F.one
+            for row, c in zip(red, pivots):
+                v[c] = -row[f]
+            out.append(F.row(v))
+    return out
+
+
+def solve(F, rows, vecs):
+    """Rows x with x * M = v for each v in vecs (M has these rows), or None
+    when some v is outside the row space; unknowns left free are 0."""
+    m = len(rows)
+    red, pivots = rref(F, [list(col) for col in zip(*rows, *vecs)])
+    if pivots and pivots[-1] >= m:
+        return None
+    out = [[F.zero] * m for _ in vecs]
+    for row, c in zip(red, pivots):
+        for x, value in zip(out, row[m:]):
+            x[c] = value
+    return out
+
+
+def charpoly(F, mat):
+    """Coefficients of det(xI - mat), lowest degree first, monic: similarity
+    reduction to upper Hessenberg form, then the recurrence on leading
+    principal characteristic polynomials."""
+    n = len(mat)
+    h = [F.row(row) for row in mat]
+    for j in range(n - 2):
+        p = next((i for i in range(j + 1, n) if h[i][j]), None)
+        if p is None:
+            continue
+        if p != j + 1:
+            h[j + 1], h[p] = h[p], h[j + 1]
+            for row in h:
+                row[j + 1], row[p] = row[p], row[j + 1]
+        # the row operations that clear column j below row j + 1 commute:
+        # apply them all, then their inverses as column operations, which
+        # all land on column j + 1
+        inv = F.inv(h[j + 1][j])
+        ts = [(i, h[i][j] * inv) for i in range(j + 2, n) if h[i][j]]
+        for i, t in ts:
+            h[i] = F.sub_mul(h[i], t, h[j + 1])
+        if ts:
+            col = [row[j + 1] for row in h]
+            for i, t in ts:
+                col = F.sub_mul(col, -t, [row[i] for row in h])
+            for row, x in zip(h, col):
+                row[j + 1] = x
+    polys = [[F.one]]
+    for m in range(1, n + 1):
+        prev = polys[-1]
+        cur = F.sub_mul([F.zero] + prev, h[m - 1][m - 1], prev + [F.zero])
+        run = F.one
+        for i in range(m - 1, 0, -1):
+            run = run * h[i][i - 1]
+            if not run:
+                break
+            coef = h[i - 1][m - 1] * run
+            if coef:
+                cur[:i] = F.sub_mul(cur[:i], coef, polys[i - 1])
+        polys.append(cur)
+    return polys[n]
 
 
 class Matrix:
@@ -35,17 +207,9 @@ class Matrix:
         one, zero = frac1(ring), frac0(ring)
         return cls(ring, [[one if i == j else zero for j in range(n)] for i in range(n)], n)
 
-    @classmethod
-    def zeros(cls, ring, m, n):
-        zero = frac0(ring)
-        return cls(ring, [[zero] * n for _ in range(m)], n)
-
     @property
     def nrows(self):
         return len(self.rows)
-
-    def copy(self):
-        return Matrix(self.ring, [row[:] for row in self.rows], self.ncols)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -113,20 +277,6 @@ class Matrix:
             return Matrix(self.ring, [[] for _ in range(self.ncols)], 0)
         return Matrix(self.ring, [list(col) for col in zip(*self.rows)], self.nrows)
 
-    def stack(self, other):
-        if self.ncols != other.ncols:
-            raise ValueError("stack shape mismatch")
-        return Matrix(self.ring, [r[:] for r in self.rows] + [r[:] for r in other.rows], self.ncols)
-
-    def hstack(self, other):
-        if self.nrows != other.nrows:
-            raise ValueError("hstack shape mismatch")
-        return Matrix(
-            self.ring,
-            [r1 + r2 for r1, r2 in zip(self.rows, other.rows)],
-            self.ncols + other.ncols,
-        )
-
     def submatrix(self, row_idx, col_idx):
         return Matrix(
             self.ring,
@@ -157,30 +307,8 @@ class Matrix:
 
     # -- Gaussian machinery over the fraction field ---------------------------
 
-    def rref(self):
-        """Reduced row echelon form; returns (R, pivot_columns)."""
-        m = [row[:] for row in self.rows]
-        pivots = []
-        r = 0
-        for j in range(self.ncols):
-            p = next((i for i in range(r, len(m)) if m[i][j]), None)
-            if p is None:
-                continue
-            m[r], m[p] = m[p], m[r]
-            inv = m[r][j].inverse()
-            m[r] = [x * inv for x in m[r]]
-            for i in range(len(m)):
-                if i != r and m[i][j]:
-                    c = m[i][j]
-                    m[i] = [a - c * b for a, b in zip(m[i], m[r])]
-            pivots.append(j)
-            r += 1
-            if r == len(m):
-                break
-        return Matrix(self.ring, m, self.ncols), pivots
-
     def rank(self):
-        return len(self.rref()[1])
+        return len(rref(FractionField(self.ring), self.rows)[1])
 
     def det(self):
         if self.nrows != self.ncols:
@@ -204,31 +332,11 @@ class Matrix:
         return det
 
     def inverse(self):
-        if self.nrows != self.ncols:
-            raise ValueError("inverse of non-square matrix")
-        n = self.nrows
-        aug = self.hstack(Matrix.identity(self.ring, n))
-        red, pivots = aug.rref()
-        if pivots[: n] != list(range(n)):
-            raise ValueError("matrix is singular")
-        return Matrix(self.ring, [row[n:] for row in red.rows], n)
-
-    def row_kernel(self):
-        """Basis of {v : v * self = 0}, as a Matrix (possibly 0 rows)."""
-        # v*M = 0  <=>  M^T v^T = 0 : read the kernel off the rref of M^T.
-        mt = Matrix(self.ring, [list(col) for col in zip(*self.rows)], self.nrows) \
-            if self.rows else Matrix(self.ring, [], self.nrows)
-        red, pivots = mt.rref()
-        free = [j for j in range(self.nrows) if j not in pivots]
-        zero, one = frac0(self.ring), frac1(self.ring)
-        rows = []
-        for f in free:
-            v = [zero] * self.nrows
-            v[f] = one
-            for r_i, p in enumerate(pivots):
-                v[p] = -red.rows[r_i][f]
-            rows.append(v)
-        return Matrix(self.ring, rows, self.nrows)
+        x = solve(FractionField(self.ring), self.rows,
+                  Matrix.identity(self.ring, self.ncols).rows)
+        if x is None or self.nrows != self.ncols:
+            raise ValueError("matrix is singular or not square")
+        return Matrix(self.ring, x, self.ncols)
 
     def trace(self):
         acc = frac0(self.ring)
@@ -240,47 +348,7 @@ class Matrix:
         """Coefficients of det(xI - self), lowest degree first, monic."""
         if self.nrows != self.ncols:
             raise ValueError("charpoly of non-square matrix")
-        n = self.nrows
-        zero, one = frac0(self.ring), frac1(self.ring)
-        if n == 0:
-            return [one]
-        h = [row[:] for row in self.rows]
-        # similarity reduction to upper Hessenberg form
-        for j in range(n - 2):
-            p = next((i for i in range(j + 1, n) if h[i][j]), None)
-            if p is None:
-                continue
-            if p != j + 1:
-                h[j + 1], h[p] = h[p], h[j + 1]
-                for row in h:
-                    row[j + 1], row[p] = row[p], row[j + 1]
-            inv = h[j + 1][j].inverse()
-            for i in range(j + 2, n):
-                if h[i][j]:
-                    t = h[i][j] * inv
-                    h[i] = [a - t * b for a, b in zip(h[i], h[j + 1])]
-                    for row in h:
-                        row[j + 1] = row[j + 1] + t * row[i]
-        # recurrence on leading principal char polys
-        polys = [[one]]
-        for m in range(1, n + 1):
-            d = h[m - 1][m - 1]
-            prev = polys[m - 1]
-            cur = [zero] * (m + 1)  # cur = (x - d) * prev, then corrections
-            for i, c in enumerate(prev):
-                cur[i + 1] = cur[i + 1] + c
-                cur[i] = cur[i] - d * c
-            run = one
-            for i in range(m - 1, 0, -1):
-                run = run * h[i][i - 1]
-                if run.is_zero():
-                    break
-                coef = h[i - 1][m - 1] * run
-                if coef:
-                    for k, c in enumerate(polys[i - 1]):
-                        cur[k] = cur[k] - coef * c
-            polys.append(cur)
-        return polys[n]
+        return charpoly(FractionField(self.ring), self.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +358,17 @@ class Matrix:
 def _require_integral(m):
     if not m.is_integral():
         raise InputNotIntegral("matrix has a non-integral entry")
+
+
+def _combine_rows(ring, mats, i, k, x, y, z, w):
+    """(row_i, row_k) <- (x*row_i + y*row_k, z*row_i + w*row_k) in mats."""
+    for mat in mats:
+        ri, rk = mat[i], mat[k]
+        for c in range(len(ri)):
+            ri[c], rk[c] = (
+                ring.add(ring.mul(x, ri[c]), ring.mul(y, rk[c])),
+                ring.add(ring.mul(z, ri[c]), ring.mul(w, rk[c])),
+            )
 
 
 def hnf(m):
@@ -304,16 +383,6 @@ def hnf(m):
     nr, nc = len(a), m.ncols
     u = [[ring.one if i == j else ring.zero for j in range(nr)] for i in range(nr)]
 
-    def rowop(i, k, x, y, z, w):
-        # (row_i, row_k) <- (x*row_i + y*row_k, z*row_i + w*row_k)
-        for mat in (a, u):
-            ri, rk = mat[i], mat[k]
-            for c in range(len(ri)):
-                ri[c], rk[c] = (
-                    ring.add(ring.mul(x, ri[c]), ring.mul(y, rk[c])),
-                    ring.add(ring.mul(z, ri[c]), ring.mul(w, rk[c])),
-                )
-
     r = 0
     for j in range(nc):
         pivot = next((i for i in range(r, nr) if not ring.is_zero(a[i][j])), None)
@@ -326,9 +395,9 @@ def hnf(m):
             if ring.is_zero(a[i][j]):
                 continue
             g, x, y = ring.xgcd(a[r][j], a[i][j])
-            rowop(r, i, x, y,
-                  ring.neg(ring.exact_div(a[i][j], g)),
-                  ring.exact_div(a[r][j], g))
+            _combine_rows(ring, (a, u), r, i, x, y,
+                          ring.neg(ring.exact_div(a[i][j], g)),
+                          ring.exact_div(a[r][j], g))
         unit, _ = ring.unit_normalize(a[r][j])
         if not ring.is_unit_value(unit, check_one=True):
             inv = ring.unit_inverse(unit)
@@ -358,15 +427,6 @@ def snf(m):
     nr, nc = len(a), m.ncols
     u = [[ring.one if i == j else ring.zero for j in range(nr)] for i in range(nr)]
     v = [[ring.one if i == j else ring.zero for j in range(nc)] for i in range(nc)]
-
-    def row_combine(i, k, x, y, z, w):
-        for mat in (a, u):
-            ri, rk = mat[i], mat[k]
-            for c in range(len(ri)):
-                ri[c], rk[c] = (
-                    ring.add(ring.mul(x, ri[c]), ring.mul(y, rk[c])),
-                    ring.add(ring.mul(z, ri[c]), ring.mul(w, rk[c])),
-                )
 
     def col_combine(j, k, x, y, z, w):
         # (col_j, col_k) <- (x*col_j + y*col_k, z*col_j + w*col_k)
@@ -412,13 +472,13 @@ def snf(m):
                 # replace the pivot row, which would cycle forever)
                 if ring.divides(a[k][k], a[i][k]):
                     q = ring.exact_div(a[i][k], a[k][k])
-                    row_combine(k, i, ring.one, ring.zero,
-                                ring.neg(q), ring.one)
+                    _combine_rows(ring, (a, u), k, i, ring.one, ring.zero,
+                                  ring.neg(q), ring.one)
                 else:
                     g, x, y = ring.xgcd(a[k][k], a[i][k])
-                    row_combine(k, i, x, y,
-                                ring.neg(ring.exact_div(a[i][k], g)),
-                                ring.exact_div(a[k][k], g))
+                    _combine_rows(ring, (a, u), k, i, x, y,
+                                  ring.neg(ring.exact_div(a[i][k], g)),
+                                  ring.exact_div(a[k][k], g))
             for j in range(k + 1, nc):
                 if ring.is_zero(a[k][j]):
                     continue
@@ -539,39 +599,26 @@ class Lattice:
     def __repr__(self):
         return "Lattice(rank %d in dim %d)" % (self.rank, self.ambient_dim)
 
-    def pivot_columns(self):
-        pivots = []
-        for row in self.basis.rows:
-            pivots.append(next(j for j, x in enumerate(row) if x))
-        return pivots
-
-    def solve_in_basis(self, vec):
-        """Coefficients t with t * basis = vec, or None if vec is outside
-        the rational span."""
-        if self.rank == 0:
-            return [] if not any(vec) else None
-        pivots = self.pivot_columns()
-        sq = self.basis.submatrix(range(self.rank), pivots)
-        t_row = Matrix(self.ring, [[vec[j] for j in pivots]], len(pivots))
-        t = (t_row * sq.inverse()).rows[0]
-        check = Matrix(self.ring, [t], self.rank) * self.basis
-        if check.rows[0] != [Frac.of(self.ring, x) for x in vec]:
-            return None
-        return t
+    def coordinates(self, vecs):
+        """Rows t with t * basis = v for each v in vecs, or None when some v
+        is outside the rational span."""
+        return solve(FractionField(self.ring), self.basis.rows, vecs)
 
     def contains_vector(self, vec):
-        t = self.solve_in_basis(vec)
-        return t is not None and all(x.is_integral() for x in t)
+        return self.contains_rows([vec])
 
     def contains_lattice(self, other):
-        return all(self.contains_vector(row) for row in other.basis.rows)
+        return self.contains_rows(other.basis.rows)
+
+    def contains_rows(self, vecs):
+        t = self.coordinates(vecs)
+        return t is not None and all(x.is_integral() for row in t for x in row)
 
     def add(self, other):
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         return Lattice.from_rows(
-            self.ring, self.basis.stack(other.basis), self.ambient_dim
-        )
+            self.ring, self.basis.rows + other.basis.rows, self.ambient_dim)
 
     def scaled(self, c):
         return Lattice.from_rows(self.ring, self.basis.scaled(c), self.ambient_dim)
@@ -591,14 +638,10 @@ def lattice_index(sub, sup):
     ring = sub.ring
     if sub.rank == 0:
         return ring.one
-    t_rows = []
-    for row in sub.basis.rows:
-        t = sup.solve_in_basis(row)
-        if t is None:
-            raise NotSublattice("sub is not inside sup's rational span")
-        if not all(x.is_integral() for x in t):
-            raise NotSublattice("sub is not contained in sup")
-        t_rows.append(t)
+    t_rows = sup.coordinates(sub.basis.rows)
+    if t_rows is None or not all(
+            x.is_integral() for row in t_rows for x in row):
+        raise NotSublattice("sub is not contained in sup")
     det = Matrix(ring, t_rows, sub.rank).det()
     return ring.canonical(det.integral_value())
 
@@ -625,11 +668,8 @@ def saturate(lat, ambient):
         raise NotSublattice("ambient dimension mismatch")
     if lat.rank < ambient.rank:
         raise RankDeficient("lattice does not span the ambient rationally")
-    t_rows = []
-    for row in lat.basis.rows:
-        t = ambient.solve_in_basis(row)
-        if t is None:
-            raise NotSublattice("lattice is not inside the ambient span")
-        t_rows.append(t)
+    t_rows = ambient.coordinates(lat.basis.rows)
+    if t_rows is None:
+        raise NotSublattice("lattice is not inside the ambient span")
     sat = saturate_rows(lat.ring, Matrix(lat.ring, t_rows, ambient.rank))
     return Lattice.from_rows(lat.ring, sat.basis * ambient.basis, ambient.ambient_dim)

@@ -1,132 +1,17 @@
-"""Linear algebra and algebra structure over prime fields F_p.
+"""Algebra structure over prime fields F_p.
 
 Everything here works with plain ints reduced mod p, row-vector
-convention as elsewhere in the package.
+convention as elsewhere in the package; the linear algebra is the shared
+kernel of ``exactlin`` over ``PrimeField``.
 """
 
 from .errors import DimensionTooLarge, InternalError
-
-
-def inv_mod(a, p):
-    return pow(a % p, p - 2, p)
-
-
-def rref_mod(rows, ncols, p):
-    """Reduced row echelon form over F_p; returns (rows, pivot_columns)."""
-    mat = [[x % p for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = inv_mod(mat[r][c], p)
-        mat[r] = [(x * inv) % p for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    return mat[:r], pivots
-
-
-def span_basis(rows, ncols, p):
-    red, _ = rref_mod(rows, ncols, p)
-    return red
-
-
-def in_span(basis_rows, pivots, vec, p):
-    """Membership test against an rref basis; returns residual (zero iff in)."""
-    v = [x % p for x in vec]
-    for row, c in zip(basis_rows, pivots):
-        if v[c]:
-            f = v[c]
-            v = [(x - f * y) % p for x, y in zip(v, row)]
-    return v
-
-
-def solve_mod(rows, ncols, vec, p):
-    """Solve x * M = vec where rows of M span the target; None if unsolvable."""
-    aug = [list(row) + [0] for row in rows]
-    # transpose trick: solve via rref of [M^T | vec^T]
-    mt = [[rows[i][j] for i in range(len(rows))] + [vec[j] % p]
-          for j in range(ncols)]
-    red, pivots = rref_mod(mt, len(rows) + 1, p)
-    if len(rows) in pivots:
-        return None
-    sol = [0] * len(rows)
-    for row, c in zip(red, pivots):
-        sol[c] = row[len(rows)]
-    # verify (rows need not be independent)
-    for j in range(ncols):
-        if sum(sol[i] * rows[i][j] for i in range(len(rows))) % p != vec[j] % p:
-            return None
-    del aug
-    return sol
-
-
-def kernel_mod(rows, ncols, p):
-    """Basis of {x : x * M = 0} for the matrix with the given rows."""
-    n = len(rows)
-    mt = [[rows[i][j] for i in range(n)] for j in range(ncols)]
-    red, pivots = rref_mod(mt, n, p)
-    free = [c for c in range(n) if c not in pivots]
-    out = []
-    for fc in free:
-        v = [0] * n
-        v[fc] = 1
-        for row, c in zip(red, pivots):
-            v[c] = (-row[fc]) % p
-        out.append(v)
-    return out
-
-
-def matmul_mod(a, b, p):
-    if not a or not b:
-        return [[0] * (len(b[0]) if b else 0) for _ in a]
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) % p for col in bt] for row in a]
+from .exactlin import PrimeField, charpoly, kernel, quotient_space, rref, solve
 
 
 def charpoly_mod(mat, p):
-    """Characteristic polynomial coefficients over F_p, lowest degree first,
-    monic, via Hessenberg reduction."""
-    n = len(mat)
-    h = [[x % p for x in row] for row in mat]
-    for c in range(n - 2):
-        pr = next((r for r in range(c + 1, n) if h[r][c]), None)
-        if pr is None:
-            continue
-        if pr != c + 1:
-            h[pr], h[c + 1] = h[c + 1], h[pr]
-            for r in range(n):
-                h[r][pr], h[r][c + 1] = h[r][c + 1], h[r][pr]
-        inv = inv_mod(h[c + 1][c], p)
-        for r in range(c + 2, n):
-            if h[r][c]:
-                f = (h[r][c] * inv) % p
-                h[r] = [(x - f * y) % p for x, y in zip(h[r], h[c + 1])]
-                for rr in range(n):
-                    h[rr][c + 1] = (h[rr][c + 1] + f * h[rr][r]) % p
-    polys = [[1]]  # charpoly of top-left 0x0 block
-    for m in range(1, n + 1):
-        prev = polys[m - 1]
-        d = h[m - 1][m - 1]
-        cur = [0] * (m + 1)
-        for i, c in enumerate(prev):
-            cur[i + 1] = (cur[i + 1] + c) % p
-            cur[i] = (cur[i] - d * c) % p
-        run = 1
-        for i in range(m - 1, 0, -1):
-            run = (run * h[i][i - 1]) % p
-            f = (run * h[i - 1][m - 1]) % p
-            if f:
-                for idx, c in enumerate(polys[i - 1]):
-                    cur[idx] = (cur[idx] - f * c) % p
-        polys.append(cur)
-    return polys[n]
+    """Characteristic polynomial over F_p, lowest degree first, monic."""
+    return charpoly(PrimeField(p), mat)
 
 
 class FiniteAlgebra:
@@ -134,6 +19,7 @@ class FiniteAlgebra:
 
     def __init__(self, p, table, one_coords):
         self.p = p
+        self.field = PrimeField(p)
         self.dim = len(table)
         self.table = [
             [[c % p for c in table[i][j]] for j in range(self.dim)]
@@ -185,38 +71,24 @@ class FiniteAlgebra:
         """
         p, n = self.p, self.dim
         current = self.basis()  # rows spanning R_i
-        i = 0
         power = 1  # p^i
-        while True:
-            # g_i applied to products x*y for x in span(current), y in current:
-            # linear conditions on x in coordinates of `current`
-            m = len(current)
-            if m == 0:
-                return []
-            cond = []
-            for y in current:
-                col = []
-                for x in current:
-                    cp = self.charpoly(self.mul(x, y))
-                    col.append(cp[n - power] % p)
-                cond.append(col)
-            # rows indexed by x-coordinate, columns by y: kernel over the
-            # x-coefficients
-            mat = [[cond[jy][ix] for jy in range(m)] for ix in range(m)]
-            ker = kernel_mod(mat, m, p)
-            nxt = []
-            for kv in ker:
-                row = [0] * n
-                for c, base in zip(kv, current):
-                    if c:
-                        row = [(r + c * b) % p for r, b in zip(row, base)]
-                nxt.append(row)
-            nxt = span_basis(nxt, n, p)
-            current = nxt
+        while current:
+            # g_i(x*y) for x, y in current: x indexes rows, y columns, and
+            # R_{i+1} is the kernel over the x-coefficients
+            cond = [[self.charpoly(self.mul(x, y))[n - power] for y in current]
+                    for x in current]
+            current = rref(self.field,
+                           self._combine(kernel(self.field, cond), current))[0]
             if power * p > n:
                 return current
-            i += 1
             power *= p
+        return []
+
+    def _combine(self, coeff_rows, rows):
+        """The rows of coeff_rows * rows over F_p."""
+        p, cols = self.p, list(zip(*rows))
+        return [[sum(c * b for c, b in zip(cr, col)) % p for col in cols]
+                for cr in coeff_rows]
 
     # -- quotients ------------------------------------------------------------
 
@@ -226,30 +98,10 @@ class FiniteAlgebra:
         Returns (quotient_algebra, project, lift) where project maps parent
         coords to quotient coords and lift picks representatives.
         """
-        p, n = self.p, self.dim
-        ired, ipiv = rref_mod(ideal_rows, n, p)
-        comp_cols = [c for c in range(n) if c not in ipiv]
-        q = len(comp_cols)
-
-        def project(vec):
-            res = in_span(ired, ipiv, vec, p)
-            return [res[c] for c in comp_cols]
-
-        def lift(qvec):
-            out = [0] * n
-            for c, v in zip(comp_cols, qvec):
-                out[c] = v % p
-            return out
-
-        table = []
-        for a in range(q):
-            row = []
-            for b in range(q):
-                prod = self.mul(lift([1 if t == a else 0 for t in range(q)]),
-                                lift([1 if t == b else 0 for t in range(q)]))
-                row.append(project(prod))
-            table.append(row)
-        quot = FiniteAlgebra(p, table, project(self.one_coords))
+        project, lift, q = quotient_space(self.field, ideal_rows, self.dim)
+        basis = [lift([int(t == a) for t in range(q)]) for a in range(q)]
+        table = [[project(self.mul(a, b)) for b in basis] for a in basis]
+        quot = FiniteAlgebra(self.p, table, project(self.one_coords))
         return quot, project, lift
 
     def semisimple_quotient(self):
@@ -258,46 +110,25 @@ class FiniteAlgebra:
     # -- center and simple factors --------------------------------------------
 
     def center_basis(self):
-        p, n = self.p, self.dim
-        basis = self.basis()
-        lmats = [self.left_mul_matrix(b) for b in basis]
-        rmats = [[self.mul(basis[i], b) for i in range(n)] for b in basis]
-        big = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                row.extend(
-                    (rmats[j][i][k] - lmats[j][i][k]) % p for k in range(n)
-                )
-            big.append(row)
-        return kernel_mod(big, n * n, p)
+        n, t = self.dim, self.table
+        return kernel(self.field, [
+            [a - b for j in range(n) for a, b in zip(t[i][j], t[j][i])]
+            for i in range(n)])
 
     def frobenius_fixed_center(self):
         """Basis of {z in center : z^p = z}, whose F_p-dimension equals the
         number of simple factors when the algebra is semisimple."""
-        p, n = self.p, self.dim
+        p = self.p
         zb = self.center_basis()
-        m = len(zb)
-        if m == 0:
+        if not zb:
             return []
         # matrix of z -> z^p - z on the center, in the zb coordinates
-        rows = []
-        for z in zb:
-            zp = self._elt_pow(z, p)
-            diff = [(a - b) % p for a, b in zip(zp, z)]
-            sol = solve_mod(zb, n, diff, p)
-            if sol is None:
-                raise InternalError("center is not closed under x -> x^p")
-            rows.append(sol)
-        ker = kernel_mod(rows, m, p)
-        out = []
-        for kv in ker:
-            row = [0] * n
-            for c, base in zip(kv, zb):
-                if c:
-                    row = [(r + c * b) % p for r, b in zip(row, base)]
-            out.append(row)
-        return span_basis(out, n, p)
+        diffs = [[(a - b) % p for a, b in zip(self._elt_pow(z, p), z)]
+                 for z in zb]
+        rows = solve(self.field, zb, diffs)
+        if rows is None:
+            raise InternalError("center is not closed under x -> x^p")
+        return rref(self.field, self._combine(kernel(self.field, rows), zb))[0]
 
     def _elt_pow(self, z, e):
         acc = list(self.one_coords)
@@ -329,12 +160,13 @@ class FiniteAlgebra:
                 w = self.mul(z, e)
                 # minimal relation among e, w, w^2, ... ; roots are in F_p
                 powers = [list(e)]
-                rel = None
-                while rel is None:
+                while True:
                     nxt = self.mul(powers[-1], w)
-                    rel = solve_mod(powers, n, nxt, p)
-                    if rel is None:
-                        powers.append(nxt)
+                    rel = solve(self.field, powers, [nxt])
+                    if rel:
+                        break
+                    powers.append(nxt)
+                rel = rel[0]
                 # min poly of w (with identity e): x^d - sum rel_i x^i
                 roots = [a for a in range(p)
                          if (pow_eval(rel, a, p) - pow(a, len(rel), p)) % p == 0]
@@ -352,7 +184,7 @@ class FiniteAlgebra:
                             ea, [(w[t] - b * e[t]) % p for t in range(n)]
                         )
                         denom = (denom * (a - b)) % p
-                    ea = [(x * inv_mod(denom, p)) % p for x in ea]
+                    ea = self.field.scale(ea, self.field.inv(denom))
                     if any(ea):
                         refined.append(ea)
             idems = refined
@@ -373,7 +205,7 @@ class FiniteAlgebra:
         """Span basis of the two-sided ideal generated by x (with 1 in A)."""
         basis = self.basis()
         gens = [self.mul(self.mul(bi, x), bj) for bi in basis for bj in basis]
-        return span_basis(gens, self.dim, self.p)
+        return rref(self.field, gens)[0]
 
     def all_two_sided_ideals(self, max_elements=200000):
         """Every two-sided ideal, as tuples of rref basis rows.
@@ -407,7 +239,7 @@ class FiniteAlgebra:
             items = list(seen)
             for a in items:
                 for b in items:
-                    s = span_basis([list(r) for r in a + b], n, p)
+                    s = rref(self.field, a + b)[0]
                     key = tuple(tuple(r) for r in s)
                     if key not in seen:
                         seen.add(key)

@@ -15,10 +15,10 @@ from .errors import (
     RankDeficient,
     ZeroElement,
 )
-from .exactlin import Lattice, Matrix, lattice_index
+from .exactlin import Lattice, Matrix, lattice_index, solve
 from .finitealg import FiniteAlgebra
-from .algebras import decompose, matrix_over_algebra, solve_left
-from .rings import Frac
+from .algebras import decompose, matrix_over_algebra
+from .rings import Frac, pnorm
 
 
 class Order:
@@ -235,10 +235,7 @@ def residue_algebra(order, p):
         return expand(order_coords)
 
     def lift_coords(res_coords):
-        out = []
-        for k in range(n):
-            out.append(ring.canonical(tuple(res_coords[k * d:(k + 1) * d])))
-        return out
+        return [pnorm(res_coords[k * d:(k + 1) * d], q) for k in range(n)]
 
     return FiniteAlgebra(q, table, one), reduce_coords, lift_coords
 
@@ -247,16 +244,18 @@ def residue_algebra(order, p):
 # radicals, idealizers, certificates
 
 
+def _ideal_over_p(order, p, lift, residue_rows):
+    """The two-sided ideal pΛ + (lifts of residue_rows) of Λ."""
+    ring = order.algebra.ring
+    rows = list(order.lattice.scaled(Frac.of(ring, p)).basis.rows)
+    rows.extend(order.ambient_coords(lift(r)) for r in residue_rows)
+    return LatticeIdeal(order, Lattice.from_rows(ring, rows, order.dim))
+
+
 def radical_mod_p(order, p):
     """Two-sided ideal J with J/pΛ = Jacobson radical of Λ/pΛ."""
     res, _, lift = residue_algebra(order, p)
-    rad = res.radical_basis()
-    ring = order.algebra.ring
-    rows = list(order.lattice.scaled(Frac.of(ring, p)).basis.rows)
-    for r in rad:
-        rows.append(order.ambient_coords(lift(r)))
-    lat = Lattice.from_rows(ring, rows, order.dim)
-    return LatticeIdeal(order, lat, "two-sided")
+    return _ideal_over_p(order, p, lift, res.radical_basis())
 
 
 def idealizer(order, ideal, side="left"):
@@ -265,16 +264,24 @@ def idealizer(order, ideal, side="left"):
     lat = ideal.lattice if isinstance(ideal, LatticeIdeal) else ideal
     if lat.rank != alg.dim:
         raise RankDeficient("idealizer needs a full-rank ideal")
+    mul = alg.right_mul_matrix if side == "left" else alg.left_mul_matrix
+    maps = [mul(alg.element(w)) for w in lat.basis.rows]
+    return _stabilizer_order(alg, lat, maps)
+
+
+def _stabilizer_order(alg, lat, maps):
+    """The order {x in alg : x·maps[i] ∈ lat for every i}.
+
+    maps[i] multiplies coordinates by the i-th basis vector w_i of lat (on
+    the side being stabilized).  In lattice coordinates x is in the order
+    iff it pairs integrally with every column of maps[i]·basis⁻¹, so the
+    order is the dual of the lattice those columns span.
+    """
     binv = lat.basis.inverse()
-    cond_rows = []
-    for w in lat.basis.rows:
-        elt = alg.element(w)
-        m = alg.right_mul_matrix(elt) if side == "left" else alg.left_mul_matrix(elt)
-        cond = m * binv
-        cond_rows.extend(cond.transpose().rows)
-    col_lat = Lattice.from_rows(alg.ring, cond_rows, alg.dim)
+    cols = [row for m in maps for row in (m * binv).transpose().rows]
+    col_lat = Lattice.from_rows(alg.ring, cols, alg.dim)
     if col_lat.rank != alg.dim:
-        raise InternalError("idealizer condition system is rank-deficient")
+        raise InternalError("stabilizer condition system is rank-deficient")
     return Order(alg, col_lat.dual())
 
 
@@ -296,41 +303,45 @@ def discriminant(order):
     return det.integral_value()
 
 
-def is_maximal_at_p(order, p):
-    """Per-prime maximality certificate."""
-    j = radical_mod_p(order, p)
-    left = idealizer(order, j, "left")
-    right = idealizer(order, j, "right")
-    fixed = left.lattice == order.lattice and right.lattice == order.lattice
-    res, _, _ = residue_algebra(order, p)
-    simple = res.count_simple_factors() == 1
-    return {
-        "prime": p,
-        "idealizerFixed": fixed,
-        "residueSimple": simple,
-        "verdict": fixed and simple,
-    }
+def p_step(order, p):
+    """One saturation step at p, and the test for maximality at p.
 
-
-def _maximal_ideals_over_p(order, p):
-    """The maximal two-sided ideals of Λ containing pΛ."""
-    ring = order.algebra.ring
+    Λ is maximal at p exactly when neither O_l(J), for J the p-radical,
+    nor O_l(I), for any maximal two-sided ideal I ⊇ pΛ, is larger than Λ
+    (Reiner §§17–18; Ivanyos & Rónyai 1993).  Builds Λ/pΛ and its radical
+    once and returns (grown, facts): grown is the first of those
+    idealizers that is strictly larger than Λ, or None; facts says
+    whether O_l(J) = Λ and how many maximal ideals lie over p.
+    """
     res, _, lift = residue_algebra(order, p)
     rad = res.radical_basis()
     quot, _, lift_q = res.quotient(rad)
     idems = quot.primitive_central_idempotents()
-    out = []
-    q = res.p
+    ideals = [_ideal_over_p(order, p, lift, rad)]
     for e in idems:
-        one_minus = [(a - b) % q for a, b in zip(quot.one_coords, e)]
-        rows = [order.ambient_coords(lift(r)) for r in rad]
-        for b in quot.basis():
-            v = lift_q(quot.mul(b, one_minus))
-            rows.append(order.ambient_coords(lift(v)))
-        rows.extend(order.lattice.scaled(Frac.of(ring, p)).basis.rows)
-        lat = Lattice.from_rows(ring, rows, order.dim)
-        out.append(LatticeIdeal(order, lat, "two-sided"))
-    return out
+        # Λ/I is the simple factor e·(Λ/J) of the semisimple quotient
+        one_minus = [(a - b) % res.p for a, b in zip(quot.one_coords, e)]
+        ideals.append(_ideal_over_p(order, p, lift, rad + [
+            lift_q(quot.mul(b, one_minus)) for b in quot.basis()]))
+    facts = {"idealizerFixed": True, "maximalIdeals": len(idems)}
+    for k, ideal in enumerate(ideals):
+        grown = idealizer(order, ideal)
+        if grown.lattice != order.lattice:
+            facts["idealizerFixed"] = k > 0
+            return grown, facts
+    return None, facts
+
+
+def is_maximal_at_p(order, p):
+    """Per-prime maximality certificate: the verdict of p_step, plus
+    whether O_l(J) = Λ and whether exactly one maximal ideal lies over p."""
+    grown, facts = p_step(order, p)
+    return {
+        "prime": p,
+        "idealizerFixed": facts["idealizerFixed"],
+        "residueSimple": facts["maximalIdeals"] == 1,
+        "verdict": grown is None,
+    }
 
 
 def p_maximal_order(order, p):
@@ -343,20 +354,10 @@ def p_maximal_order(order, p):
         bound = 64 * order.dim
     cur = order
     for _ in range(bound):
-        j = radical_mod_p(cur, p)
-        nxt = idealizer(cur, j, "left")
-        if nxt.lattice != cur.lattice:
-            cur = nxt
-            continue
-        grew = False
-        for ideal in _maximal_ideals_over_p(cur, p):
-            cand = idealizer(cur, ideal, "left")
-            if cand.lattice != cur.lattice:
-                cur = cand
-                grew = True
-                break
-        if not grew:
+        grown, _ = p_step(cur, p)
+        if grown is None:
             return cur
+        cur = grown
     raise InternalError("p-maximalization did not terminate within its bound")
 
 
@@ -384,15 +385,11 @@ def maximal_order(start, idems=None, extra_primes=None, seed=0):
     pieces = []
     for t, factor in enumerate(dec.factors):
         emb = dec.embeddings[t]
-        gens = []
-        e = idems[t]
-        for b in start.basis_elements():
-            proj = (e * b).coords
-            sol = solve_left(emb, proj)
-            if sol is None:
-                raise InternalError("projection left the idempotent block")
-            gens.append(factor.element(sol))
-        sub = order_closure(factor, gens)
+        sols = solve(alg.field, emb.rows,
+                     [(idems[t] * b).coords for b in start.basis_elements()])
+        if sols is None:
+            raise InternalError("projection left the idempotent block")
+        sub = order_closure(factor, [factor.element(x) for x in sols])
         sub = _maximalize_factor(sub, extra_primes)
         pieces.append((sub, emb))
     rows = []
@@ -449,9 +446,7 @@ def endomorphism_order(delta, m, r=None):
     if m.rank != r * d:
         raise RankDeficient("lattice must be full rank in D^r")
     model = matrix_over_algebra(dalg, r)
-    binv = m.basis.inverse()
-    lmats = [dalg.left_mul_matrix(dalg.basis_element(c)) for c in range(d)]
-    cond_rows = []
+    maps = []
     for w in m.basis.rows:
         blocks = [w[b * d:(b + 1) * d] for b in range(r)]
         rows = []
@@ -460,16 +455,11 @@ def endomorphism_order(delta, m, r=None):
                 for c in range(d):
                     # E_ab (x) d_c applied to w: block a receives d_c * w_b
                     img = [Frac.of(ring, 0)] * (r * d)
-                    wb = Matrix(ring, [blocks[b]], d)
-                    prod = (wb * lmats[c]).rows[0]
-                    img[a * d:(a + 1) * d] = prod
+                    img[a * d:(a + 1) * d] = dalg.mul_coords(
+                        dalg.basis_element(c).coords, blocks[b])
                     rows.append(img)
-        phi = Matrix(ring, rows, r * d) * binv
-        cond_rows.extend(phi.transpose().rows)
-    col_lat = Lattice.from_rows(ring, cond_rows, model.dim)
-    if col_lat.rank != model.dim:
-        raise RankDeficient("endomorphism condition system is rank-deficient")
-    return Order(model, col_lat.dual())
+        maps.append(Matrix(ring, rows, r * d))
+    return _stabilizer_order(model, m, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -478,17 +468,9 @@ def endomorphism_order(delta, m, r=None):
 
 def two_sided_ideals_over_p(order, p, max_elements=200000):
     """All two-sided ideals I with pΛ ⊆ I ⊆ Λ."""
-    ring = order.algebra.ring
     res, _, lift = residue_algebra(order, p)
-    ideals = res.all_two_sided_ideals(max_elements=max_elements)
-    out = []
-    plat = order.lattice.scaled(Frac.of(ring, p))
-    for rows in ideals:
-        amb = list(plat.basis.rows)
-        for rrow in rows:
-            amb.append(order.ambient_coords(lift(list(rrow))))
-        lat = Lattice.from_rows(ring, amb, order.dim)
-        out.append(LatticeIdeal(order, lat, "two-sided"))
+    out = [_ideal_over_p(order, p, lift, [list(r) for r in rows])
+           for rows in res.all_two_sided_ideals(max_elements=max_elements)]
     out.sort(key=lambda i: str(lattice_index(i.lattice, order.lattice)))
     return out
 

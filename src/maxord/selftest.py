@@ -26,7 +26,9 @@ from .serre import (
 )
 
 
-def _squarefree(d):
+def squarefree(d):
+    if d in (0, 1):
+        return False
     k = 2
     n = abs(d)
     while k * k <= n:
@@ -106,7 +108,7 @@ def run(seed=0):
     # quadratic sweep against the classical ring of integers
     bad = []
     for d in range(-50, 51):
-        if d in (0, 1) or not _squarefree(d):
+        if not squarefree(d):
             continue
         qf = poly_quotient_algebra(ZZ, [-d, 0, 1])
         start = order_closure(qf, [qf.basis_element(1)])

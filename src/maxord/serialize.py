@@ -5,6 +5,7 @@ All numbers travel as strings: "n" or "n/d" over Z, coefficient strings
 like "t^2+1" over a polynomial ground ring.  No floats anywhere.
 """
 
+import contextlib
 import re
 
 from .errors import ParseError
@@ -19,6 +20,55 @@ from .orders import Order
 from .rings import ZZ, Frac, poly_ring
 
 
+# -- document access --------------------------------------------------------
+
+
+def _pointer(path):
+    return "".join("/%s" % key for key in path)
+
+
+@contextlib.contextmanager
+def located(pointer):
+    """Errors that a malformed document raises in the block become
+    ParseError; locations get the JSON pointer of the block in front."""
+    try:
+        yield
+    except ParseError as exc:
+        exc.location = pointer + (exc.location or "")
+        raise
+    except (AttributeError, IndexError, KeyError, TypeError,
+            ValueError) as exc:
+        raise ParseError("malformed document: %s" % exc, pointer)
+
+
+def field(obj, *path):
+    """The value at path inside a document, or a ParseError located at the
+    first step that is missing."""
+    for i, key in enumerate(path):
+        try:
+            obj = obj[key]
+        except (IndexError, KeyError, TypeError):
+            where = _pointer(path[:i + 1])
+            raise ParseError("missing %s" % where, where)
+    return obj
+
+
+def integer(obj, *path):
+    """The integer (a JSON number or a decimal string) at path."""
+    value = field(obj, *path)
+    with contextlib.suppress(ValueError):
+        if isinstance(value, (int, str)) and not isinstance(value, bool):
+            return int(value)
+    raise ParseError("expected an integer, got %r" % (value,), _pointer(path))
+
+
+def parse_at(obj, key, parse):
+    """parse(obj[key]), with errors located under /key."""
+    value = field(obj, key)
+    with located("/%s" % key):
+        return parse(value)
+
+
 # -- ground rings -----------------------------------------------------------
 
 
@@ -26,11 +76,8 @@ def parse_ground(obj):
     if obj == "Z":
         return ZZ
     if isinstance(obj, dict) and "poly" in obj:
-        spec = obj["poly"]
-        try:
-            return poly_ring(int(spec["p"]), spec.get("var", "t"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError("bad polynomial ring spec: %s" % exc)
+        p = integer(obj, "poly", "p")
+        return poly_ring(p, obj["poly"].get("var", "t"))
     raise ParseError("unrecognized ground ring %r" % (obj,))
 
 
@@ -119,32 +166,30 @@ def parse_algebra(obj, ring=None):
                        trusted_semisimple=True, validate=False)
     if not isinstance(obj, dict):
         raise ParseError("algebra must be an object or \"Q\"")
-    if ring is None and "ground" in obj:
-        ring = parse_ground(obj["ground"])
     if ring is None:
-        ring = ZZ
+        ring = parse_at(obj, "ground", parse_ground) if "ground" in obj else ZZ
     trusted = bool(obj.get("trusted_semisimple", False))
     if "matrix" in obj:
-        return matrix_algebra(ring, int(obj["matrix"]["n"]))
+        return matrix_algebra(ring, integer(obj, "matrix", "n"))
     if "quaternion" in obj:
-        spec = obj["quaternion"]
-        return quaternion_algebra(ring, parse_frac(ring, spec["a"]),
-                                  parse_frac(ring, spec["b"]))
+        return quaternion_algebra(
+            ring, parse_frac(ring, field(obj, "quaternion", "a")),
+            parse_frac(ring, field(obj, "quaternion", "b")))
     if "poly_quotient" in obj:
-        spec = obj["poly_quotient"]
-        var = spec.get("var", "x")
-        coeffs = parse_poly_string(ring, spec["modulus"], var)
+        var = obj["poly_quotient"].get("var", "x")
+        modulus = field(obj, "poly_quotient", "modulus")
+        coeffs = parse_poly_string(ring, modulus, var)
         return poly_quotient_algebra(ring, coeffs, var=var,
                                      trusted_semisimple=trusted)
     if "mul" in obj:
-        dim = int(obj["dim"])
-        mul = obj["mul"]
-        table = [
+        dim = integer(obj, "dim")
+        table = parse_at(obj, "mul", lambda mul: [
             [[parse_frac(ring, mul[i][j][k]) for k in range(dim)]
              for j in range(dim)]
             for i in range(dim)
-        ]
-        one = [parse_frac(ring, c) for c in obj["one"]]
+        ])
+        one = parse_at(obj, "one",
+                       lambda one: [parse_frac(ring, c) for c in one])
         return Algebra(ring, table, one,
                        basis_names=obj.get("basis"),
                        trusted_semisimple=trusted)
@@ -168,14 +213,11 @@ def format_algebra(alg):
 
 
 def parse_order(obj, algebra=None):
-    if not isinstance(obj, dict) or "basis" not in obj:
-        raise ParseError("order needs a basis matrix")
     if algebra is None:
-        if "algebra" not in obj:
-            raise ParseError("order needs an inline algebra")
-        algebra = parse_algebra(obj["algebra"])
-    basis = parse_matrix(algebra.ring, obj["basis"], algebra.dim)
-    return Order(algebra, Lattice.from_rows(algebra.ring, basis, algebra.dim))
+        algebra = parse_at(obj, "algebra", parse_algebra)
+    ring, dim = algebra.ring, algebra.dim
+    basis = parse_at(obj, "basis", lambda rows: parse_matrix(ring, rows, dim))
+    return Order(algebra, Lattice.from_rows(ring, basis, dim))
 
 
 def format_order(order, include_algebra=True):
@@ -217,13 +259,13 @@ def parse_primes(ring, text):
 def parse_isogeny_type(obj):
     from .serre import IsogenyFactor, IsogenyType
 
-    if not isinstance(obj, dict) or "factors" not in obj:
-        raise ParseError("isogeny type needs a factors array")
-    factors = []
-    for f in obj["factors"]:
-        factors.append(IsogenyFactor(
-            f["label"], int(f["dim"]), parse_algebra(f["endo"]), int(f["mult"])
-        ))
+    def factor(f):
+        return IsogenyFactor(field(f, "label"), integer(f, "dim"),
+                             parse_at(f, "endo", parse_algebra),
+                             integer(f, "mult"))
+
+    factors = parse_at(obj, "factors", lambda fs: [
+        parse_at(fs, i, factor) for i in range(len(fs))])
     return IsogenyType(factors)
 
 
@@ -245,23 +287,20 @@ def parse_presentation(obj, order=None):
     from .serre import ModulePresentation
 
     if order is None:
-        order = parse_order(obj["order"])
+        order = parse_at(obj, "order", parse_order)
     alg = order.algebra
-    alpha = []
-    for row in obj["alpha"]:
-        alpha.append([
-            alg.element([parse_frac(alg.ring, c) for c in entry])
-            for entry in row
-        ])
-    s = obj.get("s")
-    return ModulePresentation(order, alpha, s=int(s) if s else None)
+    alpha = [[alg.element([parse_frac(alg.ring, c) for c in entry])
+              for entry in row] for row in field(obj, "alpha")]
+    s = integer(obj, "s") if obj.get("s") else None
+    return ModulePresentation(order, alpha, s=s)
 
 
 def parse_period_lattice(obj, order):
     from .serre import PeriodLattice
 
     ring = order.algebra.ring
-    basis = parse_matrix(ring, obj["basis"])
+    basis = parse_at(obj, "basis", lambda rows: parse_matrix(ring, rows))
     lat = Lattice.from_rows(ring, basis, basis.ncols)
-    action = [parse_matrix(ring, a, basis.ncols) for a in obj["action"]]
+    action = parse_at(obj, "action", lambda mats: [
+        parse_matrix(ring, a, basis.ncols) for a in mats])
     return PeriodLattice(order, lat, action, prime=obj.get("prime", "generic"))

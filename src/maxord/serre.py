@@ -15,7 +15,7 @@ from .errors import (
     NotContained,
     NotIntegral,
 )
-from .exactlin import Lattice, Matrix, lattice_index, snf
+from .exactlin import Lattice, Matrix, lattice_index, quotient_space, snf
 from .algebras import matrix_over_algebra, product_algebra
 from .rings import Frac, frac0, frac1
 
@@ -104,23 +104,23 @@ class ModulePresentation:
                 if order.order_coords(a.coords) is None:
                     raise NotIntegral("presentation entry outside the order")
 
+    def image_rows(self, basis_rows):
+        """Ambient coordinates of the relations α(b·e_t) in A^s: row (t, b)
+        is (α[t][u]·b)_u, for b running over basis_rows."""
+        mul = self.order.algebra.mul_coords
+        return [[x for u in range(self.s)
+                 for x in mul(self.alpha[t][u].coords, b)]
+                for t in range(self.r) for b in basis_rows]
+
     def relation_matrix(self):
         """The (r·n)×(s·n) matrix of α⊗(order basis) over the ground ring:
         row (t, a) is the order-basis expansion of b_a·α[t][·]."""
         o = self.order
-        alg = o.algebra
-        ring = alg.ring
         n = o.dim
-        rows = []
-        for t in range(self.r):
-            for a in range(n):
-                ba = o.bmat.rows[a]
-                row = []
-                for u in range(self.s):
-                    prod = alg.mul_coords(self.alpha[t][u].coords, ba)
-                    row.extend(Frac.of(ring, c) for c in o.order_coords(prod))
-                rows.append(row)
-        return Matrix(ring, rows, self.s * n)
+        rows = [[c for u in range(self.s)
+                 for c in o.order_coords(row[u * n:(u + 1) * n])]
+                for row in self.image_rows(o.bmat.rows)]
+        return Matrix(o.algebra.ring, rows, self.s * n)
 
 
 class PeriodLattice:
@@ -181,35 +181,13 @@ class PeriodLattice:
 
 
 class IsogenyDescriptor:
-    def __init__(self, source, target, per_lattice_divisors, degree):
-        self.source = source
-        self.target = target
+    def __init__(self, per_lattice_divisors, degree):
         self.per_lattice_divisors = per_lattice_divisors
         self.degree = degree
 
 
 # ---------------------------------------------------------------------------
 # isogeny-class computation
-
-
-def _quotient_space(ring, rel_rows, dim):
-    """rref-based quotient of K^dim by the span of rel_rows; returns
-    (project, basis_cols) with project mapping ambient coords to quotient
-    coords over the non-pivot columns."""
-    red, pivots = Matrix(ring, rel_rows, dim).rref() if rel_rows else (
-        Matrix(ring, [], dim), [])
-    red_rows = [row for row in red.rows if any(row)]
-    free_cols = [c for c in range(dim) if c not in pivots]
-
-    def project(vec):
-        v = [Frac.of(ring, x) for x in vec]
-        for row, c in zip(red_rows, pivots):
-            if v[c]:
-                f = v[c]
-                v = [x - f * y for x, y in zip(v, row)]
-        return [v[c] for c in free_cols]
-
-    return project, free_cols
 
 
 def tensor_isogeny_class(pres, itype, embedding):
@@ -246,27 +224,13 @@ def tensor_isogeny_class(pres, itype, embedding):
 
     # V = coker(alpha) ⊗ Q inside K^(s·dimA)
     s, na = pres.s, alg.dim
-    rel_rows = []
-    for t in range(pres.r):
-        for a in range(na):
-            row = []
-            for u in range(pres.s):
-                row.extend(alg.mul_coords(pres.alpha[t][u].coords,
-                                          alg.basis_element(a).coords))
-            rel_rows.append(row)
-    proj_v, free_cols = _quotient_space(ring, rel_rows, s * na)
-    dv = len(free_cols)
+    rel_rows = pres.image_rows([b.coords for b in alg.basis()])
+    proj_v, section_v, dv = quotient_space(alg.field, rel_rows, s * na)
     de = E.dim
     if dv * de > 4096:
         raise DimensionTooLarge("dim V · dim E = %d exceeds 4096" % (dv * de))
     if dv == 0:
         return itype.with_multiplicities([0] * len(itype.factors))
-
-    def section_v(vq):
-        amb = [frac0(ring)] * (s * na)
-        for c, x in zip(free_cols, vq):
-            amb[c] = x
-        return amb
 
     def v_times_basis(vq, a):
         amb = section_v(vq)
@@ -296,7 +260,7 @@ def tensor_isogeny_class(pres, itype, embedding):
                     if ce.coords[t]:
                         row[widx(x, t)] = row[widx(x, t)] - ce.coords[t]
                 wrel.append(row)
-    proj_w, _ = _quotient_space(ring, wrel, dv * de)
+    proj_w, _, _ = quotient_space(alg.field, wrel, dv * de)
     mults = []
     for f, ep in zip(itype.factors, eps):
         if f.mult == 0:
@@ -427,11 +391,7 @@ def minimal_isogeny(o, o_prime, itype, lattices):
                 break
             cur = nxt
         # elementary divisors of cur/t.lattice
-        coords = []
-        for row in t.lattice.basis.rows:
-            sol = cur.solve_in_basis(row)
-            coords.append(sol)
-        cmat = Matrix(ring, coords, cur.rank)
+        cmat = Matrix(ring, cur.coordinates(t.lattice.basis.rows), cur.rank)
         if not cmat.is_integral():
             raise NotContained("saturated lattice does not contain the input")
         s_mat, _, _ = snf(cmat)
@@ -445,7 +405,7 @@ def minimal_isogeny(o, o_prime, itype, lattices):
         degree = ring.canonical(
             ring.mul(degree, lattice_index(t.lattice, cur))
         )
-    return IsogenyDescriptor(itype, itype, per, degree)
+    return IsogenyDescriptor(per, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -467,14 +427,7 @@ def check_naturality(pres1, pres2, phi, t):
     ring = alg.ring
     n = o.dim
     # descent: rows of α1·φ must lie in the O-submodule generated by α2 rows
-    gen_rows = []
-    for ti in range(pres2.r):
-        for a in range(n):
-            ba = o.bmat.rows[a]
-            row = []
-            for u in range(pres2.s):
-                row.extend(alg.mul_coords(pres2.alpha[ti][u].coords, ba))
-            gen_rows.append(row)
+    gen_rows = pres2.image_rows(o.bmat.rows)
     gen_lat = Lattice.from_rows(ring, gen_rows, pres2.s * alg.dim) \
         if gen_rows else Lattice.zero(ring, pres2.s * alg.dim)
     for ti in range(pres1.r):

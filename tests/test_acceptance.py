@@ -29,6 +29,7 @@ from maxord.orders import (
     two_sided_ideals_over_p,
 )
 from maxord.rings import ZZ, Frac, poly_ring
+from maxord.selftest import squarefree, upper_triangular_order
 from maxord.serre import (
     IsogenyFactor,
     IsogenyType,
@@ -53,16 +54,6 @@ def report(num, label, ok, budget, elapsed):
     assert elapsed < budget, line
 
 
-def upper_triangular_order():
-    table = [
-        [[1, 0, 0], [0, 1, 0], [0, 0, 0]],
-        [[0, 0, 0], [0, 0, 0], [0, 1, 0]],
-        [[0, 0, 0], [0, 0, 0], [0, 0, 1]],
-    ]
-    alg = Algebra(ZZ, table, [1, 0, 1], basis_names=["e11", "e12", "e22"])
-    return Order(alg, Lattice.standard(ZZ, 3))
-
-
 def quadratic_order(d):
     alg = poly_quotient_algebra(
         ZZ, [Frac.of(ZZ, -d), Frac.of(ZZ, 0), Frac.of(ZZ, 1)],
@@ -77,20 +68,29 @@ def regular_period_lattice(order, prime="generic"):
     return PeriodLattice(order, order.lattice, action, prime=prime)
 
 
-def squarefree(d):
-    if d in (0, 1):
-        return False
-    k = 2
-    while k * k <= abs(d):
-        if abs(d) % (k * k) == 0:
-            return False
-        k += 1
-    return True
+def subspaces(p, n):
+    """Every nonzero subspace of F_p^n, once each, as rref basis rows."""
+    for k in range(1, n + 1):
+        for pivots in itertools.combinations(range(n), k):
+            free = [(r, c) for r in range(k) for c in range(pivots[r] + 1, n)
+                    if c not in pivots]
+            for values in itertools.product(range(p), repeat=len(free)):
+                rows = [[int(c == pivots[r]) for c in range(n)]
+                        for r in range(k)]
+                for (r, c), v in zip(free, values):
+                    rows[r][c] = v
+                yield rows
 
 
 def brute_force_maximal_order(order, primes):
-    """Independent oracle: enumerate all index-p superlattices, keep the
-    unital ring-closed ones, repeat until stable."""
+    """Independent oracle: enumerate every lattice strictly between Λ and
+    (1/p)Λ, keep the unital ring-closed ones, repeat until stable.
+
+    Every lattice in between is tried, not only those of index p: an order
+    that is not maximal at p may have no overorder of index p (Z + pO for
+    p inert in a cubic field is one), but for a commutative order it always
+    has one inside (1/p)Λ, the idealizer of its p-radical.
+    """
     alg = order.algebra
     n = order.dim
     cur = order
@@ -98,14 +98,11 @@ def brute_force_maximal_order(order, primes):
     while changed:
         changed = False
         for p in primes:
-            for vec_mod in itertools.product(range(p), repeat=n):
-                if all(v == 0 for v in vec_mod):
-                    continue
-                extra = [Frac(ZZ, v, p) for v in vec_mod]
-                amb = (Matrix(ZZ, [extra], n) * cur.bmat).rows[0]
-                lat = Lattice.from_rows(ZZ, list(cur.bmat.rows) + [amb], n)
-                if lat == cur.lattice:
-                    continue
+            for rows in subspaces(p, n):
+                extra = Matrix(ZZ, [[Frac(ZZ, v, p) for v in row]
+                                    for row in rows], n)
+                lat = Lattice.from_rows(
+                    ZZ, list(cur.bmat.rows) + (extra * cur.bmat).rows, n)
                 cand = Order(alg, lat, validate=False)
                 try:
                     cand.structure_constants()

@@ -7,10 +7,9 @@ from maxord.algebras import (
     poly_quotient_algebra,
     product_algebra,
     quaternion_algebra,
-    solve_left,
 )
 from maxord.errors import BadIdempotents, NotSemisimple
-from maxord.exactlin import Matrix
+from maxord.exactlin import FractionField, Matrix, solve
 from maxord.rings import ZZ, Frac, poly_ring
 
 F2T = poly_ring(2)
@@ -168,5 +167,6 @@ class TestMatrixOverAlgebra:
 class TestSolveLeft:
     def test_basic(self):
         b = Matrix(ZZ, [[1, 1], [0, 1]], 2)
-        x = solve_left(b, [Frac.of(ZZ, 2), Frac.of(ZZ, 3)])
-        assert [str(c) for c in x] == ["2", "1"]
+        x = solve(FractionField(ZZ), b.rows,
+                  [[Frac.of(ZZ, 2), Frac.of(ZZ, 3)]])
+        assert [str(c) for c in x[0]] == ["2", "1"]

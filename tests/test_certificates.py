@@ -1,0 +1,92 @@
+"""Regression tests for the per-prime maximality test shared by
+`is_maximal_at_p` and `p_maximal_order`, and for residue algebras over
+F_p[t]."""
+
+import random
+
+from maxord.algebras import poly_quotient_algebra
+from maxord.exactlin import Lattice, lattice_index
+from maxord.orders import (
+    Order,
+    discriminant,
+    is_maximal_at_p,
+    maximal_order,
+    residue_algebra,
+)
+from maxord.rings import ZZ, Frac, poly_ring
+from test_acceptance import brute_force_maximal_order
+
+F5T = poly_ring(5)
+
+
+def equation_order(ring, coeffs):
+    """R[x]/(f) on the basis 1, x, ..., for f monic, lowest degree first."""
+    alg = poly_quotient_algebra(ring, coeffs, trusted_semisimple=True)
+    return Order(alg, Lattice.standard(ring, alg.dim))
+
+
+def test_split_product_is_maximal_at_two():
+    # Q[x]/(x^2 - 1) = Q x Q; Z x Z is spanned by (1 ± x)/2
+    order = equation_order(ZZ, [-1, 0, 1])
+    zxz = Order(order.algebra, Lattice.from_rows(
+        ZZ, [[Frac(ZZ, 1, 2), Frac(ZZ, 1, 2)],
+             [Frac(ZZ, 1, 2), Frac(ZZ, -1, 2)]], 2))
+    cert = is_maximal_at_p(zxz, 2)
+    assert cert["verdict"] is True
+    assert cert["idealizerFixed"] is True
+    assert cert["residueSimple"] is False  # 2 splits: two maximal ideals
+    assert not is_maximal_at_p(order, 2)["verdict"]
+
+
+def test_cubic_sweep_matches_brute_force():
+    """Seeded monic cubics: the certificate agrees with the superlattice
+    oracle on the equation order and accepts the oracle's p-maximal order,
+    at every prime p <= 7 dividing the discriminant."""
+    rng = random.Random(2024)
+    cases = verdicts = split = 0
+    while cases < 20:
+        coeffs = [rng.randint(-9, 9) for _ in range(3)] + [1]
+        order = equation_order(ZZ, coeffs)
+        disc = discriminant(order)
+        primes = [p for p in (2, 3, 5, 7) if disc and disc % p == 0]
+        if not primes:
+            continue
+        cases += 1
+        for p in primes:
+            oracle = brute_force_maximal_order(order, [p])
+            cert = is_maximal_at_p(order, p)
+            assert cert["verdict"] == (oracle.lattice == order.lattice), \
+                (coeffs, p)
+            top = is_maximal_at_p(oracle, p)
+            assert top["verdict"], (coeffs, p)
+            verdicts += not cert["verdict"]
+            split += not top["residueSimple"]
+    # the sweep reaches non-maximal orders and split maximal ones
+    assert verdicts and split
+
+
+def test_f5t_kummer_order():
+    # y^3 = (t+2)^3 (t^2+3) over F_5[t]: the maximal order adjoins
+    # y/(t+2) and y^2/(t+2)^2
+    s = (2, 1)
+    c = F5T.mul(F5T.mul(F5T.mul(s, s), s), (3, 0, 1))
+    order = equation_order(F5T, [F5T.neg(c), F5T.zero, F5T.zero, F5T.one])
+    out = maximal_order(order)
+    inv_s = Frac(F5T, F5T.one, s)
+    assert out.lattice == Lattice.from_rows(
+        F5T, [[1, 0, 0], [0, inv_s, 0], [0, 0, inv_s * inv_s]], 3)
+    assert lattice_index(order.lattice, out.lattice) == F5T.mul(F5T.mul(s, s), s)
+    for q, _ in F5T.factor(discriminant(out)):
+        assert is_maximal_at_p(out, q)["verdict"]
+
+
+def test_residue_lift_inverts_reduce_over_f5t():
+    order = equation_order(F5T, [(1,), F5T.zero, F5T.zero, F5T.one])
+    # a degree-1 prime: residues are constants
+    _, reduce_coords, lift = residue_algebra(order, (2, 1))
+    v = [(4,), (1,), (2,)]
+    assert lift(reduce_coords(v)) == v
+    # a degree-2 prime: residues are polynomials of degree < 2
+    _, reduce_coords, lift = residue_algebra(order, (3, 0, 1))
+    v = [(2,), (1, 2), ()]
+    assert lift(reduce_coords(v)) == v

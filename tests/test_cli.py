@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from maxord.cli import main
 
 GAUSSIAN_ORDER = {
@@ -29,6 +31,40 @@ F2T_ORDER = {
                 "poly_quotient": {"modulus": "x^2+t"},
                 "trusted_semisimple": True},
     "basis": [["1", "0"], ["0", "t"]],
+}
+
+
+SERRE_CLASS_DOC = {
+    "order": {
+        "algebra": {"ground": "Z", "dim": 3,
+                    "basis": ["e11", "e12", "e22"],
+                    "mul": [
+                        [["1", "0", "0"], ["0", "1", "0"],
+                         ["0", "0", "0"]],
+                        [["0", "0", "0"], ["0", "0", "0"],
+                         ["0", "1", "0"]],
+                        [["0", "0", "0"], ["0", "0", "0"],
+                         ["0", "0", "1"]],
+                    ],
+                    "one": ["1", "0", "1"]},
+        "basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    },
+    "alpha": [[["1", "0", "0"]]],  # cokernel of e11
+    "type": {"factors": [
+        {"label": "E", "dim": 1, "endo": "Q", "mult": 2}]},
+    "embedding": [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+                  ["0", "0", "0", "1"]],
+}
+
+SERRE_LATTICE_DOC = {
+    "order": EISENSTEIN_EQUATION_ORDER,
+    "alpha": [[["-1", "-1"], ["2", "0"]]],
+    "lattice": {
+        "basis": [["1", "0"], ["0", "1"]],
+        "action": [[["1", "0"], ["0", "1"]],
+                   [["0", "1"], ["-3", "0"]]],
+        "prime": "2",
+    },
 }
 
 
@@ -82,6 +118,44 @@ class TestExitCodes:
 
     def test_missing_file_is_one(self, capsys):
         assert main(["certify", "/nonexistent/input.json"]) == 1
+
+
+def without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize("command, doc, location", [
+    ("serre-lattice", without(SERRE_LATTICE_DOC, "alpha"), "/alpha"),
+    ("serre-lattice", without(SERRE_LATTICE_DOC, "order"), "/order"),
+    ("serre-lattice", without(SERRE_LATTICE_DOC, "lattice"), "/lattice"),
+    ("serre-class", without(SERRE_CLASS_DOC, "type"), "/type"),
+    ("serre-class", without(SERRE_CLASS_DOC, "embedding"), "/embedding"),
+    ("center", {"matrix": {"n": "x"}}, "/matrix/n"),
+    ("center", {"dim": "2.5", "mul": [], "one": []}, "/dim"),
+    ("disc", {"algebra": {"matrix": {"n": 2}}}, "/basis"),
+    ("disc", {"algebra": {"matrix": {"n": 2}},
+              "basis": [["1", "0"], ["0"]]}, "/basis"),
+    ("serre-class", dict(SERRE_CLASS_DOC, type={"factors": [
+        {"label": "E", "dim": "one", "endo": "Q", "mult": 2}]}),
+     "/type/factors/0/dim"),
+])
+def test_malformed_document_is_parse_error(tmp_path, capsys, command, doc,
+                                           location):
+    code, _, err = run_cli_capture(tmp_path, capsys, doc, command)
+    assert code == 1
+    rec = json.loads(err)
+    assert rec["code"] == "ParseError"
+    assert rec["location"] == location
+
+
+class TestCertify:
+    def test_cubic_ring_of_integers_is_maximal(self, tmp_path, capsys):
+        # Z[x]/(x^3+x+1) has squarefree discriminant -31
+        doc = {"algebra": {"poly_quotient": {"modulus": "x^3+x+1"}},
+               "basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
+        code, out, _ = run_cli_capture(tmp_path, capsys, doc, "certify")
+        assert code == 0
+        assert json.loads(out)["verdict"] is True
 
 
 class TestCommands:
@@ -143,45 +217,16 @@ class TestCommands:
                          ["0", "0", "2", "0"], ["0", "0", "0", "1"]]
 
     def test_serre_class(self, tmp_path, capsys):
-        doc = {
-            "order": {
-                "algebra": {"ground": "Z", "dim": 3,
-                            "basis": ["e11", "e12", "e22"],
-                            "mul": [
-                                [["1", "0", "0"], ["0", "1", "0"],
-                                 ["0", "0", "0"]],
-                                [["0", "0", "0"], ["0", "0", "0"],
-                                 ["0", "1", "0"]],
-                                [["0", "0", "0"], ["0", "0", "0"],
-                                 ["0", "0", "1"]],
-                            ],
-                            "one": ["1", "0", "1"]},
-                "basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
-            },
-            "alpha": [[["1", "0", "0"]]],  # cokernel of e11
-            "type": {"factors": [
-                {"label": "E", "dim": 1, "endo": "Q", "mult": 2}]},
-            "embedding": [["1", "0", "0", "0"], ["0", "1", "0", "0"],
-                          ["0", "0", "0", "1"]],
-        }
-        code, out, _ = run_cli_capture(tmp_path, capsys, doc, "serre-class")
+        code, out, _ = run_cli_capture(tmp_path, capsys, SERRE_CLASS_DOC,
+                                       "serre-class")
         assert code == 0
         result = json.loads(out)
         assert result["factors"] == [{"label": "E", "mult": 1}]
         assert result["dimension"] == 1
 
     def test_serre_lattice(self, tmp_path, capsys):
-        doc = {
-            "order": EISENSTEIN_EQUATION_ORDER,
-            "alpha": [[["-1", "-1"], ["2", "0"]]],
-            "lattice": {
-                "basis": [["1", "0"], ["0", "1"]],
-                "action": [[["1", "0"], ["0", "1"]],
-                           [["0", "1"], ["-3", "0"]]],
-                "prime": "2",
-            },
-        }
-        code, out, _ = run_cli_capture(tmp_path, capsys, doc, "serre-lattice")
+        code, out, _ = run_cli_capture(tmp_path, capsys, SERRE_LATTICE_DOC,
+                                       "serre-lattice")
         assert code == 0
         result = json.loads(out)
         assert result["rank"] == 2

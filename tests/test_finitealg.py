@@ -1,13 +1,10 @@
 import pytest
 
 from maxord.errors import DimensionTooLarge
-from maxord.finitealg import (
-    FiniteAlgebra,
-    charpoly_mod,
-    kernel_mod,
-    rref_mod,
-    solve_mod,
-)
+from maxord.exactlin import PrimeField, kernel, rref, solve
+from maxord.finitealg import FiniteAlgebra, charpoly_mod
+
+F5 = PrimeField(5)
 
 
 def f_p_matrix_algebra(p, n):
@@ -54,21 +51,20 @@ def upper_triangular_2(p):
 
 class TestModLinearAlgebra:
     def test_rref_mod(self):
-        red, piv = rref_mod([[2, 4], [1, 3]], 2, 5)
+        red, piv = rref(F5, [[2, 4], [1, 3]])
         assert piv == [0, 1]
         assert red == [[1, 0], [0, 1]]
 
     def test_solve_mod(self):
         rows = [[1, 1], [0, 1]]
-        sol = solve_mod(rows, 2, [3, 2], 5)
-        assert sol is not None
+        sol = solve(F5, rows, [[3, 2]])[0]
         combo = [sum(sol[i] * rows[i][j] for i in range(2)) % 5
                  for j in range(2)]
         assert combo == [3, 2]
-        assert solve_mod([[1, 0]], 2, [0, 1], 5) is None
+        assert solve(F5, [[1, 0]], [[0, 1]]) is None
 
     def test_kernel_mod(self):
-        ker = kernel_mod([[1, 1], [1, 1]], 2, 3)
+        ker = kernel(PrimeField(3), [[1, 1], [1, 1]])
         assert len(ker) == 1
         x = ker[0]
         assert (x[0] + x[1]) % 3 == 0

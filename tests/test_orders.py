@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +7,7 @@ from maxord.algebras import (
     quaternion_algebra,
 )
 from maxord.errors import NotIntegral, NotPrime
-from maxord.exactlin import Lattice, Matrix, lattice_index
+from maxord.exactlin import Lattice, lattice_index
 from maxord.orders import (
     Order,
     discriminant,
@@ -26,6 +24,8 @@ from maxord.orders import (
     valuation_w,
 )
 from maxord.rings import ZZ, Frac, poly_ring
+from maxord.selftest import squarefree
+from test_acceptance import brute_force_maximal_order
 
 F2T = poly_ring(2)
 HALF = Frac(ZZ, 1, 2)
@@ -50,60 +50,6 @@ def expected_maximal_quadratic(alg, d):
     else:
         rows = [[1, 0], [0, 1]]
     return Order(alg, Lattice.from_rows(ZZ, rows, 2))
-
-
-def squarefree(d):
-    if d in (0, 1):
-        return False
-    n = abs(d)
-    k = 2
-    while k * k <= n:
-        if n % (k * k) == 0:
-            return False
-        k += 1
-    return True
-
-
-# -- independent oracle ------------------------------------------------------
-
-
-def brute_force_maximal_order(order, primes):
-    """Grow an order to maximality by trying every index-p superlattice.
-
-    Enumerates, for each prime p, all sublattices of (1/p)L containing L
-    with index p (one new half-open coset direction at a time), keeps those
-    that are unital subrings with integral structure constants, and repeats
-    until no enlargement exists.  Exponential, only for tiny dimensions.
-    """
-    alg = order.algebra
-    n = order.dim
-    cur = order
-    changed = True
-    while changed:
-        changed = False
-        for p in primes:
-            for vec_mod in itertools.product(range(p), repeat=n):
-                if all(v == 0 for v in vec_mod):
-                    continue
-                extra = [Frac(ZZ, v, p) for v in vec_mod]
-                amb = (Matrix(ZZ, [extra], n) * cur.bmat).rows[0]
-                rows = list(cur.bmat.rows) + [amb]
-                lat = Lattice.from_rows(ZZ, rows, n)
-                if lat == cur.lattice:
-                    continue
-                cand = Order(alg, lat, validate=False)
-                try:
-                    cand.structure_constants()
-                except NotIntegral:
-                    continue
-                if cand.order_coords(alg.one().coords) is None:
-                    continue
-                cur = cand
-                changed = True
-                break
-            if changed:
-                break
-    return cur
 
 
 class TestOrderBasics:

@@ -12,6 +12,7 @@ from maxord.errors import (
 from maxord.exactlin import Lattice, Matrix
 from maxord.orders import Order, maximal_order
 from maxord.rings import ZZ, Frac
+from maxord.selftest import upper_triangular_order
 from maxord.serre import (
     IsogenyFactor,
     IsogenyType,
@@ -27,16 +28,6 @@ from maxord.serre import (
 HALF = Frac(ZZ, 1, 2)
 
 RATIONAL = Algebra(ZZ, [[[1]]], [1], trusted_semisimple=True)
-
-
-def upper_triangular_order():
-    table = [
-        [[1, 0, 0], [0, 1, 0], [0, 0, 0]],
-        [[0, 0, 0], [0, 0, 0], [0, 1, 0]],
-        [[0, 0, 0], [0, 0, 0], [0, 0, 1]],
-    ]
-    alg = Algebra(ZZ, table, [1, 0, 1], basis_names=["e11", "e12", "e22"])
-    return Order(alg, Lattice.standard(ZZ, 3))
 
 
 def quadratic_order(d):
