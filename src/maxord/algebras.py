@@ -7,8 +7,6 @@ coords(x) * Lmat(a)``.
 
 import random
 
-import sympy
-
 from .errors import (
     AlgebraMismatch,
     BadIdempotents,
@@ -203,6 +201,8 @@ class Algebra:
         dim_z = len(zbasis)
         if dim_z == 1:
             return [self.one()]
+        import sympy  # factoring over Q, needed only for a center above Q
+
         rng = random.Random(seed)
         x = sympy.Symbol("x")
         for _ in range(64):

@@ -7,9 +7,10 @@ trailing zeros (for F_p[t]); the empty tuple is zero.  All arithmetic is
 exact.
 """
 
+import functools
+import itertools
+import random
 import re
-
-import sympy
 
 from .errors import NotPrime, ParseError, ZeroElement
 
@@ -78,6 +79,213 @@ def pdivmod(a, b, p):
 
 
 # ---------------------------------------------------------------------------
+# primality and factoring over Z (Cohen, GTM 138, §8.2)
+#
+# Trial division and Miller-Rabin settle every input the program meets;
+# sympy is imported only for a cofactor they cannot settle: one that is
+# composite with no prime factor below TRIAL_BOUND, or one at least
+# MR_BOUND.
+
+TRIAL_BOUND = 1 << 16
+# the first 13 primes; as Miller-Rabin bases they are exact below MR_BOUND
+# (Sorenson and Webster, Math. Comp. 86 (2017))
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3317044064679887385961981
+
+
+@functools.lru_cache(maxsize=1)
+def _trial_primes():
+    sieve = bytearray([1]) * TRIAL_BOUND
+    sieve[:2] = b"\0\0"
+    for i in range(2, int(TRIAL_BOUND ** 0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, TRIAL_BOUND, i)))
+    return tuple(itertools.compress(range(TRIAL_BOUND), sieve))
+
+
+def _miller_rabin(n):
+    """Whether n is prime, for odd n > MR_BASES[-1] below MR_BOUND."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def int_is_prime(n):
+    if n < 2:
+        return False
+    for q in MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n < MR_BOUND:
+        return _miller_rabin(n)
+    import sympy
+
+    return bool(sympy.isprime(n))
+
+
+def int_factorization(n):
+    """[(prime, exponent)] of n >= 1, sorted."""
+    out = []
+    for q in _trial_primes():
+        if q * q > n:
+            break
+        if n % q == 0:
+            e = 0
+            while n % q == 0:
+                n, e = n // q, e + 1
+            out.append((q, e))
+    else:
+        # no prime factor below TRIAL_BOUND: n is 1, a prime, or a
+        # product of primes at least TRIAL_BOUND
+        if n > 1 and not (n < MR_BOUND and _miller_rabin(n)):
+            import sympy
+
+            out.extend((int(q), int(e)) for q, e in sympy.factorint(n).items())
+            return sorted(out)
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# irreducibility and factoring over F_p[t] (Cohen, GTM 138, §3.4)
+#
+# Polynomials are monic raw tuples.  Factoring splits off squarefree
+# parts, then the product of the irreducibles of each degree, then those
+# irreducibles one by one (Cantor-Zassenhaus).
+
+
+def pmonic(a, p):
+    inv = pow(a[-1], p - 2, p)
+    return tuple(c * inv % p for c in a)
+
+
+def pmod(a, f, p):
+    return pdivmod(a, f, p)[1]
+
+
+def pquo(a, f, p):
+    return pdivmod(a, f, p)[0]
+
+
+def pgcd(a, b, p):
+    """The monic gcd of a and b, not both zero."""
+    while b:
+        a, b = b, pmod(a, b, p)
+    return pmonic(a, p)
+
+
+def ppowmod(a, e, f, p):
+    """a^e mod f."""
+    out, a = (1,), pmod(a, f, p)
+    while e:
+        if e & 1:
+            out = pmod(pmul(out, a, p), f, p)
+        e >>= 1
+        if e:
+            a = pmod(pmul(a, a, p), f, p)
+    return pmod(out, f, p)
+
+
+def psub(a, b, p):
+    return padd(a, pneg(b, p), p)
+
+
+def _squarefree_parts(f, p):
+    """[(g, e)] with f = prod g^e, the g monic, squarefree, pairwise
+    coprime and nonconstant; f monic."""
+    out, mult = [], 1
+    while pdeg(f) >= 1:
+        c = pgcd(f, ptrim([i * x % p for i, x in enumerate(f)][1:]), p)
+        w, i = pquo(f, c, p), 1
+        while pdeg(w) >= 1:
+            y = pgcd(w, c, p)
+            z = pquo(w, y, p)
+            if pdeg(z) >= 1:
+                out.append((z, i * mult))
+            w, c, i = y, pquo(c, y, p), i + 1
+        # what is left is a polynomial in t^p: take its p-th root
+        f, mult = c[::p], mult * p
+    return out
+
+
+def _distinct_degree_parts(f, p):
+    """[(g, d)]: g is the product of the degree-d irreducible factors of
+    the squarefree monic f."""
+    out, h, d, t = [], (0, 1), 1, (0, 1)
+    while 2 * d <= pdeg(f):
+        h = ppowmod(h, p, f, p)
+        g = pgcd(f, psub(h, t, p), p)
+        if pdeg(g) >= 1:
+            out.append((g, d))
+            f = pquo(f, g, p)
+            h = pmod(h, f, p)
+        d += 1
+    if pdeg(f) >= 1:
+        out.append((f, pdeg(f)))
+    return out
+
+
+def _equal_degree_split(f, d, p, rng):
+    """The irreducible factors of the squarefree monic f, all of degree d."""
+    n = pdeg(f)
+    if n == d:
+        return [f]
+    while True:
+        a = ptrim([rng.randrange(p) for _ in range(n)])
+        if pdeg(a) < 1:
+            continue
+        if p == 2:  # the trace a + a^2 + ... + a^(2^(d-1))
+            b = s = a
+            for _ in range(d - 1):
+                b = pmod(pmul(b, b, p), f, p)
+                s = padd(s, b, p)
+        else:
+            s = psub(ppowmod(a, (p ** d - 1) // 2, f, p), (1,), p)
+        g = pgcd(f, s, p)
+        if 1 <= pdeg(g) < n:
+            return (_equal_degree_split(g, d, p, rng)
+                    + _equal_degree_split(pquo(f, g, p), d, p, rng))
+
+
+def poly_factorization(a, p):
+    """[(monic irreducible, exponent)] of the nonzero a, sorted."""
+    rng = random.Random(0)
+    out = []
+    for g, e in _squarefree_parts(pmonic(a, p), p):
+        for h, d in _distinct_degree_parts(g, p):
+            out.extend((q, e) for q in _equal_degree_split(h, d, p, rng))
+    return sorted(out)
+
+
+def poly_is_irreducible(f, p):
+    """Rabin's test for a monic f of degree n >= 1: t^(p^n) = t mod f, and
+    t^(p^(n/q)) - t is prime to f for every prime q | n."""
+    n = pdeg(f)
+    if n == 1:
+        return True
+    t = (0, 1)
+    maximal = {n // q for q, _ in int_factorization(n)}
+    h = t
+    for k in range(1, n + 1):
+        h = ppowmod(h, p, f, p)
+        if k in maximal and pdeg(pgcd(f, psub(h, t, p), p)) >= 1:
+            return False
+    return h == t
+
+
+# ---------------------------------------------------------------------------
 
 
 class GroundRing:
@@ -88,7 +296,7 @@ class GroundRing:
             raise ParseError("unknown ground ring kind %r" % (kind,))
         self.kind = kind
         if kind == POLY:
-            if p is None or not sympy.isprime(p):
+            if not isinstance(p, int) or not int_is_prime(p):
                 raise NotPrime("F_p[t] needs a prime p, got %r" % (p,))
             self.p = int(p)
             self.var = var
@@ -232,30 +440,16 @@ class GroundRing:
 
     def is_prime(self, a):
         if self.kind == INT:
-            return sympy.isprime(abs(a))
-        if pdeg(a) < 1:
-            return False
-        fac = self.factor(a)
-        return len(fac) == 1 and fac[0][1] == 1
+            return int_is_prime(abs(a))
+        return pdeg(a) >= 1 and poly_is_irreducible(pmonic(a, self.p), self.p)
 
     def factor(self, a):
         """Factor a nonzero element into canonical primes: [(prime, exp)]."""
         if self.is_zero(a):
             raise ZeroElement("cannot factor zero")
         if self.kind == INT:
-            return sorted((int(q), int(e)) for q, e in sympy.factorint(abs(a)).items() if q > 1)
-        t = sympy.Symbol(self.var)
-        expr = sum(int(c) * t**i for i, c in enumerate(a))
-        if expr.is_number:
-            return []
-        _, factors = sympy.Poly(expr, t, modulus=self.p, symmetric=False).factor_list()
-        out = []
-        for poly, e in factors:
-            coeffs = [int(c) % self.p for c in reversed(poly.all_coeffs())]
-            prime = self.canonical(ptrim(coeffs))
-            if pdeg(prime) >= 1:
-                out.append((prime, int(e)))
-        return sorted(out)
+            return int_factorization(abs(a))
+        return poly_factorization(a, self.p)
 
     def valuation(self, a, prime):
         if self.is_zero(a):

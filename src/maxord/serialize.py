@@ -104,12 +104,14 @@ def format_frac(f):
 def parse_matrix(ring, rows, ncols=None):
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise ParseError("matrix must be an array of arrays")
-    parsed = [[parse_frac(ring, x) for x in row] for row in rows]
     if ncols is None:
-        if not parsed:
+        if not rows:
             raise ParseError("empty matrix needs an explicit width")
-        ncols = len(parsed[0])
-    return Matrix(ring, parsed, ncols)
+        ncols = len(rows[0])
+    if any(len(r) != ncols for r in rows):
+        raise ParseError("matrix rows must have %d entries" % ncols)
+    return Matrix(ring, [[parse_frac(ring, x) for x in row] for row in rows],
+                  ncols)
 
 
 def format_matrix(m):

@@ -90,3 +90,23 @@ def test_residue_lift_inverts_reduce_over_f5t():
     _, reduce_coords, lift = residue_algebra(order, (3, 0, 1))
     v = [(2,), (1, 2), ()]
     assert lift(reduce_coords(v)) == v
+
+
+def test_conductor_suborders_keep_the_discriminant():
+    """All maximal orders of an algebra share one discriminant: maximalizing
+    Z + f·O for a maximal O must give O's discriminant back.  O is the
+    superlattice oracle's maximal order of a cubic equation order: a field
+    (x^3+x+1, x^3+x^2+7x-1 with index 8, x^3-2) or Q^3 (x^3-x)."""
+    for coeffs in ([1, 1, 0, 1], [-1, 7, 1, 1], [-2, 0, 0, 1], [0, -1, 0, 1]):
+        order = equation_order(ZZ, coeffs)
+        disc = discriminant(order)
+        top = brute_force_maximal_order(
+            order, [q for q, e in ZZ.factor(disc) if e > 1])
+        for f in (2, 3, 6):
+            rows = [order.algebra.one_coords] + [
+                [x * f for x in row] for row in top.lattice.basis.rows]
+            sub = Order(order.algebra, Lattice.from_rows(ZZ, rows, 3))
+            assert discriminant(sub) == f ** 4 * discriminant(top)
+            out = maximal_order(sub)
+            assert discriminant(out) == discriminant(top), (coeffs, f)
+            assert out.contains(sub)

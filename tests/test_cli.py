@@ -138,6 +138,9 @@ def without(doc, key):
     ("serre-class", dict(SERRE_CLASS_DOC, type={"factors": [
         {"label": "E", "dim": "one", "endo": "Q", "mult": 2}]}),
      "/type/factors/0/dim"),
+    # rows of width 2 for a dimension-4 algebra
+    ("disc", {"algebra": {"matrix": {"n": 2}},
+              "basis": [["1", "0"], ["0", "1"]]}, "/basis"),
 ])
 def test_malformed_document_is_parse_error(tmp_path, capsys, command, doc,
                                            location):
