@@ -79,18 +79,12 @@ def pdivmod(a, b, p):
 
 
 # ---------------------------------------------------------------------------
-# primality and factoring over Z (Cohen, GTM 138, §8.2)
+# primality and factoring over Z
 #
-# Trial division and Miller-Rabin settle every input the program meets;
-# sympy is imported only for a cofactor they cannot settle: one that is
-# composite with no prime factor below TRIAL_BOUND, or one at least
-# MR_BOUND.
+# Trial division by the primes below TRIAL_BOUND settles every n below
+# TRIAL_BOUND**2; sympy is imported only for a larger cofactor.
 
 TRIAL_BOUND = 1 << 16
-# the first 13 primes; as Miller-Rabin bases they are exact below MR_BOUND
-# (Sorenson and Webster, Math. Comp. 86 (2017))
-MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-MR_BOUND = 3317044064679887385961981
 
 
 @functools.lru_cache(maxsize=1)
@@ -101,37 +95,6 @@ def _trial_primes():
         if sieve[i]:
             sieve[i * i::i] = bytes(len(range(i * i, TRIAL_BOUND, i)))
     return tuple(itertools.compress(range(TRIAL_BOUND), sieve))
-
-
-def _miller_rabin(n):
-    """Whether n is prime, for odd n > MR_BASES[-1] below MR_BOUND."""
-    d, s = n - 1, 0
-    while not d & 1:
-        d, s = d >> 1, s + 1
-    for a in MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def int_is_prime(n):
-    if n < 2:
-        return False
-    for q in MR_BASES:
-        if n % q == 0:
-            return n == q
-    if n < MR_BOUND:
-        return _miller_rabin(n)
-    import sympy
-
-    return bool(sympy.isprime(n))
 
 
 def int_factorization(n):
@@ -146,9 +109,9 @@ def int_factorization(n):
                 n, e = n // q, e + 1
             out.append((q, e))
     else:
-        # no prime factor below TRIAL_BOUND: n is 1, a prime, or a
-        # product of primes at least TRIAL_BOUND
-        if n > 1 and not (n < MR_BOUND and _miller_rabin(n)):
+        # n has no prime factor below TRIAL_BOUND, so below TRIAL_BOUND**2
+        # it is a prime
+        if n >= TRIAL_BOUND ** 2:
             import sympy
 
             out.extend((int(q), int(e)) for q, e in sympy.factorint(n).items())
@@ -158,88 +121,74 @@ def int_factorization(n):
     return out
 
 
+def int_is_prime(n):
+    if n >= TRIAL_BOUND ** 2:
+        import sympy
+
+        return bool(sympy.isprime(n))
+    return n >= 2 and int_factorization(n) == [(n, 1)]
+
+
 # ---------------------------------------------------------------------------
-# irreducibility and factoring over F_p[t] (Cohen, GTM 138, §3.4)
+# factoring over F_p[t] (Cohen, GTM 138, §3.4)
 #
-# Polynomials are monic raw tuples.  Factoring splits off squarefree
-# parts, then the product of the irreducibles of each degree, then those
-# irreducibles one by one (Cantor-Zassenhaus).
+# The helpers take the ring F_p[t] and monic polynomials.  Factoring
+# splits off squarefree parts, then the product of the irreducibles of
+# each degree, then those irreducibles one by one (Cantor-Zassenhaus).
 
 
-def pmonic(a, p):
-    inv = pow(a[-1], p - 2, p)
-    return tuple(c * inv % p for c in a)
-
-
-def pmod(a, f, p):
-    return pdivmod(a, f, p)[1]
-
-
-def pquo(a, f, p):
-    return pdivmod(a, f, p)[0]
-
-
-def pgcd(a, b, p):
-    """The monic gcd of a and b, not both zero."""
-    while b:
-        a, b = b, pmod(a, b, p)
-    return pmonic(a, p)
-
-
-def ppowmod(a, e, f, p):
+def _powmod(ring, a, e, f):
     """a^e mod f."""
-    out, a = (1,), pmod(a, f, p)
+    out, a = ring.one, ring.divmod(a, f)[1]
     while e:
         if e & 1:
-            out = pmod(pmul(out, a, p), f, p)
+            out = ring.divmod(ring.mul(out, a), f)[1]
         e >>= 1
         if e:
-            a = pmod(pmul(a, a, p), f, p)
-    return pmod(out, f, p)
+            a = ring.divmod(ring.mul(a, a), f)[1]
+    return out
 
 
-def psub(a, b, p):
-    return padd(a, pneg(b, p), p)
-
-
-def _squarefree_parts(f, p):
+def _squarefree_parts(ring, f):
     """[(g, e)] with f = prod g^e, the g monic, squarefree, pairwise
-    coprime and nonconstant; f monic."""
+    coprime and nonconstant."""
+    p = ring.p
     out, mult = [], 1
     while pdeg(f) >= 1:
-        c = pgcd(f, ptrim([i * x % p for i, x in enumerate(f)][1:]), p)
-        w, i = pquo(f, c, p), 1
+        c = ring.gcd(f, ptrim([i * x % p for i, x in enumerate(f)][1:]))
+        w, i = ring.exact_div(f, c), 1
         while pdeg(w) >= 1:
-            y = pgcd(w, c, p)
-            z = pquo(w, y, p)
+            y = ring.gcd(w, c)
+            z = ring.exact_div(w, y)
             if pdeg(z) >= 1:
                 out.append((z, i * mult))
-            w, c, i = y, pquo(c, y, p), i + 1
+            w, c, i = y, ring.exact_div(c, y), i + 1
         # what is left is a polynomial in t^p: take its p-th root
         f, mult = c[::p], mult * p
     return out
 
 
-def _distinct_degree_parts(f, p):
+def _distinct_degree_parts(ring, f):
     """[(g, d)]: g is the product of the degree-d irreducible factors of
-    the squarefree monic f."""
-    out, h, d, t = [], (0, 1), 1, (0, 1)
+    the squarefree f."""
+    t = (0, 1)
+    out, h, d = [], t, 1
     while 2 * d <= pdeg(f):
-        h = ppowmod(h, p, f, p)
-        g = pgcd(f, psub(h, t, p), p)
+        h = _powmod(ring, h, ring.p, f)
+        g = ring.gcd(f, ring.sub(h, t))
         if pdeg(g) >= 1:
             out.append((g, d))
-            f = pquo(f, g, p)
-            h = pmod(h, f, p)
+            f = ring.exact_div(f, g)
+            h = ring.divmod(h, f)[1]
         d += 1
     if pdeg(f) >= 1:
         out.append((f, pdeg(f)))
     return out
 
 
-def _equal_degree_split(f, d, p, rng):
-    """The irreducible factors of the squarefree monic f, all of degree d."""
-    n = pdeg(f)
+def _equal_degree_split(ring, f, d, rng):
+    """The irreducible factors of the squarefree f, all of degree d."""
+    n, p = pdeg(f), ring.p
     if n == d:
         return [f]
     while True:
@@ -249,40 +198,24 @@ def _equal_degree_split(f, d, p, rng):
         if p == 2:  # the trace a + a^2 + ... + a^(2^(d-1))
             b = s = a
             for _ in range(d - 1):
-                b = pmod(pmul(b, b, p), f, p)
-                s = padd(s, b, p)
+                b = ring.divmod(ring.mul(b, b), f)[1]
+                s = ring.add(s, b)
         else:
-            s = psub(ppowmod(a, (p ** d - 1) // 2, f, p), (1,), p)
-        g = pgcd(f, s, p)
+            s = ring.sub(_powmod(ring, a, (p ** d - 1) // 2, f), ring.one)
+        g = ring.gcd(f, s)
         if 1 <= pdeg(g) < n:
-            return (_equal_degree_split(g, d, p, rng)
-                    + _equal_degree_split(pquo(f, g, p), d, p, rng))
+            return (_equal_degree_split(ring, g, d, rng)
+                    + _equal_degree_split(ring, ring.exact_div(f, g), d, rng))
 
 
-def poly_factorization(a, p):
+def poly_factorization(ring, a):
     """[(monic irreducible, exponent)] of the nonzero a, sorted."""
     rng = random.Random(0)
     out = []
-    for g, e in _squarefree_parts(pmonic(a, p), p):
-        for h, d in _distinct_degree_parts(g, p):
-            out.extend((q, e) for q in _equal_degree_split(h, d, p, rng))
+    for g, e in _squarefree_parts(ring, ring.canonical(a)):
+        for h, d in _distinct_degree_parts(ring, g):
+            out.extend((q, e) for q in _equal_degree_split(ring, h, d, rng))
     return sorted(out)
-
-
-def poly_is_irreducible(f, p):
-    """Rabin's test for a monic f of degree n >= 1: t^(p^n) = t mod f, and
-    t^(p^(n/q)) - t is prime to f for every prime q | n."""
-    n = pdeg(f)
-    if n == 1:
-        return True
-    t = (0, 1)
-    maximal = {n // q for q, _ in int_factorization(n)}
-    h = t
-    for k in range(1, n + 1):
-        h = ppowmod(h, p, f, p)
-        if k in maximal and pdeg(pgcd(f, psub(h, t, p), p)) >= 1:
-            return False
-    return h == t
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +374,10 @@ class GroundRing:
     def is_prime(self, a):
         if self.kind == INT:
             return int_is_prime(abs(a))
-        return pdeg(a) >= 1 and poly_is_irreducible(pmonic(a, self.p), self.p)
+        if pdeg(a) < 1:
+            return False
+        fac = self.factor(a)
+        return len(fac) == 1 and fac[0][1] == 1
 
     def factor(self, a):
         """Factor a nonzero element into canonical primes: [(prime, exp)]."""
@@ -449,7 +385,7 @@ class GroundRing:
             raise ZeroElement("cannot factor zero")
         if self.kind == INT:
             return int_factorization(abs(a))
-        return poly_factorization(a, self.p)
+        return poly_factorization(self, a)
 
     def valuation(self, a, prime):
         if self.is_zero(a):

@@ -1,8 +1,9 @@
 """Primality and factoring over Z and F_p[t] against sympy as the oracle.
 
-The ground rings factor with their own code (trial division, Miller-Rabin,
-Cantor-Zassenhaus) and call sympy only for integers they cannot settle, so
-these tests compare both paths with sympy's answers."""
+The ground rings factor with their own code (trial division over Z,
+Cantor-Zassenhaus over F_p[t]) and call sympy only for integers trial
+division cannot settle, so these tests compare both paths with sympy's
+answers."""
 
 import random
 
@@ -10,14 +11,15 @@ import pytest
 import sympy
 
 from maxord.errors import ZeroElement
-from maxord.rings import MR_BOUND, ZZ, pmul, poly_ring, ptrim
+from maxord.rings import TRIAL_BOUND, ZZ, pmul, poly_ring, ptrim
 
-# strong pseudoprimes to the first 4 and the first 9 prime bases, and
-# MR_BOUND itself, which passes all 13 bases and so must take the fallback
-PSEUDOPRIMES = [561, 2047, 3215031751, 3825123056546413051, MR_BOUND]
-BIG_PRIME = sympy.nextprime(MR_BOUND)
+# strong pseudoprimes to the first 1, 1, 4 and 9 prime bases
+PSEUDOPRIMES = [561, 2047, 3215031751, 3825123056546413051]
+# a prime above 3.3e24, where 13 Miller-Rabin bases no longer suffice
+BIG_PRIME = sympy.nextprime(3317044064679887385961981)
 EDGE_CASES = PSEUDOPRIMES + [
-    -1, 1, 2, -2, 65537 ** 2, 65537 * 65539, 65521 * 65537,
+    -1, 1, 2, -2, 65537 ** 2, 65537 * 65539, 65521 * 65537, 65521 ** 2,
+    TRIAL_BOUND ** 2 - 5, TRIAL_BOUND ** 2 - 1, TRIAL_BOUND ** 2 + 1,
     (1 << 61) - 1, BIG_PRIME, 3 * BIG_PRIME, 2 ** 5 * BIG_PRIME,
     sympy.nextprime(10 ** 12) * sympy.nextprime(10 ** 13),
 ]
@@ -43,8 +45,9 @@ class TestIntegers:
         values = list(range(-300, 0)) + list(range(1, 3000))
         values += [rng.randrange(1, 10 ** rng.randint(4, 16))
                    for _ in range(300)]
-        values += [sympy.randprime(2, 2 ** rng.randint(17, 64))
-                   * sympy.randprime(2, 2 ** 20) for _ in range(40)]
+        values += [sympy.nextprime(rng.randrange(2, 2 ** rng.randint(17, 64)))
+                   * sympy.nextprime(rng.randrange(2, 2 ** 20))
+                   for _ in range(40)]
         for n in values:
             assert ZZ.is_prime(n) == sympy.isprime(abs(n)), n
             assert ZZ.factor(n) == sympy_int_factor(n), n
