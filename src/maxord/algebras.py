@@ -5,6 +5,7 @@ Coordinates are row vectors; for an element a, ``coords(a*x) =
 coords(x) * Lmat(a)``.
 """
 
+import math
 import random
 
 from .errors import (
@@ -15,7 +16,11 @@ from .errors import (
     NotSemisimple,
 )
 from .exactlin import FractionField, Matrix, kernel, rref, solve
-from .rings import Frac, frac0, frac1
+from .rings import Frac, _trial_primes, frac0, frac1, poly_ring
+
+# how many of the smallest primes (those below 100) central_idempotents
+# tries before it factors a minimal polynomial over Q
+IRREDUCIBILITY_PRIMES = 25
 
 
 class Algebra:
@@ -35,6 +40,12 @@ class Algebra:
         self.field = FractionField(ring)
         if self.dim < 1:
             raise ValueError("algebra must have dim >= 1")
+        # the nonzero structure constants: sparse[i][j] = [(k, c_ijk)]
+        self.sparse = [[[(k, c) for k, c in enumerate(row) if c] for row in ti]
+                       for ti in self.table]
+        # trace(x) = sum_k x_k tau_k with tau_k = sum_t c_{k,t,t}
+        self.trace_form = [sum((row[t][t] for t in range(self.dim)),
+                               frac0(ring)) for row in self.table]
         if validate:
             self._validate()
 
@@ -82,23 +93,18 @@ class Algebra:
         return [self.basis_element(i) for i in range(self.dim)]
 
     def mul_coords(self, x, y):
-        n = self.dim
-        zero = frac0(self.ring)
-        out = [zero] * n
-        for i in range(n):
-            xi = x[i]
-            if not xi:
+        out = [frac0(self.ring)] * self.dim
+        # a Frac is zero exactly when its numerator is falsy
+        ys = [(j, yj) for j, yj in enumerate(y) if yj.num]
+        for xi, si in zip(x, self.sparse):
+            if not xi.num:
                 continue
-            ti = self.table[i]
-            for j in range(n):
-                yj = y[j]
-                if not yj:
-                    continue
-                f = xi * yj
-                row = ti[j]
-                for k in range(n):
-                    if row[k]:
-                        out[k] = out[k] + f * row[k]
+            for j, yj in ys:
+                terms = si[j]
+                if terms:
+                    f = xi * yj
+                    for k, c in terms:
+                        out[k] = out[k] + f * c
         return out
 
     # -- representations ------------------------------------------------------
@@ -115,7 +121,15 @@ class Algebra:
         return Matrix(self.ring, rows, self.dim)
 
     def trace(self, a):
-        return self.left_mul_matrix(a).trace()
+        return self.trace_coords(a.coords)
+
+    def trace_coords(self, x):
+        """Trace of left multiplication by the element with coordinates x."""
+        acc = frac0(self.ring)
+        for c, t in zip(x, self.trace_form):
+            if c and t:
+                acc = acc + c * t
+        return acc
 
     def charpoly(self, a):
         return self.left_mul_matrix(a).charpoly()
@@ -156,15 +170,8 @@ class Algebra:
         return len(self.center()) == self.dim
 
     def trace_gram(self):
-        n = self.dim
-        rows = []
-        for i in range(n):
-            bi = self.basis_element(i)
-            row = []
-            for j in range(n):
-                row.append(self.trace(bi * self.basis_element(j)))
-            rows.append(row)
-        return Matrix(self.ring, rows, n)
+        return Matrix(self.ring, [[self.trace_coords(x) for x in row]
+                                  for row in self.table], self.dim)
 
     def is_separable_semisimple(self):
         """Nondegeneracy of the regular trace form; certifies the
@@ -201,10 +208,7 @@ class Algebra:
         dim_z = len(zbasis)
         if dim_z == 1:
             return [self.one()]
-        import sympy  # factoring over Q, needed only for a center above Q
-
         rng = random.Random(seed)
-        x = sympy.Symbol("x")
         for _ in range(64):
             z = self.zero()
             for zb in zbasis:
@@ -212,6 +216,11 @@ class Algebra:
             mp = self.min_poly(z)
             if len(mp) - 1 < dim_z:
                 continue
+            if _irreducible_by_reduction(mp):
+                return [self.one()]  # the center Q[z] is a field
+            import sympy  # factoring over Q, for a center not proved a field
+
+            x = sympy.Symbol("x")
             poly = sympy.Poly(
                 [sympy.Rational(c.num, c.den) for c in reversed(mp)], x
             )
@@ -237,12 +246,38 @@ class Algebra:
         raise InternalError("failed to find a primitive center element")
 
 
+def _irreducible_by_reduction(coeffs):
+    """Whether reductions mod small primes prove the monic polynomial over
+    Q (Frac coefficients, lowest degree first) irreducible.
+
+    Cleared of denominators, a factor of degree k over Q reduces mod every
+    prime p not dividing the leading coefficient to a product of prime
+    factors mod p, so k is a sum of some of their degrees.  When the
+    sums possible at every prime tried leave only 0 and the full degree,
+    there is no such factor.
+    """
+    den = math.lcm(*(c.den for c in coeffs))
+    ints = [c.num * (den // c.den) for c in coeffs]
+    possible = set(range(len(ints)))
+    for p in _trial_primes()[:IRREDUCIBILITY_PRIMES]:
+        if ints[-1] % p:
+            sums = {0}
+            for d in poly_ring(p).factor_degrees(tuple(c % p for c in ints)):
+                sums |= {s + d for s in sums}
+            possible &= sums
+            if len(possible) == 2:  # only 0 and the degree
+                return True
+    return False
+
+
 class AlgebraElement:
     __slots__ = ("algebra", "coords")
 
     def __init__(self, algebra, coords):
         self.algebra = algebra
-        self.coords = [Frac.of(algebra.ring, c) for c in coords]
+        ring = algebra.ring
+        self.coords = [c if type(c) is Frac else Frac.of(ring, c)
+                       for c in coords]
         if len(self.coords) != algebra.dim:
             raise ValueError("coordinate length mismatch")
 

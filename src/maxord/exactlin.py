@@ -4,7 +4,7 @@ Echelon form, quotient spaces, kernels, solving and the Hessenberg
 characteristic polynomial are written once, over a field interface with
 two instances: Frac(R) and F_p.  Matrices carry fraction entries; Hermite
 and Smith normal forms operate on integral matrices and return unimodular
-transformations.  Lattices are stored with canonical (HNF) bases so
+transformations (the Hermite one only when asked for).  Lattices are stored with canonical (HNF) bases so
 lattice equality is representation equality.
 """
 
@@ -28,7 +28,7 @@ class FractionField:
 
     def row(self, xs):
         ring = self.ring
-        return [Frac.of(ring, x) for x in xs]
+        return [x if type(x) is Frac else Frac.of(ring, x) for x in xs]
 
     def inv(self, x):
         return x.inverse()
@@ -189,7 +189,8 @@ class Matrix:
 
     def __init__(self, ring, rows, ncols=None):
         self.ring = ring
-        self.rows = [[Frac.of(ring, x) for x in row] for row in rows]
+        self.rows = [[x if type(x) is Frac else Frac.of(ring, x) for x in row]
+                     for row in rows]
         if self.rows:
             self.ncols = len(self.rows[0])
             for row in self.rows:
@@ -203,9 +204,17 @@ class Matrix:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
+    def _of(cls, ring, rows, ncols):
+        """A matrix on rows of Frac entries of equal length, kept as given."""
+        m = cls.__new__(cls)
+        m.ring, m.rows, m.ncols = ring, rows, ncols
+        return m
+
+    @classmethod
     def identity(cls, ring, n):
         one, zero = frac1(ring), frac0(ring)
-        return cls(ring, [[one if i == j else zero for j in range(n)] for i in range(n)], n)
+        return cls._of(ring, [[one if i == j else zero for j in range(n)]
+                              for i in range(n)], n)
 
     @property
     def nrows(self):
@@ -233,52 +242,53 @@ class Matrix:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
-        return Matrix(
+        return Matrix._of(
             self.ring,
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
             self.ncols,
         )
 
     def __sub__(self, other):
-        return Matrix(
+        return Matrix._of(
             self.ring,
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
             self.ncols,
         )
 
     def __neg__(self):
-        return Matrix(self.ring, [[-a for a in row] for row in self.rows], self.ncols)
+        return Matrix._of(self.ring, [[-a for a in row] for row in self.rows],
+                          self.ncols)
 
     def scaled(self, c):
         c = Frac.of(self.ring, c)
-        return Matrix(self.ring, [[a * c for a in row] for row in self.rows], self.ncols)
+        return Matrix._of(self.ring, [[a * c for a in row] for row in self.rows],
+                          self.ncols)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("matrix shape mismatch")
-        cols = list(zip(*other.rows)) if other.rows else []
         zero = frac0(self.ring)
         out = []
         for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = zero
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return Matrix(self.ring, out, other.ncols)
+            acc = [zero] * other.ncols
+            for a, brow in zip(row, other.rows):
+                if a.num:  # a Frac is zero exactly when its numerator is
+                    for j, b in enumerate(brow):
+                        if b.num:
+                            acc[j] = acc[j] + a * b
+            out.append(acc)
+        return Matrix._of(self.ring, out, other.ncols)
 
     def transpose(self):
         if not self.rows:
-            return Matrix(self.ring, [[] for _ in range(self.ncols)], 0)
-        return Matrix(self.ring, [list(col) for col in zip(*self.rows)], self.nrows)
+            return Matrix._of(self.ring, [[] for _ in range(self.ncols)], 0)
+        return Matrix._of(self.ring, [list(col) for col in zip(*self.rows)],
+                          self.nrows)
 
     def submatrix(self, row_idx, col_idx):
-        return Matrix(
+        return Matrix._of(
             self.ring,
             [[self.rows[i][j] for j in col_idx] for i in row_idx],
             len(col_idx),
@@ -287,22 +297,21 @@ class Matrix:
     # -- integrality ----------------------------------------------------------
 
     def is_integral(self):
-        return all(x.is_integral() for row in self.rows for x in row)
+        one = self.ring.one
+        return all(x.den == one for row in self.rows for x in row)
 
     def to_ring_rows(self):
-        out = []
-        for row in self.rows:
-            out.append([x.integral_value() for x in row])
-        return out
+        """The entries as ring elements; the matrix must be integral."""
+        if not self.is_integral():
+            raise InputNotIntegral("matrix has a non-integral entry")
+        return [[x.num for x in row] for row in self.rows]
 
     def denominator_lcm(self):
         """Canonical lcm of all entry denominators."""
         r = self.ring
         d = r.one
-        for row in self.rows:
-            for x in row:
-                g = r.gcd(d, x.den)
-                d = r.canonical(r.exact_div(r.mul(d, x.den), g))
+        for den in {x.den for row in self.rows for x in row}:
+            d = r.mul(d, r.exact_div(den, r.gcd(d, den)))
         return d
 
     # -- Gaussian machinery over the fraction field ---------------------------
@@ -336,7 +345,7 @@ class Matrix:
                   Matrix.identity(self.ring, self.ncols).rows)
         if x is None or self.nrows != self.ncols:
             raise ValueError("matrix is singular or not square")
-        return Matrix(self.ring, x, self.ncols)
+        return Matrix._of(self.ring, x, self.ncols)
 
     def trace(self):
         acc = frac0(self.ring)
@@ -355,75 +364,74 @@ class Matrix:
 # Hermite and Smith normal forms (row style, over the ground ring)
 
 
-def _require_integral(m):
-    if not m.is_integral():
-        raise InputNotIntegral("matrix has a non-integral entry")
-
-
 def _combine_rows(ring, mats, i, k, x, y, z, w):
     """(row_i, row_k) <- (x*row_i + y*row_k, z*row_i + w*row_k) in mats."""
+    add, mul = ring.add, ring.mul
     for mat in mats:
         ri, rk = mat[i], mat[k]
-        for c in range(len(ri)):
-            ri[c], rk[c] = (
-                ring.add(ring.mul(x, ri[c]), ring.mul(y, rk[c])),
-                ring.add(ring.mul(z, ri[c]), ring.mul(w, rk[c])),
-            )
+        mat[i] = [add(mul(x, a), mul(y, b)) for a, b in zip(ri, rk)]
+        mat[k] = [add(mul(z, a), mul(w, b)) for a, b in zip(ri, rk)]
 
 
-def hnf(m):
-    """Row Hermite normal form: returns (h, u) with u unimodular, h = u*m.
+def _frac_rows(ring, rows, ncols):
+    return Matrix._of(ring, [[Frac(ring, x) for x in row] for row in rows],
+                      ncols)
+
+
+def hnf(m, transform=True):
+    """Row Hermite normal form: returns (h, u) with u unimodular, h = u*m;
+    u is None when transform is False.
 
     Pivots are unit-normalized (positive / monic) and the entries above
     each pivot are reduced, so the output is canonical for the row space.
     """
-    _require_integral(m)
     ring = m.ring
-    a = [row[:] for row in m.to_ring_rows()]
+    a = m.to_ring_rows()
     nr, nc = len(a), m.ncols
-    u = [[ring.one if i == j else ring.zero for j in range(nr)] for i in range(nr)]
+    u = [[ring.one if i == j else ring.zero for j in range(nr)]
+         for i in range(nr)] if transform else None
+    mats = (a, u) if transform else (a,)
 
     r = 0
     for j in range(nc):
-        pivot = next((i for i in range(r, nr) if not ring.is_zero(a[i][j])), None)
+        pivot = next((i for i in range(r, nr) if a[i][j]), None)
         if pivot is None:
             continue
         if pivot != r:
-            a[r], a[pivot] = a[pivot], a[r]
-            u[r], u[pivot] = u[pivot], u[r]
+            for mat in mats:
+                mat[r], mat[pivot] = mat[pivot], mat[r]
         for i in range(r + 1, nr):
-            if ring.is_zero(a[i][j]):
+            if not a[i][j]:
                 continue
             g, x, y = ring.xgcd(a[r][j], a[i][j])
-            _combine_rows(ring, (a, u), r, i, x, y,
+            _combine_rows(ring, mats, r, i, x, y,
                           ring.neg(ring.exact_div(a[i][j], g)),
                           ring.exact_div(a[r][j], g))
         unit, _ = ring.unit_normalize(a[r][j])
-        if not ring.is_unit_value(unit, check_one=True):
+        if unit != ring.one:
             inv = ring.unit_inverse(unit)
-            a[r] = [ring.mul(inv, c) for c in a[r]]
-            u[r] = [ring.mul(inv, c) for c in u[r]]
+            for mat in mats:
+                mat[r] = [ring.mul(inv, c) for c in mat[r]]
         for i in range(r):
-            if not ring.is_zero(a[i][j]):
+            if a[i][j]:
                 q, _ = ring.divmod(a[i][j], a[r][j])
-                if not ring.is_zero(q):
+                if q:
                     nq = ring.neg(q)
-                    a[i] = [ring.add(c, ring.mul(nq, d)) for c, d in zip(a[i], a[r])]
-                    u[i] = [ring.add(c, ring.mul(nq, d)) for c, d in zip(u[i], u[r])]
+                    for mat in mats:
+                        mat[i] = [ring.add(c, ring.mul(nq, d))
+                                  for c, d in zip(mat[i], mat[r])]
         r += 1
         if r == nr:
             break
-    h_m = Matrix(ring, [[Frac.of(ring, x) for x in row] for row in a], nc)
-    u_m = Matrix(ring, [[Frac.of(ring, x) for x in row] for row in u], nr)
-    return h_m, u_m
+    return (_frac_rows(ring, a, nc),
+            _frac_rows(ring, u, nr) if transform else None)
 
 
 def snf(m):
     """Smith normal form: returns (s, u, v) with s = u*m*v diagonal,
     divisibility chain d_i | d_{i+1}, diagonal entries unit-normalized."""
-    _require_integral(m)
     ring = m.ring
-    a = [row[:] for row in m.to_ring_rows()]
+    a = m.to_ring_rows()
     nr, nc = len(a), m.ncols
     u = [[ring.one if i == j else ring.zero for j in range(nr)] for i in range(nr)]
     v = [[ring.one if i == j else ring.zero for j in range(nc)] for i in range(nc)]
@@ -512,14 +520,12 @@ def snf(m):
                     u[k][c] = ring.add(u[k][c], u[bi][c])
     for k in range(n):
         unit, _ = ring.unit_normalize(a[k][k])
-        if not ring.is_zero(a[k][k]) and not ring.is_unit_value(unit, check_one=True):
+        if unit != ring.one:
             inv = ring.unit_inverse(unit)
             a[k] = [ring.mul(inv, c) for c in a[k]]
             u[k] = [ring.mul(inv, c) for c in u[k]]
-    s_m = Matrix(ring, [[Frac.of(ring, x) for x in row] for row in a], nc)
-    u_m = Matrix(ring, [[Frac.of(ring, x) for x in row] for row in u], nr)
-    v_m = Matrix(ring, [[Frac.of(ring, x) for x in row] for row in v], nc)
-    return s_m, u_m, v_m
+    return (_frac_rows(ring, a, nc), _frac_rows(ring, u, nr),
+            _frac_rows(ring, v, nc))
 
 
 def snf_divisors(m):
@@ -560,19 +566,23 @@ class Lattice:
             mat = rows
             ambient_dim = mat.ncols
         else:
-            rows = [[Frac.of(ring, x) for x in row] for row in rows]
             if ambient_dim is None:
                 if not rows:
                     raise ValueError("ambient_dim needed for empty row list")
                 ambient_dim = len(rows[0])
             mat = Matrix(ring, rows, ambient_dim)
+        # the HNF of d * rows over R, for d the common denominator, then / d
         d = mat.denominator_lcm()
-        scaled = mat.scaled(Frac.of(ring, d)) if d != ring.one else mat
-        h, _ = hnf(scaled)
+        if d != ring.one:
+            mat = _frac_rows(ring, [
+                [ring.mul(x.num, ring.exact_div(d, x.den)) for x in row]
+                for row in mat.rows], ambient_dim)
+        h, _ = hnf(mat, transform=False)
         keep = [row for row in h.rows if any(row)]
-        dinv = Frac(ring, ring.one, d)
-        basis = Matrix(ring, [[x * dinv for x in row] for row in keep], ambient_dim)
-        return cls(ring, ambient_dim, basis, _canonical=True)
+        if d != ring.one:
+            keep = [[Frac(ring, x.num, d) for x in row] for row in keep]
+        return cls(ring, ambient_dim, Matrix._of(ring, keep, ambient_dim),
+                   _canonical=True)
 
     @classmethod
     def standard(cls, ring, n):
@@ -580,7 +590,7 @@ class Lattice:
 
     @classmethod
     def zero(cls, ring, n):
-        return cls(ring, n, Matrix(ring, [], n), _canonical=True)
+        return cls(ring, n, Matrix._of(ring, [], n), _canonical=True)
 
     @property
     def rank(self):

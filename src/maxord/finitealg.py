@@ -26,6 +26,9 @@ class FiniteAlgebra:
             for i in range(self.dim)
         ]
         self.one_coords = [c % p for c in one_coords]
+        # trace(x) = sum_k x_k tau_k with tau_k = sum_t c_{k,t,t}
+        self.trace_form = [sum(row[t][t] for t in range(self.dim)) % p
+                           for row in self.table]
 
     def mul(self, x, y):
         p = self.p
@@ -67,7 +70,7 @@ class FiniteAlgebra:
         Uses the tower of subspaces cut out by the characteristic-polynomial
         coefficient maps g_i(x) = [lambda^(n - p^i)] charpoly(L_x), which are
         F_p-linear on each successive subspace; the final subspace is the
-        radical.
+        radical.  The first, g_0 = -trace, is read off the trace form.
         """
         p, n = self.p, self.dim
         current = self.basis()  # rows spanning R_i
@@ -75,8 +78,13 @@ class FiniteAlgebra:
         while current:
             # g_i(x*y) for x, y in current: x indexes rows, y columns, and
             # R_{i+1} is the kernel over the x-coefficients
-            cond = [[self.charpoly(self.mul(x, y))[n - power] for y in current]
-                    for x in current]
+            if power == 1:
+                tau = self.trace_form
+                cond = [[-sum(c * t for c, t in zip(self.mul(x, y), tau)) % p
+                         for y in current] for x in current]
+            else:
+                cond = [[self.charpoly(self.mul(x, y))[n - power]
+                         for y in current] for x in current]
             current = rref(self.field,
                            self._combine(kernel(self.field, cond), current))[0]
             if power * p > n:

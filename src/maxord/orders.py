@@ -35,6 +35,7 @@ class Order:
         self.bmat = lattice.basis
         self.binv = self.bmat.inverse()
         self._struct = None
+        self._steps = {}
         if validate:
             self.structure_constants()
             one = self.order_coords(algebra.one_coords)
@@ -76,6 +77,13 @@ class Order:
                 struct.append(row)
             self._struct = struct
         return self._struct
+
+    def step_at(self, p):
+        """p_step(self, p), computed once per prime."""
+        p = self.algebra.ring.canonical(p)
+        if p not in self._steps:
+            self._steps[p] = p_step(self, p)
+        return self._steps[p]
 
     def contains(self, other):
         return self.lattice.contains_lattice(other.lattice)
@@ -164,7 +172,7 @@ def residue_algebra(order, p):
         raise NotPrime("%s is not prime in the ground ring" % ring.to_str(p))
     struct = order.structure_constants()
     n = order.dim
-    if ring.kind == "Z":
+    if ring.characteristic == 0:
         q = p if p > 0 else -p
         table = [
             [[c % q for c in struct[i][j]] for j in range(n)]
@@ -288,18 +296,9 @@ def _stabilizer_order(alg, lat, maps):
 def discriminant(order):
     """Gram determinant of the trace form on an order basis (ring element)."""
     alg = order.algebra
-    n = order.dim
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            prod = alg.mul_coords(order.bmat.rows[i], order.bmat.rows[j])
-            m = Matrix(alg.ring,
-                       [alg.mul_coords(prod, alg.basis_element(t).coords)
-                        for t in range(n)], n)
-            row.append(m.trace())
-        rows.append(row)
-    det = Matrix(alg.ring, rows, n).det()
+    b = order.bmat.rows
+    rows = [[alg.trace_coords(alg.mul_coords(x, y)) for y in b] for x in b]
+    det = Matrix(alg.ring, rows, order.dim).det()
     return det.integral_value()
 
 
@@ -311,7 +310,8 @@ def p_step(order, p):
     (Reiner §§17–18; Ivanyos & Rónyai 1993).  Builds Λ/pΛ and its radical
     once and returns (grown, facts): grown is the first of those
     idealizers that is strictly larger than Λ, or None; facts says
-    whether O_l(J) = Λ and how many maximal ideals lie over p.
+    whether O_l(J) = Λ and how many maximal ideals lie over p.  Callers go
+    through Order.step_at, which runs it once per order and prime.
     """
     res, _, lift = residue_algebra(order, p)
     rad = res.radical_basis()
@@ -335,7 +335,7 @@ def p_step(order, p):
 def is_maximal_at_p(order, p):
     """Per-prime maximality certificate: the verdict of p_step, plus
     whether O_l(J) = Λ and whether exactly one maximal ideal lies over p."""
-    grown, facts = p_step(order, p)
+    grown, facts = order.step_at(p)
     return {
         "prime": p,
         "idealizerFixed": facts["idealizerFixed"],
@@ -354,7 +354,7 @@ def p_maximal_order(order, p):
         bound = 64 * order.dim
     cur = order
     for _ in range(bound):
-        grown, _ = p_step(cur, p)
+        grown, _ = cur.step_at(p)
         if grown is None:
             return cur
         cur = grown

@@ -1,21 +1,21 @@
 """Ground rings and their fraction fields.
 
-Two principal-ideal ground rings are supported: the integers, and the
-polynomial ring F_p[t] for a word-sized prime p.  Ring elements are plain
-ints (for Z) or tuples of coefficients mod p, lowest degree first, with no
-trailing zeros (for F_p[t]); the empty tuple is zero.  All arithmetic is
-exact.
+Two principal-ideal ground rings are supported, as two classes with one
+interface: ``IntegerRing`` (the integers ``ZZ``, on plain ints, with
+``math.gcd``) and ``PolyRing`` (F_p[t] for a word-sized prime p, from
+``poly_ring``, on tuples of coefficients mod p, lowest degree first, with
+no trailing zeros; the empty tuple is zero).  In both, zero is the only
+falsy element.  All arithmetic is exact.
 """
 
 import functools
 import itertools
+import math
+import operator
 import random
 import re
 
-from .errors import NotPrime, ParseError, ZeroElement
-
-INT = "Z"
-POLY = "poly"
+from .errors import InputNotIntegral, NotPrime, ParseError, ZeroElement
 
 
 # ---------------------------------------------------------------------------
@@ -222,75 +222,22 @@ def poly_factorization(ring, a):
 
 
 class GroundRing:
-    """The base PID R: the integers, or F_p[t] for small prime p."""
+    """The base PID R; the operations both rings share.
 
-    def __init__(self, kind, p=None, var="t"):
-        if kind not in (INT, POLY):
-            raise ParseError("unknown ground ring kind %r" % (kind,))
-        self.kind = kind
-        if kind == POLY:
-            if not isinstance(p, int) or not int_is_prime(p):
-                raise NotPrime("F_p[t] needs a prime p, got %r" % (p,))
-            self.p = int(p)
-            self.var = var
-            self.characteristic = self.p
-            self.zero = ()
-            self.one = (1,)
-        else:
-            self.p = None
-            self.var = None
-            self.characteristic = 0
-            self.zero = 0
-            self.one = 1
-
-    # -- identity / comparison ------------------------------------------------
+    Subclasses define the element arithmetic, ``xgcd``/``gcd``, unit
+    normalization, ``reduce`` (a fraction to lowest terms), factoring
+    and parsing.
+    """
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GroundRing)
-            and self.kind == other.kind
-            and self.p == other.p
-            and self.var == other.var
-        )
+        return (type(other) is type(self) and self.p == other.p
+                and self.var == other.var)
 
     def __hash__(self):
-        return hash((self.kind, self.p, self.var))
-
-    def __repr__(self):
-        if self.kind == INT:
-            return "Z"
-        return "F_%d[%s]" % (self.p, self.var)
-
-    # -- basic arithmetic on raw elements ------------------------------------
+        return hash((type(self).__name__, self.p, self.var))
 
     def is_zero(self, a):
         return a == self.zero
-
-    def add(self, a, b):
-        if self.kind == INT:
-            return a + b
-        return padd(a, b, self.p)
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def neg(self, a):
-        if self.kind == INT:
-            return -a
-        return pneg(a, self.p)
-
-    def mul(self, a, b):
-        if self.kind == INT:
-            return a * b
-        return pmul(a, b, self.p)
-
-    def divmod(self, a, b):
-        if self.kind == INT:
-            q, r = divmod(a, b)
-            if r < 0:  # keep 0 <= r < |b|
-                q, r = q + 1, r - b
-            return q, r
-        return pdivmod(a, b, self.p)
 
     def divides(self, a, b):
         """Whether a | b."""
@@ -304,88 +251,8 @@ class GroundRing:
             raise ZeroDivisionError("non-exact division")
         return q
 
-    def xgcd(self, a, b):
-        """Return (g, x, y) with g = x*a + y*b, g unit-normalized."""
-        x0, x1, y0, y1 = self.one, self.zero, self.zero, self.one
-        g, g1 = a, b
-        while not self.is_zero(g1):
-            q, r = self.divmod(g, g1)
-            g, g1 = g1, r
-            x0, x1 = x1, self.sub(x0, self.mul(q, x1))
-            y0, y1 = y1, self.sub(y0, self.mul(q, y1))
-        u, g_n = self.unit_normalize(g)
-        if not self.is_unit_value(u, check_one=True):
-            ui = self.unit_inverse(u)
-            x0, y0 = self.mul(ui, x0), self.mul(ui, y0)
-        return g_n, x0, y0
-
-    def gcd(self, a, b):
-        return self.xgcd(a, b)[0]
-
-    def size(self, a):
-        """A Euclidean size used for pivot selection."""
-        if self.kind == INT:
-            return abs(a)
-        return len(a)
-
-    # -- units / normalization ------------------------------------------------
-
-    def is_unit(self, a):
-        if self.kind == INT:
-            return a in (1, -1)
-        return len(a) == 1
-
-    def is_unit_value(self, u, check_one=False):
-        if check_one:
-            return u == self.one
-        return self.is_unit(u)
-
-    def unit_inverse(self, u):
-        if self.kind == INT:
-            return u
-        return (pow(u[0], self.p - 2, self.p),)
-
-    def unit_normalize(self, a):
-        """Return (u, n) with a = u*n, u a unit and n canonical.
-
-        Canonical means nonnegative for Z and monic for F_p[t]; zero
-        normalizes to (1, 0).
-        """
-        if self.is_zero(a):
-            return self.one, self.zero
-        if self.kind == INT:
-            return (1, a) if a > 0 else (-1, -a)
-        lead = a[-1]
-        if lead == 1:
-            return self.one, a
-        inv = pow(lead, self.p - 2, self.p)
-        return (lead,), tuple((c * inv) % self.p for c in a)
-
     def canonical(self, a):
         return self.unit_normalize(a)[1]
-
-    def from_int(self, n):
-        if self.kind == INT:
-            return n
-        return ptrim([n % self.p])
-
-    # -- primes ---------------------------------------------------------------
-
-    def is_prime(self, a):
-        if self.kind == INT:
-            return int_is_prime(abs(a))
-        if pdeg(a) < 1:
-            return False
-        fac = self.factor(a)
-        return len(fac) == 1 and fac[0][1] == 1
-
-    def factor(self, a):
-        """Factor a nonzero element into canonical primes: [(prime, exp)]."""
-        if self.is_zero(a):
-            raise ZeroElement("cannot factor zero")
-        if self.kind == INT:
-            return int_factorization(abs(a))
-        return poly_factorization(self, a)
 
     def valuation(self, a, prime):
         if self.is_zero(a):
@@ -397,11 +264,201 @@ class GroundRing:
                 return v
             a, v = q, v + 1
 
-    # -- parsing / formatting -------------------------------------------------
+
+class IntegerRing(GroundRing):
+    """Z, on plain Python ints."""
+
+    p = None
+    var = None
+    characteristic = 0
+    zero = 0
+    one = 1
+
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
+    gcd = staticmethod(math.gcd)
+    size = staticmethod(abs)
+
+    def __repr__(self):
+        return "Z"
+
+    def divmod(self, a, b):
+        q, r = divmod(a, b)
+        if r < 0:  # keep 0 <= r < |b|
+            q, r = q + 1, r - b
+        return q, r
+
+    def xgcd(self, a, b):
+        """Return (g, x, y) with g = x*a + y*b and g >= 0."""
+        x0, x1, y0, y1 = 1, 0, 0, 1
+        while b:
+            q, r = divmod(a, b)
+            if r < 0:
+                q, r = q + 1, r - b
+            a, b = b, r
+            x0, x1 = x1, x0 - q * x1
+            y0, y1 = y1, y0 - q * y1
+        if a < 0:
+            return -a, -x0, -y0
+        return a, x0, y0
+
+    def reduce(self, num, den):
+        """(num, den) in lowest terms with den > 0."""
+        if den == 1:
+            return num, 1
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        g = math.gcd(num, den)
+        if den < 0:
+            g = -g
+        return num // g, den // g
+
+    def is_unit(self, a):
+        return a == 1 or a == -1
+
+    def unit_inverse(self, u):
+        return u
+
+    def unit_normalize(self, a):
+        """Return (u, n) with a = u*n, u = +-1 and n >= 0; zero gives (1, 0)."""
+        return (1, a) if a >= 0 else (-1, -a)
+
+    def from_int(self, n):
+        return n
+
+    def is_prime(self, a):
+        return int_is_prime(abs(a))
+
+    def factor(self, a):
+        """Factor a nonzero integer into positive primes: [(prime, exp)]."""
+        if not a:
+            raise ZeroElement("cannot factor zero")
+        return int_factorization(abs(a))
 
     def to_str(self, a):
-        if self.kind == INT:
-            return str(a)
+        return str(a)
+
+    def from_str(self, s):
+        s = s.strip().replace(" ", "")
+        if not re.fullmatch(r"-?\d+", s):
+            raise ParseError("bad integer %r" % (s,))
+        return int(s)
+
+
+class PolyRing(GroundRing):
+    """F_p[t] for a small prime p, on coefficient tuples."""
+
+    zero = ()
+    one = (1,)
+
+    def __init__(self, p, var="t"):
+        if not isinstance(p, int) or not int_is_prime(p):
+            raise NotPrime("F_p[t] needs a prime p, got %r" % (p,))
+        self.p = self.characteristic = int(p)
+        self.var = var
+
+    def __repr__(self):
+        return "F_%d[%s]" % (self.p, self.var)
+
+    def add(self, a, b):
+        return padd(a, b, self.p)
+
+    def sub(self, a, b):
+        return padd(a, pneg(b, self.p), self.p)
+
+    def neg(self, a):
+        return pneg(a, self.p)
+
+    def mul(self, a, b):
+        return pmul(a, b, self.p)
+
+    def divmod(self, a, b):
+        return pdivmod(a, b, self.p)
+
+    def xgcd(self, a, b):
+        """Return (g, x, y) with g = x*a + y*b, g monic (or zero)."""
+        x0, x1, y0, y1 = self.one, self.zero, self.zero, self.one
+        g, g1 = a, b
+        while g1:
+            q, r = self.divmod(g, g1)
+            g, g1 = g1, r
+            x0, x1 = x1, self.sub(x0, self.mul(q, x1))
+            y0, y1 = y1, self.sub(y0, self.mul(q, y1))
+        u, g_n = self.unit_normalize(g)
+        if u != self.one:
+            ui = self.unit_inverse(u)
+            x0, y0 = self.mul(ui, x0), self.mul(ui, y0)
+        return g_n, x0, y0
+
+    def gcd(self, a, b):
+        """The monic gcd (zero for gcd(0, 0))."""
+        p = self.p
+        while b:
+            a, b = b, pdivmod(a, b, p)[1]
+        return self.canonical(a)
+
+    def reduce(self, num, den):
+        """(num, den) in lowest terms with den monic."""
+        if den == (1,):
+            return num, den
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        if not num:
+            return (), (1,)
+        g = self.gcd(num, den)
+        if g != (1,):
+            num, den = self.exact_div(num, g), self.exact_div(den, g)
+        u, den = self.unit_normalize(den)
+        if u != (1,):
+            num = self.mul(self.unit_inverse(u), num)
+        return num, den
+
+    def size(self, a):
+        """A Euclidean size used for pivot selection."""
+        return len(a)
+
+    def is_unit(self, a):
+        return len(a) == 1
+
+    def unit_inverse(self, u):
+        return (pow(u[0], self.p - 2, self.p),)
+
+    def unit_normalize(self, a):
+        """Return (u, n) with a = u*n, u a unit and n monic; zero gives
+        (1, 0)."""
+        if not a or a[-1] == 1:
+            return self.one, a
+        lead, p = a[-1], self.p
+        inv = pow(lead, p - 2, p)
+        return (lead,), tuple((c * inv) % p for c in a)
+
+    def from_int(self, n):
+        return ptrim([n % self.p])
+
+    def is_prime(self, a):
+        if pdeg(a) < 1:
+            return False
+        fac = self.factor(a)
+        return len(fac) == 1 and fac[0][1] == 1
+
+    def factor(self, a):
+        """Factor a nonzero polynomial into monic primes: [(prime, exp)]."""
+        if not a:
+            raise ZeroElement("cannot factor zero")
+        return poly_factorization(self, a)
+
+    def factor_degrees(self, a):
+        """The degrees of the prime factors of the nonzero a, with
+        multiplicity, sorted (distinct-degree factoring, no splitting)."""
+        out = []
+        for g, e in _squarefree_parts(self, self.canonical(a)):
+            for h, d in _distinct_degree_parts(self, g):
+                out.extend([d] * (pdeg(h) // d * e))
+        return sorted(out)
+
+    def to_str(self, a):
         if not a:
             return "0"
         terms = []
@@ -419,10 +476,6 @@ class GroundRing:
 
     def from_str(self, s):
         s = s.strip().replace(" ", "")
-        if self.kind == INT:
-            if not re.fullmatch(r"-?\d+", s):
-                raise ParseError("bad integer %r" % (s,))
-            return int(s)
         if not s:
             raise ParseError("empty polynomial string")
         if not re.fullmatch(r"[-0-9%s^+]+" % re.escape(self.var), s):
@@ -451,11 +504,12 @@ class GroundRing:
         return ptrim(out)
 
 
-ZZ = GroundRing(INT)
+ZZ = IntegerRing()
 
 
+@functools.lru_cache(maxsize=None)
 def poly_ring(p, var="t"):
-    return GroundRing(POLY, p=p, var=var)
+    return PolyRing(p, var)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +519,8 @@ class Frac:
     """A reduced fraction of ground-ring elements.
 
     The denominator is always unit-normalized (positive / monic), so equal
-    fractions have identical representations.
+    fractions have identical representations.  ``ring.reduce`` brings a
+    (num, den) pair to lowest terms.
     """
 
     __slots__ = ("ring", "num", "den")
@@ -473,23 +528,11 @@ class Frac:
     def __init__(self, ring, num, den=None, _normalized=False):
         self.ring = ring
         if den is None:
-            den = ring.one
-        if _normalized:
+            self.num, self.den = num, ring.one
+        elif _normalized:
             self.num, self.den = num, den
-            return
-        if ring.is_zero(den):
-            raise ZeroDivisionError("zero denominator")
-        if ring.is_zero(num):
-            self.num, self.den = ring.zero, ring.one
-            return
-        g = ring.gcd(num, den)
-        if not ring.is_unit(g):
-            num = ring.exact_div(num, g)
-            den = ring.exact_div(den, g)
-        u, den = ring.unit_normalize(den)
-        if not ring.is_unit_value(u, check_one=True):
-            num = ring.mul(ring.unit_inverse(u), num)
-        self.num, self.den = num, den
+        else:
+            self.num, self.den = ring.reduce(num, den)
 
     # -- constructors ---------------------------------------------------------
 
@@ -498,9 +541,8 @@ class Frac:
         if isinstance(value, Frac):
             return value
         if isinstance(value, int):
-            return Frac(ring, ring.from_int(value), _normalized=True) \
-                if ring.kind == POLY else Frac(ring, value, _normalized=True)
-        return Frac(ring, value, _normalized=True)
+            return Frac(ring, ring.from_int(value))
+        return Frac(ring, value)
 
     def _coerce(self, other):
         if isinstance(other, Frac):
@@ -508,20 +550,18 @@ class Frac:
                 raise TypeError("fraction ring mismatch")
             return other
         if isinstance(other, int):
-            return Frac(self.ring, self.ring.from_int(other), _normalized=True)
+            return Frac(self.ring, self.ring.from_int(other))
         return NotImplemented
 
     # -- predicates -----------------------------------------------------------
 
     def is_zero(self):
-        return self.ring.is_zero(self.num)
+        return not self.num  # 0 over Z, () over F_p[t]
 
     def is_integral(self):
         return self.den == self.ring.one
 
     def integral_value(self):
-        from .errors import InputNotIntegral
-
         if not self.is_integral():
             raise InputNotIntegral("entry %s is not in the ground ring" % (self,))
         return self.num
@@ -529,9 +569,10 @@ class Frac:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Frac or other.ring is not self.ring:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         r = self.ring
         return Frac(
             r,
@@ -545,18 +586,25 @@ class Frac:
         return Frac(self.ring, self.ring.neg(self.num), self.den, _normalized=True)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not Frac or other.ring is not self.ring:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        r = self.ring
+        return Frac(
+            r,
+            r.sub(r.mul(self.num, other.den), r.mul(other.num, self.den)),
+            r.mul(self.den, other.den),
+        )
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Frac or other.ring is not self.ring:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         r = self.ring
         return Frac(r, r.mul(self.num, other.num), r.mul(self.den, other.den))
 
@@ -585,7 +633,7 @@ class Frac:
             other = self._coerce(other)
         return (
             isinstance(other, Frac)
-            and self.ring == other.ring
+            and (self.ring is other.ring or self.ring == other.ring)
             and self.num == other.num
             and self.den == other.den
         )
@@ -594,7 +642,7 @@ class Frac:
         return hash((self.num, self.den))
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.num)
 
     # -- formatting -----------------------------------------------------------
 

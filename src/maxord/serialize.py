@@ -82,7 +82,7 @@ def parse_ground(obj):
 
 
 def format_ground(ring):
-    if ring.kind == "Z":
+    if ring == ZZ:
         return "Z"
     return {"poly": {"p": ring.p, "var": ring.var}}
 

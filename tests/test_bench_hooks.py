@@ -3,6 +3,7 @@ name, so renaming one of them must fail here and not only in the
 benchmark."""
 
 import importlib.util
+import json
 import os
 
 import maxord
@@ -12,12 +13,35 @@ TRACER = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                       "perfbench", "tracer.py")
 
 
-def test_tracer_finds_every_target():
+def make_tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    tracer = module.Tracer(maxord)
+    return module.Tracer(maxord)
+
+
+def test_tracer_finds_every_target():
+    tracer = make_tracer()
     try:
         assert tracer.install() == []
     finally:
         tracer.uninstall()
+
+
+def test_tracer_hooks_read_a_maximal_order_run(tmp_path, capsys):
+    # the hnf and idealizer hooks read arguments and results of the wrapped
+    # functions; a changed signature shows up in hook_errors
+    path = tmp_path / "quadratic.json"
+    path.write_text(json.dumps({
+        "algebra": {"poly_quotient": {"modulus": "x^2-5"}},
+        "basis": [["1", "0"], ["0", "1"]]}))
+    tracer = make_tracer()
+    try:
+        assert tracer.install() == []
+        assert maxord.cli.main(["maximal-order", str(path)]) == 0
+    finally:
+        tracer.uninstall()
+    assert '"index": "2"' in capsys.readouterr().out
+    assert not tracer.hook_errors
+    assert tracer.counts["exactlin.hnf.calls"] > 0
+    assert tracer.counts["orders.idealizer.calls"] > 0

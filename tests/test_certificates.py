@@ -2,8 +2,10 @@
 `is_maximal_at_p` and `p_maximal_order`, and for residue algebras over
 F_p[t]."""
 
+import json
 import random
 
+from maxord import cli, orders
 from maxord.algebras import poly_quotient_algebra
 from maxord.exactlin import Lattice, lattice_index
 from maxord.orders import (
@@ -110,3 +112,26 @@ def test_conductor_suborders_keep_the_discriminant():
             out = maximal_order(sub)
             assert discriminant(out) == discriminant(top), (coeffs, f)
             assert out.contains(sub)
+
+
+def test_maximal_order_runs_each_p_step_once(tmp_path, monkeypatch, capsys):
+    """The certificates of `maximal-order` reuse the last p-step that
+    maximalization ran on the same order: no (lattice, prime) pair is
+    computed twice."""
+    computed = []
+    p_step = orders.p_step
+
+    def counted(order, p):
+        computed.append((order.lattice, p))
+        return p_step(order, p)
+
+    monkeypatch.setattr(orders, "p_step", counted)
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps({
+        "algebra": {"poly_quotient": {"modulus": "x^3+x^2+7x-1"}},
+        "basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}))
+    assert cli.main(["maximal-order", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert all(c["verdict"] for c in out["certificates"])
+    assert len(computed) > len(out["certificates"])
+    assert len(set(computed)) == len(computed)

@@ -10,8 +10,9 @@ import random
 import pytest
 import sympy
 
+from maxord.algebras import _irreducible_by_reduction
 from maxord.errors import ZeroElement
-from maxord.rings import TRIAL_BOUND, ZZ, pmul, poly_ring, ptrim
+from maxord.rings import TRIAL_BOUND, ZZ, Frac, pmul, poly_ring, ptrim
 
 # strong pseudoprimes to the first 1, 1, 4 and 9 prime bases
 PSEUDOPRIMES = [561, 2047, 3215031751, 3825123056546413051]
@@ -67,6 +68,8 @@ def check_poly(ring, a):
     want = sympy_poly_factor(ring, a)
     assert ring.factor(a) == want, (ring, a)
     assert ring.is_prime(a) == (len(want) == 1 and want[0][1] == 1), (ring, a)
+    assert ring.factor_degrees(a) == sorted(
+        len(q) - 1 for q, e in want for _ in range(e)), (ring, a)
 
 
 def power(a, e, p):
@@ -116,3 +119,35 @@ class TestPolynomials:
                                   p))
             check_poly(ring, pmul(power((b, 1), p * p + 1, p), (3 % p, 1),
                                   p))
+
+
+def test_irreducibility_by_reduction():
+    """A True verdict is a proof (sympy agrees); x^12 - 3*2^12 is proved
+    although it is reducible mod every prime, from the factor degrees."""
+    def over_q(coeffs):
+        return [c if isinstance(c, Frac) else Frac(ZZ, c) for c in coeffs]
+
+    assert _irreducible_by_reduction(over_q([-3 * 2 ** 12] + [0] * 11 + [1]))
+    assert _irreducible_by_reduction(over_q([Frac(ZZ, -5, 4), 0, 1]))
+    assert not _irreducible_by_reduction(over_q([-1, 0, 1]))
+    assert not _irreducible_by_reduction(over_q([2, 0, 3, 0, 1]))
+    # irreducible, but of degrees (1, 1, 1, 1) or (2, 2) mod every prime
+    assert not _irreducible_by_reduction(over_q([1, 0, 0, 0, 1]))
+    x = sympy.Symbol("x")
+    rng = random.Random(5)
+    proved = 0
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        coeffs = [Frac(ZZ, rng.randint(-9, 9), rng.randint(1, 4))
+                  for _ in range(n)] + [Frac(ZZ, 1)]
+        if rng.random() < 0.3:  # a product of two monic factors
+            k = rng.randint(1, n - 1)
+            f = sympy.Poly(x ** k + rng.randint(-5, 5), x) * sympy.Poly(
+                x ** (n - k) + rng.randint(-5, 5) * x + 1, x)
+            coeffs = [Frac(ZZ, int(c)) for c in reversed(f.all_coeffs())]
+        poly = sympy.Poly([sympy.Rational(c.num, c.den)
+                           for c in reversed(coeffs)], x)
+        if _irreducible_by_reduction(coeffs):
+            proved += 1
+            assert poly.is_irreducible, coeffs
+    assert proved >= 20

@@ -72,3 +72,11 @@ def test_splitting_center_loads_sympy(tmp_path):
     doc = {"algebra": {"poly_quotient": {"modulus": "x^2-1"}},
            "basis": [["1", "0"], ["0", "1"]]}
     assert sympy_loaded(tmp_path, ["maximal-order"], doc)
+
+
+def test_quadratic_field_does_not_load_sympy(tmp_path):
+    # Q(sqrt 5) is a field: x^2 - 5 is irreducible mod 3, so the center
+    # needs no factorization over Q
+    doc = {"algebra": {"poly_quotient": {"modulus": "x^2-5"}},
+           "basis": [["1", "0"], ["0", "1"]]}
+    assert not sympy_loaded(tmp_path, ["maximal-order"], doc)
