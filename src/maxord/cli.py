@@ -157,7 +157,7 @@ def cmd_radical(args):
     order = _load(args.input, parse_order)
     ring = order.algebra.ring
     primes = parse_primes(ring, args.primes or "")
-    if not primes:
+    if len(primes) != 1:
         raise ParseError("radical needs --primes with exactly one prime")
     j = radical_mod_p(order, primes[0])
     _emit({

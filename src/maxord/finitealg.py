@@ -65,12 +65,37 @@ class FiniteAlgebra:
     # -- radical (characteristic-p safe) --------------------------------------
 
     def radical_basis(self):
-        """Basis of the Jacobson radical.
+        """Basis of the Jacobson radical, in rref.
 
-        Uses the tower of subspaces cut out by the characteristic-polynomial
-        coefficient maps g_i(x) = [lambda^(n - p^i)] charpoly(L_x), which are
-        F_p-linear on each successive subspace; the final subspace is the
-        radical.  The first, g_0 = -trace, is read off the trace form.
+        A commutative algebra (symmetric structure table) takes the
+        Frobenius kernel, any other the charpoly tower.
+        """
+        n = self.dim
+        if all(self.table[i][j] == self.table[j][i]
+               for i in range(n) for j in range(i)):
+            return self._frobenius_radical()
+        return self._tower_radical()
+
+    def _frobenius_radical(self):
+        """Kernel of x -> x^q for q the least power of p that is >= dim.
+
+        In a commutative algebra of characteristic p the radical is the set
+        of nilpotents, x^dim = 0 for each of them, and x -> x^p is F_p-linear
+        (Cohen, GTM 138, Alg. 6.1.8).
+        """
+        q = self.p
+        while q < self.dim:
+            q *= self.p
+        images = [self._elt_pow(b, q) for b in self.basis()]
+        return rref(self.field, kernel(self.field, images))[0]
+
+    def _tower_radical(self):
+        """The radical of any algebra, by a tower of subspaces.
+
+        The tower is cut out by the characteristic-polynomial coefficient
+        maps g_i(x) = [lambda^(n - p^i)] charpoly(L_x), which are F_p-linear
+        on each successive subspace; the final subspace is the radical.  The
+        first, g_0 = -trace, is read off the trace form.
         """
         p, n = self.p, self.dim
         current = self.basis()  # rows spanning R_i

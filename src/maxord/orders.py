@@ -15,7 +15,15 @@ from .errors import (
     RankDeficient,
     ZeroElement,
 )
-from .exactlin import Lattice, Matrix, lattice_index, solve
+from .exactlin import (
+    Lattice,
+    Matrix,
+    PrimeField,
+    hnf,
+    kernel,
+    lattice_index,
+    solve,
+)
 from .finitealg import FiniteAlgebra
 from .algebras import decompose, matrix_over_algebra
 from .rings import Frac, pnorm
@@ -99,12 +107,29 @@ class Order:
 
 
 class LatticeIdeal:
-    __slots__ = ("order", "lattice", "sidedness")
+    """A two-sided ideal I of an order Λ over a prime p of R: pΛ ⊆ I ⊆ Λ.
 
-    def __init__(self, order, lattice, sidedness="two-sided"):
+    I is pΛ plus the lifts of its residue rows, kept in Λ-coordinates; its
+    lattice in the algebra is built when first read.
+    """
+
+    __slots__ = ("order", "prime", "lifts", "_lattice")
+
+    def __init__(self, order, prime, lifts):
         self.order = order
-        self.lattice = lattice
-        self.sidedness = sidedness
+        self.prime = prime
+        self.lifts = lifts
+        self._lattice = None
+
+    @property
+    def lattice(self):
+        if self._lattice is None:
+            order = self.order
+            rows = order.bmat.scaled(self.prime).rows + [
+                order.ambient_coords(r) for r in self.lifts]
+            self._lattice = Lattice.from_rows(order.algebra.ring, rows,
+                                              order.dim)
+        return self._lattice
 
     def __eq__(self, other):
         return isinstance(other, LatticeIdeal) and self.lattice == other.lattice
@@ -113,7 +138,7 @@ class LatticeIdeal:
         return hash(self.lattice)
 
     def __repr__(self):
-        return "LatticeIdeal(%s, %r)" % (self.sidedness, self.lattice)
+        return "LatticeIdeal(over %r, %r)" % (self.prime, self.lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +185,41 @@ def order_closure(alg, gens, max_steps=64):
 # residue algebras
 
 
+def _residue_maps(ring, p, n):
+    """(q, scalars, reduce, lift) for Λ/pΛ as a space over F_q, q the
+    characteristic of R/p and Λ of rank n.
+
+    Residue slot i·d + e stands for scalars[e]·b_i, where the scalars are
+    an F_q-basis of R/p: 1 over Z, and t^e (e < d = deg p) over F_q[t].
+    reduce maps R-coordinates to residue coordinates; lift picks the
+    representatives in [0, q) or of degree < d.
+    """
+    if ring.characteristic == 0:
+        q = p if p > 0 else -p
+
+        def reduce(coords):
+            return [c % q for c in coords]
+
+        def lift(res_coords):
+            return [int(c) for c in res_coords]
+
+        return q, [1], reduce, lift
+
+    q, d = ring.p, len(p) - 1
+
+    def reduce(coords):
+        out = []
+        for c in coords:
+            r = ring.divmod(c, p)[1]
+            out.extend(r + (0,) * (d - len(r)))
+        return out
+
+    def lift(res_coords):
+        return [pnorm(res_coords[k * d:(k + 1) * d], q) for k in range(n)]
+
+    return q, [(0,) * e + (1,) for e in range(d)], reduce, lift
+
+
 def residue_algebra(order, p):
     """(Λ/pΛ as an F_p-algebra, reduce, lift) for a prime p of R.
 
@@ -171,81 +231,13 @@ def residue_algebra(order, p):
     if not ring.is_prime(p):
         raise NotPrime("%s is not prime in the ground ring" % ring.to_str(p))
     struct = order.structure_constants()
-    n = order.dim
-    if ring.characteristic == 0:
-        q = p if p > 0 else -p
-        table = [
-            [[c % q for c in struct[i][j]] for j in range(n)]
-            for i in range(n)
-        ]
-        one = [c % q for c in order.order_coords(order.algebra.one_coords)]
-
-        def reduce_coords(order_coords):
-            return [c % q for c in order_coords]
-
-        def lift_coords(res_coords):
-            return [int(c) for c in res_coords]
-
-        return FiniteAlgebra(q, table, one), reduce_coords, lift_coords
-
-    # polynomial ground ring: restrict scalars along F_p[t]/(pi) over F_p
-    q = ring.p
-    d = len(p) - 1  # degree of the prime polynomial
-
-    def poly_mod(c):
-        _, r = ring.divmod(c, p)
-        return list(r) + [0] * (d - len(r))
-
-    def expand(order_coords):
-        # order coords (polynomials) -> F_p coords in slots (i, e)
-        out = []
-        for c in order_coords:
-            out.extend(poly_mod(c))
-        return out
-
-    # t * (residue basis vector) in residue coordinates, used to shift powers
-    tshift_rows = []
-    for e in range(d):
-        tpow = ring.canonical(tuple([0] * (e + 1) + [1]))
-        tshift_rows.append(poly_mod(tpow))
-
-    def shift(coeffs, f):
-        """Multiply the length-d coefficient vector by t^f mod pi."""
-        out = list(coeffs)
-        for _ in range(f):
-            nxt = [0] * d
-            for e, c in enumerate(out):
-                if c:
-                    row = tshift_rows[e] if e == d - 1 else None
-                    if e + 1 < d:
-                        nxt[e + 1] = (nxt[e + 1] + c) % q
-                    else:
-                        for m in range(d):
-                            nxt[m] = (nxt[m] + c * row[m]) % q
-            out = nxt
-        return out
-
-    dim = n * d
-    table = [[None] * dim for _ in range(dim)]
-    for i in range(n):
-        for e in range(d):
-            for j in range(n):
-                for f in range(d):
-                    row = [0] * dim
-                    for k in range(n):
-                        coeffs = shift(poly_mod(struct[i][j][k]), e + f)
-                        for m in range(d):
-                            row[k * d + m] = coeffs[m]
-                    table[i * d + e][j * d + f] = row
-    one = expand(order.order_coords(order.algebra.one_coords))
-
-    def reduce_coords(order_coords):
-        return expand(order_coords)
-
-    def lift_coords(res_coords):
-        return [pnorm(res_coords[k * d:(k + 1) * d], q) for k in range(n)]
-
-    return FiniteAlgebra(q, table, one), reduce_coords, lift_coords
+    q, scalars, reduce, lift = _residue_maps(ring, p, order.dim)
+    mul = ring.mul
+    slots = [(i, s) for i in range(order.dim) for s in scalars]
+    table = [[reduce([mul(mul(si, sj), c) for c in struct[i][j]])
+              for j, sj in slots] for i, si in slots]
+    one = reduce(order.order_coords(order.algebra.one_coords))
+    return FiniteAlgebra(q, table, one), reduce, lift
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +246,7 @@ def residue_algebra(order, p):
 
 def _ideal_over_p(order, p, lift, residue_rows):
     """The two-sided ideal pΛ + (lifts of residue_rows) of Λ."""
-    ring = order.algebra.ring
-    rows = list(order.lattice.scaled(Frac.of(ring, p)).basis.rows)
-    rows.extend(order.ambient_coords(lift(r)) for r in residue_rows)
-    return LatticeIdeal(order, Lattice.from_rows(ring, rows, order.dim))
+    return LatticeIdeal(order, p, [lift(r) for r in residue_rows])
 
 
 def radical_mod_p(order, p):
@@ -267,14 +256,69 @@ def radical_mod_p(order, p):
 
 
 def idealizer(order, ideal, side="left"):
-    """O_l(I) = {x : xI ⊆ I} (or O_r); an order containing the input."""
-    alg = order.algebra
-    lat = ideal.lattice if isinstance(ideal, LatticeIdeal) else ideal
+    """O_l(I) = {x : xI ⊆ I} (or O_r); an order containing the input.
+
+    A LatticeIdeal, which records its prime, is done over F_p; any other
+    full-rank lattice by the dual of its condition lattice.
+    """
+    if isinstance(ideal, LatticeIdeal):
+        return _idealizer_mod_p(ideal, side)
+    alg, lat = order.algebra, ideal
     if lat.rank != alg.dim:
         raise RankDeficient("idealizer needs a full-rank ideal")
     mul = alg.right_mul_matrix if side == "left" else alg.left_mul_matrix
     maps = [mul(alg.element(w)) for w in lat.basis.rows]
     return _stabilizer_order(alg, lat, maps)
+
+
+def _idealizer_mod_p(ideal, side):
+    """O_l(I) = (1/p)·{y ∈ Λ : yI ⊆ pI} for pΛ ⊆ I ⊆ Λ (O_r: Iy ⊆ pI).
+
+    y ↦ (I-coordinates of y·w_k mod p)_k, for w_k an R-basis of I, is
+    F_p-linear on Λ/pΛ, so the y form pΛ plus the lifts of a kernel over
+    F_p (Cohen, GTM 138, §6.1).  Λ itself when that kernel is 0.
+    """
+    order, p = ideal.order, ideal.prime
+    ring, n = order.algebra.ring, order.dim
+    add, sub, mul, zero = ring.add, ring.sub, ring.mul, ring.zero
+    q, scalars, reduce, lift = _residue_maps(ring, p, n)
+    # I in Λ-coordinates: the HNF of pΛ + lifts is upper triangular
+    rows = [[p if a == b else zero for b in range(n)] for a in range(n)]
+    h, _ = hnf(Matrix(ring, rows + list(ideal.lifts), n), transform=False)
+    w = [[x.num for x in row] for row in h.rows[:n]]
+    struct = order.structure_constants()
+
+    def coords(i, wk):
+        """I-coordinates of b_i·w_k (or w_k·b_i), from Λ's structure; the
+        divisions are exact because that product lies in I."""
+        v = [zero] * n
+        for j, c in enumerate(wk):
+            if c:
+                prod = struct[i][j] if side == "left" else struct[j][i]
+                v = [add(x, mul(c, y)) for x, y in zip(v, prod)]
+        t = []
+        for a, wa in enumerate(w):
+            ta = ring.exact_div(v[a], wa[a])
+            t.append(ta)
+            if ta:
+                for b in range(a + 1, n):
+                    if wa[b]:
+                        v[b] = sub(v[b], mul(ta, wa[b]))
+        return t
+
+    cond = []
+    for i in range(n):
+        images = [coords(i, wk) for wk in w]
+        for s in scalars:
+            cond.append([x for t in images
+                         for x in reduce([mul(s, c) for c in t])])
+    ker = kernel(PrimeField(q), cond)
+    if not ker:
+        return order
+    inv_p = Frac(ring, ring.one, p)
+    rows = order.bmat.rows + [
+        [x * inv_p for x in order.ambient_coords(lift(v))] for v in ker]
+    return Order(order.algebra, Lattice.from_rows(ring, rows, n))
 
 
 def _stabilizer_order(alg, lat, maps):
@@ -302,28 +346,34 @@ def discriminant(order):
     return det.integral_value()
 
 
+def _p_step_ideals(order, p):
+    """[J, I_1, ..., I_k]: the p-radical of Λ and the maximal two-sided
+    ideals over p, from one residue algebra and its radical."""
+    res, _, lift = residue_algebra(order, p)
+    rad = res.radical_basis()
+    quot, _, lift_q = res.quotient(rad)
+    ideals = [_ideal_over_p(order, p, lift, rad)]
+    for e in quot.primitive_central_idempotents():
+        # Λ/I is the simple factor e·(Λ/J) of the semisimple quotient
+        one_minus = [(a - b) % res.p for a, b in zip(quot.one_coords, e)]
+        ideals.append(_ideal_over_p(order, p, lift, rad + [
+            lift_q(quot.mul(b, one_minus)) for b in quot.basis()]))
+    return ideals
+
+
 def p_step(order, p):
     """One saturation step at p, and the test for maximality at p.
 
     Λ is maximal at p exactly when neither O_l(J), for J the p-radical,
     nor O_l(I), for any maximal two-sided ideal I ⊇ pΛ, is larger than Λ
-    (Reiner §§17–18; Ivanyos & Rónyai 1993).  Builds Λ/pΛ and its radical
-    once and returns (grown, facts): grown is the first of those
-    idealizers that is strictly larger than Λ, or None; facts says
-    whether O_l(J) = Λ and how many maximal ideals lie over p.  Callers go
-    through Order.step_at, which runs it once per order and prime.
+    (Reiner §§17–18; Ivanyos & Rónyai 1993).  Returns (grown, facts):
+    grown is the first of those idealizers that is strictly larger than
+    Λ, or None; facts says whether O_l(J) = Λ and how many maximal ideals
+    lie over p.  Callers go through Order.step_at, which runs it once per
+    order and prime.
     """
-    res, _, lift = residue_algebra(order, p)
-    rad = res.radical_basis()
-    quot, _, lift_q = res.quotient(rad)
-    idems = quot.primitive_central_idempotents()
-    ideals = [_ideal_over_p(order, p, lift, rad)]
-    for e in idems:
-        # Λ/I is the simple factor e·(Λ/J) of the semisimple quotient
-        one_minus = [(a - b) % res.p for a, b in zip(quot.one_coords, e)]
-        ideals.append(_ideal_over_p(order, p, lift, rad + [
-            lift_q(quot.mul(b, one_minus)) for b in quot.basis()]))
-    facts = {"idealizerFixed": True, "maximalIdeals": len(idems)}
+    ideals = _p_step_ideals(order, p)
+    facts = {"idealizerFixed": True, "maximalIdeals": len(ideals) - 1}
     for k, ideal in enumerate(ideals):
         grown = idealizer(order, ideal)
         if grown.lattice != order.lattice:

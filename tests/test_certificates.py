@@ -19,6 +19,8 @@ from maxord.rings import ZZ, Frac, poly_ring
 from test_acceptance import brute_force_maximal_order
 
 F5T = poly_ring(5)
+F2T = poly_ring(2)
+S3 = (1, 1, 0, 1)  # t^3+t+1, prime over F_2
 
 
 def equation_order(ring, coeffs):
@@ -67,18 +69,85 @@ def test_cubic_sweep_matches_brute_force():
     assert verdicts and split
 
 
-def test_f5t_kummer_order():
-    # y^3 = (t+2)^3 (t^2+3) over F_5[t]: the maximal order adjoins
-    # y/(t+2) and y^2/(t+2)^2
+def test_quartic_sweep_matches_brute_force():
+    """Seeded monic quartics, irreducible and squarefree-reducible: at
+    each p in {2, 3} dividing the discriminant the certificate agrees with
+    the superlattice oracle, and the oracle's order certifies."""
+    import sympy
+
+    rng = random.Random(44)
+    x = sympy.Symbol("x")
+    kinds = {True: 0, False: 0}  # irreducible -> cases
+    pairs = verdicts = 0
+    while min(kinds.values()) < 4:
+        if rng.random() < 0.5:
+            coeffs = [rng.randint(-6, 6) for _ in range(4)] + [1]
+        else:
+            # a product of two monic factors, of degrees 1 and 3 or 2 and 2
+            d = rng.choice([1, 2])
+            a = [rng.randint(-4, 4) for _ in range(d)] + [1]
+            b = [rng.randint(-4, 4) for _ in range(4 - d)] + [1]
+            coeffs = [sum(a[i] * b[k - i] for i in range(len(a))
+                          if 0 <= k - i < len(b)) for k in range(5)]
+        irreducible = sympy.Poly(list(reversed(coeffs)), x).is_irreducible
+        order = equation_order(ZZ, coeffs)
+        disc = discriminant(order)
+        primes = [p for p in (2, 3) if disc and disc % p == 0]
+        if not primes or kinds[irreducible] >= 4:
+            continue
+        kinds[irreducible] += 1
+        for p in primes:
+            oracle = brute_force_maximal_order(order, [p])
+            cert = is_maximal_at_p(order, p)
+            assert cert["verdict"] == (oracle.lattice == order.lattice), \
+                (coeffs, p)
+            assert is_maximal_at_p(oracle, p)["verdict"], (coeffs, p)
+            pairs += 1
+            verdicts += not cert["verdict"]
+    # the sweep reaches non-maximal equation orders
+    assert verdicts and pairs > verdicts
+
+
+def f5t_kummer_order():
+    """y^3 = (t+2)^3 (t^2+3) over F_5[t]; t^2+3 is a prime of degree 2."""
     s = (2, 1)
     c = F5T.mul(F5T.mul(F5T.mul(s, s), s), (3, 0, 1))
-    order = equation_order(F5T, [F5T.neg(c), F5T.zero, F5T.zero, F5T.one])
+    return equation_order(F5T, [F5T.neg(c), F5T.zero, F5T.zero, F5T.one])
+
+
+def f2t_inseparable_order():
+    """y^4 = t·s^4 over F_2[t] with s = t^3+t+1: purely inseparable, so
+    the discriminant is 0 and the primes t and s are supplied."""
+    s4 = F2T.mul(F2T.mul(S3, S3), F2T.mul(S3, S3))
+    return equation_order(F2T, [F2T.mul((0, 1), s4), F2T.zero, F2T.zero,
+                                F2T.zero, F2T.one])
+
+
+def test_f5t_kummer_order():
+    # the maximal order adjoins y/(t+2) and y^2/(t+2)^2
+    s = (2, 1)
+    order = f5t_kummer_order()
     out = maximal_order(order)
     inv_s = Frac(F5T, F5T.one, s)
     assert out.lattice == Lattice.from_rows(
         F5T, [[1, 0, 0], [0, inv_s, 0], [0, 0, inv_s * inv_s]], 3)
     assert lattice_index(order.lattice, out.lattice) == F5T.mul(F5T.mul(s, s), s)
     for q, _ in F5T.factor(discriminant(out)):
+        assert is_maximal_at_p(out, q)["verdict"]
+
+
+def test_f2t_inseparable_order():
+    # the maximal order is F_2[t^(1/4)], spanned by (y/s)^i
+    order = f2t_inseparable_order()
+    assert discriminant(order) == F2T.zero
+    out = maximal_order(order, extra_primes=[(0, 1), S3])
+    powers = [Frac(F2T, F2T.one)]
+    for _ in range(3):
+        powers.append(powers[-1] * Frac(F2T, F2T.one, S3))
+    assert out.lattice == Lattice.from_rows(
+        F2T, [[powers[i] if i == j else 0 for j in range(4)]
+              for i in range(4)], 4)
+    for q in ((0, 1), S3):
         assert is_maximal_at_p(out, q)["verdict"]
 
 

@@ -151,6 +151,16 @@ def test_malformed_document_is_parse_error(tmp_path, capsys, command, doc,
     assert rec["location"] == location
 
 
+@pytest.mark.parametrize("flags", [[], ["--primes", "2,3"], ["--primes", ","]])
+def test_radical_needs_exactly_one_prime(tmp_path, capsys, flags):
+    code, out, err = run_cli_capture(tmp_path, capsys, GAUSSIAN_ORDER,
+                                     "radical", *flags)
+    assert code == 1 and not out
+    rec = json.loads(err)
+    assert rec["code"] == "ParseError"
+    assert "exactly one prime" in rec["message"]
+
+
 class TestCertify:
     def test_cubic_ring_of_integers_is_maximal(self, tmp_path, capsys):
         # Z[x]/(x^3+x+1) has squarefree discriminant -31

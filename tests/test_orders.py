@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +8,7 @@ from maxord.algebras import (
     poly_quotient_algebra,
     quaternion_algebra,
 )
+from maxord import orders
 from maxord.errors import NotIntegral, NotPrime
 from maxord.exactlin import Lattice, lattice_index
 from maxord.orders import (
@@ -26,6 +29,12 @@ from maxord.orders import (
 from maxord.rings import ZZ, Frac, poly_ring
 from maxord.selftest import squarefree
 from test_acceptance import brute_force_maximal_order
+from test_certificates import (
+    equation_order,
+    f2t_inseparable_order,
+    f5t_kummer_order,
+    S3,
+)
 
 F2T = poly_ring(2)
 HALF = Frac(ZZ, 1, 2)
@@ -180,6 +189,84 @@ class TestIdealizerAndSaturation:
         sat = p_maximal_order(sub, (0, 1))
         assert sat.lattice == Lattice.standard(F2T, 2)
         assert is_maximal_at_p(sat, (0, 1))["verdict"]
+
+
+class TestIdealizerOverFp:
+    """The idealizers of J and of every maximal ideal over p, computed as
+    kernels over F_p on both sides, equal the stabilizer orders of their
+    lattices, along the whole p-maximalization chain."""
+
+    def check_chain(self, order, p, monkeypatch):
+        stabilized = []
+        stabilizer = orders._stabilizer_order
+
+        def counted(alg, lat, maps):
+            stabilized.append(lat)
+            return stabilizer(alg, lat, maps)
+
+        monkeypatch.setattr(orders, "_stabilizer_order", counted)
+        checked = 0
+        while order is not None:
+            for ideal in orders._p_step_ideals(order, p):
+                for side in ("left", "right"):
+                    fast = idealizer(order, ideal, side)
+                    assert not stabilized
+                    reference = idealizer(order, ideal.lattice, side)
+                    assert stabilized.pop() == ideal.lattice
+                    assert fast.lattice == reference.lattice, (p, side)
+                    checked += 1
+            order = order.step_at(p)[0]
+        return checked
+
+    def test_cubic_and_quartic_orders(self, monkeypatch):
+        rng = random.Random(7)
+        cases = 0
+        while cases < 6:
+            n = 3 + cases % 2
+            coeffs = [rng.randint(-9, 9) for _ in range(n)] + [1]
+            order = equation_order(ZZ, coeffs)
+            disc = discriminant(order)
+            primes = [p for p in (2, 3, 5) if disc and disc % p == 0]
+            if not primes:
+                continue
+            cases += 1
+            for p in primes:
+                self.check_chain(order, p, monkeypatch)
+
+    def test_lipschitz_order(self, monkeypatch):
+        lip = Order(quaternion_algebra(ZZ, -1, -1), Lattice.standard(ZZ, 4))
+        assert self.check_chain(lip, 2, monkeypatch) > 2
+
+    def test_conductor_order_in_mat3(self, monkeypatch):
+        # Z + 6·Mat_3(Z)
+        alg = matrix_algebra(ZZ, 3)
+        rows = [alg.one_coords] + [[6 * int(i == j) for j in range(9)]
+                                   for i in range(9)]
+        order = Order(alg, Lattice.from_rows(ZZ, rows, 9))
+        for p in (2, 3):
+            assert self.check_chain(order, p, monkeypatch) > 2
+
+    def test_eichler_order_of_level_p_squared(self, monkeypatch):
+        # [[Z, Z], [p^2 Z, Z]]: its maximal ideals over p have different
+        # left and right idealizers, so both sides are checked apart
+        alg = matrix_algebra(ZZ, 2)
+        for p in (2, 3):
+            order = Order(alg, Lattice.from_rows(
+                ZZ, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, p * p, 0],
+                     [0, 0, 0, 1]], 4))
+            sides = [idealizer(order, ideal, side).lattice
+                     for ideal in orders._p_step_ideals(order, p)
+                     for side in ("left", "right")]
+            assert sides[2] != sides[3]
+            assert self.check_chain(order, p, monkeypatch) > 4
+
+    def test_function_field_orders(self, monkeypatch):
+        t = (0, 1)
+        for order, p in ((f5t_kummer_order(), (2, 1)),
+                         (f5t_kummer_order(), (3, 0, 1)),
+                         (f2t_inseparable_order(), t),
+                         (f2t_inseparable_order(), S3)):
+            assert self.check_chain(order, p, monkeypatch) >= 2
 
 
 class TestQuadraticSweepAgainstOracles:
