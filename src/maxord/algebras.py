@@ -135,15 +135,31 @@ class Algebra:
         return self.left_mul_matrix(a).charpoly()
 
     def min_poly(self, a):
-        """Monic minimal polynomial coefficients, lowest degree first."""
-        rows = [self.one().coords]
+        """Monic minimal polynomial coefficients, lowest degree first.
+
+        One echelon pass: a^k is reduced against the echelon rows of 1, a,
+        ..., a^(k-1), each row carrying the combination of powers it
+        stands for.  Every row has zeros on the pivots of the rows before
+        it, so one sweep in order clears all pivots; a^k reducing to 0
+        gives the relation, monic in a^k.
+        """
+        F, n = self.field, self.dim
+        echelon = []  # (pivot, row, combination of powers)
         power = self.one()
-        while True:
+        for k in range(n + 1):
+            v = power.coords
+            comb = [F.one if i == k else F.zero for i in range(n + 1)]
+            for piv, row, rcomb in echelon:
+                c = v[piv]
+                if c:
+                    v = F.sub_mul(v, c, row)
+                    comb = F.sub_mul(comb, c, rcomb)
+            piv = next((j for j, x in enumerate(v) if x), None)
+            if piv is None:  # always by k = n, as dim + 1 powers are dependent
+                return comb[:k + 1]
+            inv = F.inv(v[piv])
+            echelon.append((piv, F.scale(v, inv), F.scale(comb, inv)))
             power = power * a
-            sol = solve(self.field, rows, [power.coords])
-            if sol is not None:
-                return [-c for c in sol[0]] + [frac1(self.ring)]
-            rows.append(power.coords)
 
     def eval_poly(self, coeffs, a):
         """Evaluate a polynomial (lowest degree first) at element a."""
@@ -386,6 +402,10 @@ def decompose(alg, idems):
 
 # ---------------------------------------------------------------------------
 # constructors
+#
+# Each builds a table that is associative with unit 1 for every input
+# (K[x]/(f), (a, b | K), matrices, products), so none runs
+# Algebra._validate; that check is for tables given in full form.
 
 
 def matrix_algebra(ring, n, trusted_semisimple=True):
@@ -440,7 +460,7 @@ def poly_quotient_algebra(ring, modulus, var="x", trusted_semisimple=False):
     one_coords = [one] + [zero] * (n - 1)
     names = ["1"] + [var if k == 1 else "%s^%d" % (var, k) for k in range(1, n)]
     return Algebra(ring, table, one_coords, basis_names=names,
-                   trusted_semisimple=trusted_semisimple, validate=True)
+                   trusted_semisimple=trusted_semisimple, validate=False)
 
 
 def quaternion_algebra(ring, a, b, trusted_semisimple=True):
@@ -460,7 +480,7 @@ def quaternion_algebra(ring, a, b, trusted_semisimple=True):
         [k, [zero, zero, -a, zero], [zero, b, zero, zero], vec(-a * b)],
     ]
     return Algebra(ring, table, e, basis_names=["1", "i", "j", "k"],
-                   trusted_semisimple=trusted_semisimple, validate=True)
+                   trusted_semisimple=trusted_semisimple, validate=False)
 
 
 def matrix_over_algebra(inner, n, trusted_semisimple=None):

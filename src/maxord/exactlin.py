@@ -4,7 +4,7 @@ Echelon form, quotient spaces, kernels, solving and the Hessenberg
 characteristic polynomial are written once, over a field interface with
 two instances: Frac(R) and F_p.  Matrices carry fraction entries; Hermite
 and Smith normal forms operate on integral matrices and return unimodular
-transformations (the Hermite one only when asked for).  Lattices are stored with canonical (HNF) bases so
+transformations when asked for.  Lattices are stored with canonical (HNF) bases so
 lattice equality is representation equality.
 """
 
@@ -314,6 +314,16 @@ class Matrix:
             d = r.mul(d, r.exact_div(den, r.gcd(d, den)))
         return d
 
+    def cleared(self):
+        """(rows, d): the entries are rows/d, with rows over the ground ring
+        and d the denominator_lcm."""
+        r = self.ring
+        d = self.denominator_lcm()
+        if d == r.one:
+            return [[x.num for x in row] for row in self.rows], d
+        return [[r.mul(x.num, r.exact_div(d, x.den)) for x in row]
+                for row in self.rows], d
+
     # -- Gaussian machinery over the fraction field ---------------------------
 
     def rank(self):
@@ -427,27 +437,28 @@ def hnf(m, transform=True):
             _frac_rows(ring, u, nr) if transform else None)
 
 
-def snf(m):
+def snf(m, transform=True):
     """Smith normal form: returns (s, u, v) with s = u*m*v diagonal,
-    divisibility chain d_i | d_{i+1}, diagonal entries unit-normalized."""
+    divisibility chain d_i | d_{i+1}, diagonal entries unit-normalized;
+    u and v are None when transform is False."""
     ring = m.ring
     a = m.to_ring_rows()
     nr, nc = len(a), m.ncols
-    u = [[ring.one if i == j else ring.zero for j in range(nr)] for i in range(nr)]
-    v = [[ring.one if i == j else ring.zero for j in range(nc)] for i in range(nc)]
+    u = [[ring.one if i == j else ring.zero for j in range(nr)]
+         for i in range(nr)] if transform else None
+    v = [[ring.one if i == j else ring.zero for j in range(nc)]
+         for i in range(nc)] if transform else None
+    rows = (a, u) if transform else (a,)
+    cols = (a, v) if transform else (a,)
 
     def col_combine(j, k, x, y, z, w):
         # (col_j, col_k) <- (x*col_j + y*col_k, z*col_j + w*col_k)
-        for i in range(nr):
-            a[i][j], a[i][k] = (
-                ring.add(ring.mul(x, a[i][j]), ring.mul(y, a[i][k])),
-                ring.add(ring.mul(z, a[i][j]), ring.mul(w, a[i][k])),
-            )
-        for i in range(nc):
-            v[i][j], v[i][k] = (
-                ring.add(ring.mul(x, v[i][j]), ring.mul(y, v[i][k])),
-                ring.add(ring.mul(z, v[i][j]), ring.mul(w, v[i][k])),
-            )
+        for mat in cols:
+            for row in mat:
+                row[j], row[k] = (
+                    ring.add(ring.mul(x, row[j]), ring.mul(y, row[k])),
+                    ring.add(ring.mul(z, row[j]), ring.mul(w, row[k])),
+                )
 
     n = min(nr, nc)
     for k in range(n):
@@ -464,13 +475,12 @@ def snf(m):
             break
         pi, pj = pivot
         if pi != k:
-            a[k], a[pi] = a[pi], a[k]
-            u[k], u[pi] = u[pi], u[k]
+            for mat in rows:
+                mat[k], mat[pi] = mat[pi], mat[k]
         if pj != k:
-            for row in a:
-                row[k], row[pj] = row[pj], row[k]
-            for row in v:
-                row[k], row[pj] = row[pj], row[k]
+            for mat in cols:
+                for row in mat:
+                    row[k], row[pj] = row[pj], row[k]
         while True:
             for i in range(k + 1, nr):
                 if ring.is_zero(a[i][k]):
@@ -480,11 +490,11 @@ def snf(m):
                 # replace the pivot row, which would cycle forever)
                 if ring.divides(a[k][k], a[i][k]):
                     q = ring.exact_div(a[i][k], a[k][k])
-                    _combine_rows(ring, (a, u), k, i, ring.one, ring.zero,
+                    _combine_rows(ring, rows, k, i, ring.one, ring.zero,
                                   ring.neg(q), ring.one)
                 else:
                     g, x, y = ring.xgcd(a[k][k], a[i][k])
-                    _combine_rows(ring, (a, u), k, i, x, y,
+                    _combine_rows(ring, rows, k, i, x, y,
                                   ring.neg(ring.exact_div(a[i][k], g)),
                                   ring.exact_div(a[k][k], g))
             for j in range(k + 1, nc):
@@ -514,23 +524,23 @@ def snf(m):
                 if bad is None:
                     break
                 bi, _ = bad
-                for c in range(nc):
-                    a[k][c] = ring.add(a[k][c], a[bi][c])
-                for c in range(nr):
-                    u[k][c] = ring.add(u[k][c], u[bi][c])
+                for mat in rows:
+                    mat[k] = [ring.add(x, y) for x, y in zip(mat[k], mat[bi])]
     for k in range(n):
         unit, _ = ring.unit_normalize(a[k][k])
         if unit != ring.one:
             inv = ring.unit_inverse(unit)
-            a[k] = [ring.mul(inv, c) for c in a[k]]
-            u[k] = [ring.mul(inv, c) for c in u[k]]
+            for mat in rows:
+                mat[k] = [ring.mul(inv, c) for c in mat[k]]
+    if not transform:
+        return _frac_rows(ring, a, nc), None, None
     return (_frac_rows(ring, a, nc), _frac_rows(ring, u, nr),
             _frac_rows(ring, v, nc))
 
 
 def snf_divisors(m):
     """Nonzero diagonal entries of the Smith form, unit-normalized."""
-    s = snf(m)[0]
+    s = snf(m, transform=False)[0]
     ring = m.ring
     out = []
     for k in range(min(s.nrows, s.ncols)):
@@ -572,11 +582,9 @@ class Lattice:
                 ambient_dim = len(rows[0])
             mat = Matrix(ring, rows, ambient_dim)
         # the HNF of d * rows over R, for d the common denominator, then / d
-        d = mat.denominator_lcm()
+        cleared, d = mat.cleared()
         if d != ring.one:
-            mat = _frac_rows(ring, [
-                [ring.mul(x.num, ring.exact_div(d, x.den)) for x in row]
-                for row in mat.rows], ambient_dim)
+            mat = _frac_rows(ring, cleared, ambient_dim)
         h, _ = hnf(mat, transform=False)
         keep = [row for row in h.rows if any(row)]
         if d != ring.one:

@@ -2,6 +2,7 @@
 p-maximalization, maximality certificates, ideal enumeration, and
 endomorphism orders."""
 
+import functools
 from fractions import Fraction
 
 from .errors import (
@@ -41,14 +42,28 @@ class Order:
         if lattice.ambient_dim != self.dim or lattice.rank != self.dim:
             raise NotFullRank("order basis must be square of full rank")
         self.bmat = lattice.basis
-        self.binv = self.bmat.inverse()
+        self._binv = None
         self._struct = None
+        self._unit = None
         self._steps = {}
         if validate:
             self.structure_constants()
-            one = self.order_coords(algebra.one_coords)
-            if one is None:
+            if self.unit_coords() is None:
                 raise NotIntegral("order does not contain 1")
+
+    @property
+    def binv(self):
+        """The inverse of the basis matrix, computed when first read."""
+        if self._binv is None:
+            self._binv = self.bmat.inverse()
+        return self._binv
+
+    def unit_coords(self):
+        """Order coordinates of 1 (ring elements), or None when 1 is not
+        in the lattice."""
+        if self._unit is None:
+            self._unit = self.order_coords(self.algebra.one_coords)
+        return self._unit
 
     def order_coords(self, ambient_coords):
         """Integral order-basis coordinates (ring elements), or None."""
@@ -236,8 +251,7 @@ def residue_algebra(order, p):
     slots = [(i, s) for i in range(order.dim) for s in scalars]
     table = [[reduce([mul(mul(si, sj), c) for c in struct[i][j]])
               for j, sj in slots] for i, si in slots]
-    one = reduce(order.order_coords(order.algebra.one_coords))
-    return FiniteAlgebra(q, table, one), reduce, lift
+    return FiniteAlgebra(q, table, reduce(order.unit_coords())), reduce, lift
 
 
 # ---------------------------------------------------------------------------
@@ -280,45 +294,112 @@ def _idealizer_mod_p(ideal, side):
     """
     order, p = ideal.order, ideal.prime
     ring, n = order.algebra.ring, order.dim
-    add, sub, mul, zero = ring.add, ring.sub, ring.mul, ring.zero
     q, scalars, reduce, lift = _residue_maps(ring, p, n)
     # I in Λ-coordinates: the HNF of pΛ + lifts is upper triangular
-    rows = [[p if a == b else zero for b in range(n)] for a in range(n)]
+    rows = [[p if a == b else ring.zero for b in range(n)] for a in range(n)]
     h, _ = hnf(Matrix(ring, rows + list(ideal.lifts), n), transform=False)
     w = [[x.num for x in row] for row in h.rows[:n]]
     struct = order.structure_constants()
-
-    def coords(i, wk):
-        """I-coordinates of b_i·w_k (or w_k·b_i), from Λ's structure; the
-        divisions are exact because that product lies in I."""
-        v = [zero] * n
-        for j, c in enumerate(wk):
-            if c:
-                prod = struct[i][j] if side == "left" else struct[j][i]
-                v = [add(x, mul(c, y)) for x, y in zip(v, prod)]
-        t = []
-        for a, wa in enumerate(w):
-            ta = ring.exact_div(v[a], wa[a])
-            t.append(ta)
-            if ta:
-                for b in range(a + 1, n):
-                    if wa[b]:
-                        v[b] = sub(v[b], mul(ta, wa[b]))
-        return t
-
     cond = []
     for i in range(n):
-        images = [coords(i, wk) for wk in w]
+        prods = struct[i] if side == "left" else [row[i] for row in struct]
+        # I-coordinates of b_i·w_k (or w_k·b_i), from Λ's structure; the
+        # divisions are exact because that product lies in I
+        images = _solve_upper(ring, w, [_lincomb(ring, wk, prods) for wk in w])
         for s in scalars:
             cond.append([x for t in images
-                         for x in reduce([mul(s, c) for c in t])])
+                         for x in reduce([ring.mul(s, c) for c in t])])
     ker = kernel(PrimeField(q), cond)
     if not ker:
         return order
     inv_p = Frac(ring, ring.one, p)
     rows = order.bmat.rows + [
         [x * inv_p for x in order.ambient_coords(lift(v))] for v in ker]
-    return Order(order.algebra, Lattice.from_rows(ring, rows, n))
+    return _grown_order(order, p, Lattice.from_rows(ring, rows, n))
+
+
+def _lincomb(ring, coeffs, vecs):
+    """Σ_a coeffs[a]·vecs[a] over R."""
+    add, mul = ring.add, ring.mul
+    acc = [ring.zero] * len(vecs[0])
+    for c, v in zip(coeffs, vecs):
+        if c:
+            acc = [add(x, mul(c, y)) for x, y in zip(acc, v)]
+    return acc
+
+
+def _solve_upper(ring, u, rows):
+    """X with X·u = rows, for u upper triangular over R; NotIntegral when X
+    is not over R.  Each entry of X is the quotient of one division, so X
+    is over R exactly when every division is exact."""
+    sub, mul = ring.sub, ring.mul
+    out = []
+    for v in rows:
+        v, x = list(v), []
+        for a, ua in enumerate(u):
+            xa, r = ring.divmod(v[a], ua[a])
+            if r:
+                raise NotIntegral("triangular system has no integral solution")
+            x.append(xa)
+            if xa:
+                for b in range(a + 1, len(ua)):
+                    if ua[b]:
+                        v[b] = sub(v[b], mul(xa, ua[b]))
+        out.append(x)
+    return out
+
+
+def _grown_order(order, p, lattice):
+    """The order Γ on lattice, for an order Λ with Λ ⊆ Γ ⊆ (1/p)Λ, its
+    structure constants taken from Λ's in ring arithmetic.
+
+    P = p·(Γ's basis in Λ-coordinates) and S = (Λ's basis in
+    Γ-coordinates) are integral, with P·S = p·I.  From g_i = (1/p)Σ_a
+    P_ia λ_a and λ_k = Σ_l S_kl g_l,
+
+        c^Γ_ij = p⁻²·(Σ_ab P_ia P_jb c^Λ_ab)·S.
+
+    The division by p² is exact exactly when Γ is closed under
+    multiplication, so a lattice that is not raises NotIntegral.  1 ∈ Λ
+    ⊆ Γ has Γ-coordinates u·S, for u its Λ-coordinates.  Both bases are
+    HNFs, hence upper triangular, and P and S come from triangular
+    solves with exact divisions.
+    """
+    ring, n = order.algebra.ring, order.dim
+    h_lam, d_lam = order.bmat.cleared()
+    h_gam, d_gam = lattice.basis.cleared()
+    # P·(d_Γ·H_Λ) = p·d_Λ·H_Γ, and P·S = p·I
+    scale = ring.mul(p, d_lam)
+    big_p = _solve_upper(
+        ring, [[ring.mul(d_gam, x) for x in row] for row in h_lam],
+        [[ring.mul(scale, x) for x in row] for row in h_gam])
+    s = _solve_upper(ring, big_p, [[p if a == b else ring.zero
+                                    for b in range(n)] for a in range(n)])
+    p2 = ring.mul(p, p)
+    # c^Λ_ab·S, then contracted with row i of P on a, row j of P on b
+    cs = [[_lincomb(ring, c, s) for c in row]
+          for row in order.structure_constants()]
+    cols = [[cs[a][b] for a in range(n)] for b in range(n)]
+    left = [[_lincomb(ring, prow, col) for col in cols] for prow in big_p]
+    new = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            quot = []
+            for x in _lincomb(ring, big_p[j], left[i]):  # p²·c^Γ_ij
+                if x:
+                    x, r = ring.divmod(x, p2)
+                    if r:
+                        raise NotIntegral(
+                            "grown lattice is not multiplicatively closed "
+                            "(b_%d * b_%d escapes)" % (i, j))
+                quot.append(x)
+            row.append(quot)
+        new.append(row)
+    grown = Order(order.algebra, lattice, validate=False)
+    grown._struct = new
+    grown._unit = _lincomb(ring, order.unit_coords(), s)
+    return grown
 
 
 def _stabilizer_order(alg, lat, maps):
@@ -338,12 +419,18 @@ def _stabilizer_order(alg, lat, maps):
 
 
 def discriminant(order):
-    """Gram determinant of the trace form on an order basis (ring element)."""
-    alg = order.algebra
-    b = order.bmat.rows
-    rows = [[alg.trace_coords(alg.mul_coords(x, y)) for y in b] for x in b]
-    det = Matrix(alg.ring, rows, order.dim).det()
-    return det.integral_value()
+    """Gram determinant of the trace form on an order basis (ring element):
+    G_ij = Tr(b_i·b_j) = Σ_k c_ijk·Tr(b_k), with Tr(b_k) = Σ_j c_kjj the
+    trace of left multiplication in the order basis."""
+    ring = order.algebra.ring
+    struct = order.structure_constants()
+
+    def total(xs):
+        return functools.reduce(ring.add, xs, ring.zero)
+
+    traces = [total(c[j] for j, c in enumerate(row)) for row in struct]
+    gram = [[total(map(ring.mul, c, traces)) for c in row] for row in struct]
+    return Matrix(ring, gram, order.dim).det().integral_value()
 
 
 def _p_step_ideals(order, p):

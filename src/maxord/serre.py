@@ -137,29 +137,20 @@ class PeriodLattice:
 
     def _validate(self):
         o = self.order
-        ring = o.algebra.ring
         n = o.dim
         if len(self.action) != n:
             raise ActionMismatch("need one action matrix per order basis element")
         struct = o.structure_constants()
         for i in range(n):
             for j in range(n):
-                lhs = self.action[j] * self.action[i]
-                rhs = None
-                for k in range(n):
-                    c = Frac.of(ring, struct[i][j][k])
-                    term = self.action[k].scaled(c)
-                    rhs = term if rhs is None else rhs + term
-                if lhs != rhs:
+                if self.action[j] * self.action[i] != self._combination(
+                        struct[i][j]):
                     raise ActionMismatch(
                         "action matrices violate b_%d·b_%d" % (i, j)
                     )
-        one = o.order_coords(o.algebra.one_coords)
-        acc = None
-        for c, m in zip(one, self.action):
-            term = m.scaled(Frac.of(ring, c))
-            acc = term if acc is None else acc + term
-        if acc != Matrix.identity(ring, self.lattice.ambient_dim):
+        ring = o.algebra.ring
+        if self._combination(o.unit_coords()) != Matrix.identity(
+                ring, self.lattice.ambient_dim):
             raise ActionMismatch("unit does not act as the identity")
         for i in range(n):
             img = Lattice.from_rows(ring, self.lattice.basis * self.action[i],
@@ -167,17 +158,28 @@ class PeriodLattice:
             if not self.lattice.contains_lattice(img):
                 raise ActionMismatch("lattice is not stable under b_%d" % i)
 
+    def _combination(self, coeffs):
+        """Σ_k coeffs[k]·action[k], over the nonzero coefficients and the
+        nonzero matrix entries only."""
+        ring = self.order.algebra.ring
+        dim = self.lattice.ambient_dim
+        zero = frac0(ring)
+        acc = [[zero] * dim for _ in range(dim)]
+        for c, m in zip(coeffs, self.action):
+            if c:
+                c = Frac.of(ring, c)
+                for arow, mrow in zip(acc, m.rows):
+                    for t, x in enumerate(mrow):
+                        if x:
+                            arow[t] = arow[t] + c * x
+        return Matrix._of(ring, acc, dim)
+
     def act(self, element):
         """Action matrix of an arbitrary algebra element (rational coords
         in the order basis are allowed)."""
         ring = self.order.algebra.ring
         row = Matrix(ring, [element.coords], self.order.dim)
-        t = (row * self.order.binv).rows[0]
-        acc = None
-        for c, m in zip(t, self.action):
-            term = m.scaled(c)
-            acc = term if acc is None else acc + term
-        return acc
+        return self._combination((row * self.order.binv).rows[0])
 
 
 class IsogenyDescriptor:
@@ -205,9 +207,8 @@ def tensor_isogeny_class(pres, itype, embedding):
         raise EmbeddingNotAlgebraMap("embedding matrix has the wrong shape")
     emb = [E.element(row) for row in embedding.rows]
     struct = o.structure_constants()
-    one = o.order_coords(alg.one_coords)
     acc = E.zero()
-    for c, e in zip(one, emb):
+    for c, e in zip(o.unit_coords(), emb):
         acc = acc + e.scaled(Frac.of(ring, c))
     if acc.coords != E.one_coords:
         raise EmbeddingNotAlgebraMap("unit is not sent to 1")
@@ -394,7 +395,7 @@ def minimal_isogeny(o, o_prime, itype, lattices):
         cmat = Matrix(ring, cur.coordinates(t.lattice.basis.rows), cur.rank)
         if not cmat.is_integral():
             raise NotContained("saturated lattice does not contain the input")
-        s_mat, _, _ = snf(cmat)
+        s_mat, _, _ = snf(cmat, transform=False)
         divs = [
             s_mat.rows[i][i].integral_value()
             for i in range(min(s_mat.nrows, s_mat.ncols))

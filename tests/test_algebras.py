@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from maxord.algebras import (
+    Algebra,
     decompose,
     matrix_algebra,
     matrix_over_algebra,
@@ -10,7 +13,7 @@ from maxord.algebras import (
 )
 from maxord.errors import BadIdempotents, NotSemisimple
 from maxord.exactlin import FractionField, Matrix, solve
-from maxord.rings import ZZ, Frac, poly_ring
+from maxord.rings import ZZ, Frac, frac1, pnorm, poly_ring
 
 F2T = poly_ring(2)
 
@@ -170,3 +173,99 @@ class TestSolveLeft:
         x = solve(FractionField(ZZ), b.rows,
                   [[Frac.of(ZZ, 2), Frac.of(ZZ, 3)]])
         assert [str(c) for c in x[0]] == ["2", "1"]
+
+
+class TestTrustedConstructors:
+    """poly_quotient_algebra and quaternion_algebra skip Algebra._validate;
+    run explicitly, it passes on every table they build."""
+
+    def test_poly_quotient_over_z(self):
+        rng = random.Random(11)
+        moduli = [[0, 0, 1], [0, 0, 0, 0, 1], [-1, 3, -3, 1],  # x^2, x^4, (x-1)^3
+                  [4, -4, -3, 2, 1]]  # (x - 1)^2 (x + 2)^2
+        moduli += [[rng.randint(-9, 9) for _ in range(n)] + [1]
+                   for n in range(1, 7) for _ in range(3)]
+        for f in moduli:
+            poly_quotient_algebra(ZZ, f)._validate()
+
+    def test_poly_quotient_over_fp_t(self):
+        rng = random.Random(12)
+        for p in (2, 3, 5):
+            ring = poly_ring(p)
+            for n in range(1, 4):
+                for _ in range(2):
+                    g = [pnorm([rng.randrange(p) for _ in range(3)], p)
+                         for _ in range(n)] + [ring.one]
+                    # g and its square, which is not squarefree
+                    square = [ring.zero] * (2 * n + 1)
+                    for i, a in enumerate(g):
+                        for j, b in enumerate(g):
+                            square[i + j] = ring.add(square[i + j],
+                                                     ring.mul(a, b))
+                    for f in (g, square):
+                        poly_quotient_algebra(ring, f)._validate()
+
+    def test_quaternions_with_small_parameters(self):
+        for a in range(-7, 8):
+            for b in range(-7, 8):
+                quaternion_algebra(ZZ, a, b)._validate()
+
+    def test_one_wrong_sign_fails(self):
+        h = quaternion_algebra(ZZ, -1, -3)
+        flips = 0
+        for i in range(4):
+            for j in range(4):
+                for k in range(4):
+                    if h.table[i][j][k]:
+                        table = [[list(v) for v in row] for row in h.table]
+                        table[i][j][k] = -table[i][j][k]
+                        with pytest.raises(ValueError):
+                            Algebra(ZZ, table, h.one_coords)
+                        flips += 1
+        assert flips == 16
+        # x·x^2 = 2 but x^2·x = -2 in a copy of Q[x]/(x^3 - 2)
+        table = [[list(v) for v in row]
+                 for row in poly_quotient_algebra(ZZ, [-2, 0, 0, 1]).table]
+        table[1][2][0] = -table[1][2][0]
+        with pytest.raises(ValueError):
+            Algebra(ZZ, table, [1, 0, 0])
+
+
+def min_poly_by_solves(alg, a):
+    """The minimal polynomial by one solve per degree: the lowest k with
+    a^k in the span of 1, a, ..., a^(k-1)."""
+    rows, power = [alg.one().coords], alg.one()
+    while True:
+        power = power * a
+        sol = solve(alg.field, rows, [power.coords])
+        if sol is not None:
+            return [-c for c in sol[0]] + [frac1(alg.ring)]
+        rows.append(power.coords)
+
+
+def test_min_poly_matches_one_solve_per_degree():
+    rng = random.Random(5)
+    f5t = poly_ring(5)
+    algebras = [
+        quaternion_algebra(ZZ, -1, -3),
+        matrix_algebra(ZZ, 3),
+        poly_quotient_algebra(ZZ, [3, 0, 0, 0, 1]),
+        poly_quotient_algebra(ZZ, [0, 0, 1, 1]),  # x^2 (x + 1): not reduced
+        product_algebra([poly_quotient_algebra(ZZ, [2, 0, 1]),
+                         matrix_algebra(ZZ, 2)]),
+        poly_quotient_algebra(f5t, [(0, 1), (), (), (1,)]),
+    ]
+    for alg in algebras:
+        elements = [alg.zero(), alg.one()] + [alg.basis_element(i)
+                                              for i in range(alg.dim)]
+        for _ in range(12):
+            if alg.ring is ZZ:
+                coords = [Frac(ZZ, rng.randint(-4, 4), rng.randint(1, 3))
+                          for _ in range(alg.dim)]
+            else:
+                coords = [Frac.of(f5t, pnorm([rng.randrange(5)
+                                              for _ in range(2)], 5))
+                          for _ in range(alg.dim)]
+            elements.append(alg.element(coords))
+        for a in elements:
+            assert alg.min_poly(a) == min_poly_by_solves(alg, a)

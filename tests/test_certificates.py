@@ -204,3 +204,39 @@ def test_maximal_order_runs_each_p_step_once(tmp_path, monkeypatch, capsys):
     assert all(c["verdict"] for c in out["certificates"])
     assert len(computed) > len(out["certificates"])
     assert len(set(computed)) == len(computed)
+
+
+def test_field_discriminants_match_round_two():
+    """discriminant(maximal_order(Z[x]/(f))) is the field discriminant that
+    sympy's Round Two finds, for one seeded irreducible monic f of each
+    degree 5 to 12.  Each f is s^n·g(x/s) for g a shifted radical
+    (x - c)^n - a or a shifted cyclotomic polynomial, so Z[x]/(f) has
+    index a power of s in Z[x]/(g) on top of g's own; s ∈ {1, 2} below
+    degree 9 and s = 1 from there, where Round Two in sympy takes seconds
+    on the extra index.  Both
+    families have discriminants with small prime factors only: a p-step
+    at a prime p tries every element of F_p when it splits off idempotents.
+    """
+    import sympy
+    from sympy.polys.numberfields.basis import round_two
+
+    x = sympy.Symbol("x")
+    cyclotomic = {6: [7, 9, 14, 18], 8: [15, 16, 20, 24, 30], 10: [11, 22],
+                  12: [13, 21, 26, 28, 36, 42]}  # m with φ(m) = n
+    rng = random.Random(7)
+    for n in range(5, 13):
+        while True:
+            c, s = rng.randint(-2, 2), rng.choice([1, 2] if n < 9 else [1])
+            if n in cyclotomic and rng.random() < 0.5:
+                g = sympy.cyclotomic_poly(rng.choice(cyclotomic[n]), x - c)
+            else:
+                a = rng.choice([-1, 1]) * rng.choice(
+                    [2, 3, 5, 6, 7, 10, 12, 18, 20, 24, 45, 54])
+                g = (x - c) ** n - a
+            top_first = sympy.Poly(g, x).all_coeffs()
+            f = sympy.Poly([co * s ** k for k, co in enumerate(top_first)], x)
+            if f.is_irreducible:
+                break
+        _, field_disc = round_two(f)
+        order = equation_order(ZZ, [int(co) for co in reversed(f.all_coeffs())])
+        assert discriminant(maximal_order(order)) == int(field_disc), f

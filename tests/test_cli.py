@@ -151,6 +151,36 @@ def test_malformed_document_is_parse_error(tmp_path, capsys, command, doc,
     assert rec["location"] == location
 
 
+def with_lattice(**fields):
+    return dict(SERRE_LATTICE_DOC,
+                lattice=dict(SERRE_LATTICE_DOC["lattice"], **fields))
+
+
+# one document per check of a period lattice's action, on Z[x]/(x^2 + 3)
+# with basis 1, x
+@pytest.mark.parametrize("doc, message", [
+    (with_lattice(action=[[["1", "0"], ["0", "1"]]]),
+     "need one action matrix per order basis element"),
+    # x acting with square 3 in place of -3
+    (with_lattice(action=[[["1", "0"], ["0", "1"]], [["0", "1"], ["3", "0"]]]),
+     "action matrices violate b_1·b_1"),
+    # the zero action satisfies every product relation, but not the unit's
+    (with_lattice(action=[[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]),
+     "unit does not act as the identity"),
+    # (0, 1)·x = (-3, 0) is outside 2Z + Z
+    (with_lattice(basis=[["2", "0"], ["0", "1"]]),
+     "lattice is not stable under b_1"),
+])
+def test_bad_period_lattice_action_is_action_mismatch(tmp_path, capsys, doc,
+                                                      message):
+    code, out, err = run_cli_capture(tmp_path, capsys, doc, "serre-lattice")
+    assert code == 1
+    assert out == ""
+    rec = json.loads(err)
+    assert rec["code"] == "ActionMismatch"
+    assert rec["message"] == message
+
+
 @pytest.mark.parametrize("flags", [[], ["--primes", "2,3"], ["--primes", ","]])
 def test_radical_needs_exactly_one_prime(tmp_path, capsys, flags):
     code, out, err = run_cli_capture(tmp_path, capsys, GAUSSIAN_ORDER,

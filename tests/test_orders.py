@@ -191,6 +191,31 @@ class TestIdealizerAndSaturation:
         assert is_maximal_at_p(sat, (0, 1))["verdict"]
 
 
+def assert_inherits_structure(grown):
+    """A grown order, built with no inverse from its parent's constants,
+    has the structure constants, unit and basis inverse of the order
+    validated from its lattice alone."""
+    assert grown._binv is None
+    validated = Order(grown.algebra, grown.lattice)
+    assert grown.structure_constants() == validated.structure_constants()
+    assert grown.unit_coords() == validated.unit_coords()
+    assert grown.binv == validated.binv
+
+
+def test_grown_lattice_that_is_not_closed_raises():
+    # Z[x]/(x^2 + 3) and Z + Z·x/2: (x/2)^2 = -3/4 is outside
+    alg = poly_quotient_algebra(ZZ, [3, 0, 1])
+    order = Order(alg, Lattice.standard(ZZ, 2))
+    lat = Lattice.from_rows(ZZ, [[1, 0], [0, HALF]], 2)
+    with pytest.raises(NotIntegral):
+        Order(alg, lat)
+    with pytest.raises(NotIntegral):
+        orders._grown_order(order, 2, lat)
+    # Z + Z·(1 + x)/2 is the maximal order, and is grown without error
+    lat = Lattice.from_rows(ZZ, [[1, 0], [HALF, HALF]], 2)
+    assert_inherits_structure(orders._grown_order(order, 2, lat))
+
+
 class TestIdealizerOverFp:
     """The idealizers of J and of every maximal ideal over p, computed as
     kernels over F_p on both sides, equal the stabilizer orders of their
@@ -211,6 +236,8 @@ class TestIdealizerOverFp:
                 for side in ("left", "right"):
                     fast = idealizer(order, ideal, side)
                     assert not stabilized
+                    if fast is not order:
+                        assert_inherits_structure(fast)
                     reference = idealizer(order, ideal.lattice, side)
                     assert stabilized.pop() == ideal.lattice
                     assert fast.lattice == reference.lattice, (p, side)
