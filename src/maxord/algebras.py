@@ -15,7 +15,8 @@ from .errors import (
     NeedsSuppliedIdempotents,
     NotSemisimple,
 )
-from .exactlin import FractionField, Matrix, kernel, rref, solve
+from .exactlin import (FractionField, Matrix, kernel, power_relation, rref,
+                       solve)
 from .rings import Frac, _trial_primes, frac0, frac1, poly_ring
 
 # how many of the smallest primes (those below 100) central_idempotents
@@ -135,31 +136,9 @@ class Algebra:
         return self.left_mul_matrix(a).charpoly()
 
     def min_poly(self, a):
-        """Monic minimal polynomial coefficients, lowest degree first.
-
-        One echelon pass: a^k is reduced against the echelon rows of 1, a,
-        ..., a^(k-1), each row carrying the combination of powers it
-        stands for.  Every row has zeros on the pivots of the rows before
-        it, so one sweep in order clears all pivots; a^k reducing to 0
-        gives the relation, monic in a^k.
-        """
-        F, n = self.field, self.dim
-        echelon = []  # (pivot, row, combination of powers)
-        power = self.one()
-        for k in range(n + 1):
-            v = power.coords
-            comb = [F.one if i == k else F.zero for i in range(n + 1)]
-            for piv, row, rcomb in echelon:
-                c = v[piv]
-                if c:
-                    v = F.sub_mul(v, c, row)
-                    comb = F.sub_mul(comb, c, rcomb)
-            piv = next((j for j, x in enumerate(v) if x), None)
-            if piv is None:  # always by k = n, as dim + 1 powers are dependent
-                return comb[:k + 1]
-            inv = F.inv(v[piv])
-            echelon.append((piv, F.scale(v, inv), F.scale(comb, inv)))
-            power = power * a
+        """Monic minimal polynomial coefficients, lowest degree first."""
+        return power_relation(self.field, self.one_coords,
+                              lambda v: self.mul_coords(v, a.coords))
 
     def eval_poly(self, coeffs, a):
         """Evaluate a polynomial (lowest degree first) at element a."""
@@ -368,10 +347,6 @@ class Decomposition:
         self.idempotents = idempotents
         self.factors = factors
         self.embeddings = embeddings  # per factor: d_i x dim matrix of coords
-
-    def embed(self, factor_index, element):
-        row = Matrix(self.parent.ring, [element.coords], element.algebra.dim)
-        return self.parent.element((row * self.embeddings[factor_index]).rows[0])
 
 
 def decompose(alg, idems):

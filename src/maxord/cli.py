@@ -12,6 +12,7 @@ import sys
 from .errors import MaxordError, ParseError
 from .exactlin import Lattice, lattice_index
 from .orders import (
+    candidate_primes,
     discriminant,
     is_maximal_at_p,
     maximal_order,
@@ -78,19 +79,6 @@ def _emit(doc, args):
         sys.stdout.write(text)
 
 
-def _candidate_primes(order, args):
-    ring = order.algebra.ring
-    primes = []
-    disc = discriminant(order)
-    if disc != ring.zero:
-        primes = [q for q, _ in ring.factor(disc)]
-    for q in parse_primes(ring, args.primes or ""):
-        q = ring.canonical(q)
-        if q not in primes:
-            primes.append(q)
-    return primes
-
-
 def _load_idempotents(alg, args):
     if not args.idempotents_file:
         return None
@@ -126,8 +114,8 @@ def cmd_maximal_order(args):
     extra = parse_primes(ring, args.primes or "") or None
     out = maximal_order(order, idems=idems, extra_primes=extra, seed=args.seed)
     certs = [format_certificate(ring, is_maximal_at_p(out, q))
-             for q in _candidate_primes(out, args)]
-    doc = format_order(out, include_algebra=False)
+             for q in candidate_primes(out, extra)]
+    doc = format_order(out)
     doc["index"] = ring.to_str(lattice_index(order.lattice, out.lattice))
     doc["certificates"] = certs
     _emit(doc, args)
@@ -140,7 +128,7 @@ def cmd_certify(args):
     certs = []
     verdict = True
     failing = None
-    for q in _candidate_primes(order, args):
+    for q in candidate_primes(order, parse_primes(ring, args.primes or "")):
         cert = is_maximal_at_p(order, q)
         certs.append(format_certificate(ring, cert))
         if not cert["verdict"] and failing is None:
@@ -185,7 +173,7 @@ def cmd_endo_order(args):
         return delta, Lattice.from_rows(ring, basis, basis.ncols), r
 
     out = endomorphism_order(*_load(args.input, parse))
-    _emit(format_order(out, include_algebra=False), args)
+    _emit(format_order(out), args)
     return 0
 
 

@@ -56,11 +56,6 @@ class BadIdempotents(MaxordError):
 class NotIntegral(MaxordError):
     code = "NotIntegral"
 
-    def __init__(self, message="", element=None, coefficient=None):
-        super().__init__(message)
-        self.element = element
-        self.coefficient = coefficient
-
 
 class NotFullRank(MaxordError):
     code = "NotFullRank"
@@ -68,10 +63,6 @@ class NotFullRank(MaxordError):
 
 class NotPrime(MaxordError):
     code = "NotPrime"
-
-
-class NotCommutative(MaxordError):
-    code = "NotCommutative"
 
 
 class NotSemisimple(MaxordError):

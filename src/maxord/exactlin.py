@@ -1,11 +1,12 @@
 """Exact linear algebra over the ground ring and its fraction field.
 
-Echelon form, quotient spaces, kernels, solving and the Hessenberg
-characteristic polynomial are written once, over a field interface with
-two instances: Frac(R) and F_p.  Matrices carry fraction entries; Hermite
-and Smith normal forms operate on integral matrices and return unimodular
-transformations when asked for.  Lattices are stored with canonical (HNF) bases so
-lattice equality is representation equality.
+Echelon form, quotient spaces, kernels, solving, relations among powers
+and the Hessenberg characteristic polynomial are written once, over a
+field interface with two instances: Frac(R) and F_p.  Matrices carry
+fraction entries; Hermite and Smith normal forms operate on integral
+matrices and return unimodular transformations when asked for.  Lattices
+are stored with canonical (HNF) bases so lattice equality is
+representation equality.
 """
 
 from .errors import InputNotIntegral, NotSublattice, RankDeficient
@@ -137,6 +138,37 @@ def solve(F, rows, vecs):
         for x, value in zip(out, row[m:]):
             x[c] = value
     return out
+
+
+def power_relation(F, one, times_a):
+    """The monic relation of least degree among one, one·a, one·a^2, ...,
+    where times_a(v) is v·a: coefficients c, lowest degree first, with
+    Σ c_k·(one·a^k) = 0 and c[-1] = 1.  For one the unit, that is the
+    minimal polynomial of a.
+
+    One echelon pass: one·a^k is reduced against the echelon rows of the
+    lower powers, each row carrying the combination of powers it stands
+    for.  Every row has zeros on the pivots of the rows before it, so one
+    sweep in order clears all pivots; a power reducing to 0 gives the
+    relation.  Some power does by k = len(one), as len(one) + 1 vectors
+    are dependent.
+    """
+    echelon = []  # (pivot, row, combination of powers)
+    power = one
+    for k in range(len(one) + 1):
+        v = power
+        comb = [F.one if i == k else F.zero for i in range(len(one) + 1)]
+        for piv, row, rcomb in echelon:
+            c = v[piv]
+            if c:
+                v = F.sub_mul(v, c, row)
+                comb = F.sub_mul(comb, c, rcomb)
+        piv = next((j for j, x in enumerate(v) if x), None)
+        if piv is None:
+            return comb[:k + 1]
+        inv = F.inv(v[piv])
+        echelon.append((piv, F.scale(v, inv), F.scale(comb, inv)))
+        power = times_a(power)
 
 
 def charpoly(F, mat):
@@ -538,18 +570,6 @@ def snf(m, transform=True):
             _frac_rows(ring, v, nc))
 
 
-def snf_divisors(m):
-    """Nonzero diagonal entries of the Smith form, unit-normalized."""
-    s = snf(m, transform=False)[0]
-    ring = m.ring
-    out = []
-    for k in range(min(s.nrows, s.ncols)):
-        d = s.rows[k][k]
-        if not d.is_zero():
-            out.append(ring.canonical(d.integral_value()))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # lattices
 
@@ -662,32 +682,3 @@ def lattice_index(sub, sup):
         raise NotSublattice("sub is not contained in sup")
     det = Matrix(ring, t_rows, sub.rank).det()
     return ring.canonical(det.integral_value())
-
-
-def saturate_rows(ring, mat):
-    """Saturation in R^n of the lattice spanned by the rows of mat.
-
-    Returns a canonical Lattice; accepts rational rows (the saturation
-    only depends on the rational row span intersected with R^n).
-    """
-    lat = Lattice.from_rows(ring, mat)
-    r = lat.rank
-    if r == 0:
-        return lat
-    _, _, v = snf(lat.basis.scaled(Frac.of(ring, lat.basis.denominator_lcm())))
-    vinv = v.inverse()
-    return Lattice.from_rows(ring, Matrix(ring, vinv.rows[:r], lat.ambient_dim))
-
-
-def saturate(lat, ambient):
-    """Smallest sublattice of `ambient` containing `lat` with torsion-free
-    quotient.  Requires lat to have full rank in ambient's span."""
-    if lat.ambient_dim != ambient.ambient_dim:
-        raise NotSublattice("ambient dimension mismatch")
-    if lat.rank < ambient.rank:
-        raise RankDeficient("lattice does not span the ambient rationally")
-    t_rows = ambient.coordinates(lat.basis.rows)
-    if t_rows is None:
-        raise NotSublattice("lattice is not inside the ambient span")
-    sat = saturate_rows(lat.ring, Matrix(lat.ring, t_rows, ambient.rank))
-    return Lattice.from_rows(lat.ring, sat.basis * ambient.basis, ambient.ambient_dim)

@@ -6,7 +6,9 @@ kernel of ``exactlin`` over ``PrimeField``.
 """
 
 from .errors import DimensionTooLarge, InternalError
-from .exactlin import PrimeField, charpoly, kernel, quotient_space, rref, solve
+from .exactlin import (PrimeField, charpoly, kernel, power_relation,
+                       quotient_space, rref, solve)
+from .rings import poly_ring
 
 
 def charpoly_mod(mat, p):
@@ -137,9 +139,6 @@ class FiniteAlgebra:
         quot = FiniteAlgebra(self.p, table, project(self.one_coords))
         return quot, project, lift
 
-    def semisimple_quotient(self):
-        return self.quotient(self.radical_basis())
-
     # -- center and simple factors --------------------------------------------
 
     def center_basis(self):
@@ -173,13 +172,6 @@ class FiniteAlgebra:
             e >>= 1
         return acc
 
-    def count_simple_factors(self):
-        """Number of simple factors of the semisimple quotient."""
-        quot, _, _ = self.semisimple_quotient()
-        if quot.dim == 0:
-            return 0
-        return len(quot.frobenius_fixed_center())
-
     def primitive_central_idempotents(self):
         """Primitive central idempotents; requires the algebra semisimple."""
         p, n = self.p, self.dim
@@ -191,19 +183,12 @@ class FiniteAlgebra:
             refined = []
             for e in idems:
                 w = self.mul(z, e)
-                # minimal relation among e, w, w^2, ... ; roots are in F_p
-                powers = [list(e)]
-                while True:
-                    nxt = self.mul(powers[-1], w)
-                    rel = solve(self.field, powers, [nxt])
-                    if rel:
-                        break
-                    powers.append(nxt)
-                rel = rel[0]
-                # min poly of w (with identity e): x^d - sum rel_i x^i
-                roots = [a for a in range(p)
-                         if (pow_eval(rel, a, p) - pow(a, len(rel), p)) % p == 0]
-                if len(roots) != len(rel):
+                # the roots of the minimal relation among e, w, w^2, ...
+                # are the eigenvalues of w on e·A, all in F_p
+                rel = power_relation(self.field, e, lambda v: self.mul(v, w))
+                roots = [-g[0] % p for g, _ in poly_ring(p).factor(tuple(rel))
+                         if len(g) == 2]
+                if len(roots) != len(rel) - 1:
                     raise InternalError(
                         "central element has eigenvalues outside F_p"
                     )
@@ -278,13 +263,3 @@ class FiniteAlgebra:
                         seen.add(key)
                         changed = True
         return sorted(seen)
-
-
-def pow_eval(coeffs, a, p):
-    """Evaluate sum coeffs[i] * a^i mod p."""
-    acc = 0
-    pw = 1
-    for c in coeffs:
-        acc = (acc + c * pw) % p
-        pw = (pw * a) % p
-    return acc

@@ -3,18 +3,15 @@ p-maximalization, maximality certificates, ideal enumeration, and
 endomorphism orders."""
 
 import functools
-from fractions import Fraction
 
 from .errors import (
     InternalError,
     NeedsSuppliedPrimes,
-    NotCommutative,
     NotFullRank,
     NotIntegral,
     NotPrime,
     NotSemisimple,
     RankDeficient,
-    ZeroElement,
 )
 from .exactlin import (
     Lattice,
@@ -519,7 +516,7 @@ def maximal_order(start, idems=None, extra_primes=None, seed=0):
     if len(idems) == 1:
         return _maximalize_factor(start, extra_primes)
     dec = decompose(alg, idems)
-    pieces = []
+    rows = []
     for t, factor in enumerate(dec.factors):
         emb = dec.embeddings[t]
         sols = solve(alg.field, emb.rows,
@@ -528,15 +525,15 @@ def maximal_order(start, idems=None, extra_primes=None, seed=0):
             raise InternalError("projection left the idempotent block")
         sub = order_closure(factor, [factor.element(x) for x in sols])
         sub = _maximalize_factor(sub, extra_primes)
-        pieces.append((sub, emb))
-    rows = []
-    for sub, emb in pieces:
-        for row in sub.lattice.basis.rows:
-            rows.append((Matrix(ring, [row], sub.dim) * emb).rows[0])
+        rows.extend((sub.lattice.basis * emb).rows)
     return Order(alg, Lattice.from_rows(ring, rows, alg.dim))
 
 
-def _maximalize_factor(order, extra_primes):
+def candidate_primes(order, extra_primes=None):
+    """The primes to check the order at: those dividing its discriminant
+    (it is maximal at every other prime), then those of extra_primes not
+    among them.  A vanishing discriminant names no prime, so then
+    extra_primes must; NeedsSuppliedPrimes when it is empty."""
     ring = order.algebra.ring
     disc = discriminant(order)
     primes = []
@@ -550,17 +547,14 @@ def _maximalize_factor(order, extra_primes):
         q = ring.canonical(q)
         if q not in primes:
             primes.append(q)
+    return primes
+
+
+def _maximalize_factor(order, extra_primes):
     cur = order
-    for q in primes:
+    for q in candidate_primes(order, extra_primes):
         cur = p_maximal_order(cur, q)
     return cur
-
-
-def integral_closure_commutative(order, extra_primes=None, seed=0):
-    """Ring of integers of a commutative (étale) algebra."""
-    if not order.algebra.is_commutative():
-        raise NotCommutative("integral closure requires a commutative algebra")
-    return maximal_order(order, extra_primes=extra_primes, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +594,7 @@ def endomorphism_order(delta, m, r=None):
 
 
 # ---------------------------------------------------------------------------
-# ideal enumeration and valuations
+# ideal enumeration
 
 
 def two_sided_ideals_over_p(order, p, max_elements=200000):
@@ -611,13 +605,3 @@ def two_sided_ideals_over_p(order, p, max_elements=200000):
     out.sort(key=lambda i: str(lattice_index(i.lattice, order.lattice)))
     return out
 
-
-def valuation_w(alg, a, p, degree):
-    """w(a) = (1/degree)·v_p(Nrd(a)) for a central simple algebra of the
-    given degree (dim = degree²); returns a stdlib Fraction."""
-    if a.is_zero():
-        raise ZeroElement("valuation of zero is undefined")
-    ring = alg.ring
-    det = alg.left_mul_matrix(a).det()
-    v = ring.valuation(det.num, p) - ring.valuation(det.den, p)
-    return Fraction(v, degree * degree)

@@ -19,6 +19,11 @@ from .algebras import (
 from .orders import Order
 from .rings import ZZ, Frac, poly_ring
 
+# the largest dimension of an algebra given by a shorthand (Mat_n, or
+# K[x]/(f) for f of this degree), checked before its table or coefficient
+# list is built
+MAX_SHORTHAND_DIM = 64
+
 
 # -- document access --------------------------------------------------------
 
@@ -79,12 +84,6 @@ def parse_ground(obj):
         p = integer(obj, "poly", "p")
         return poly_ring(p, obj["poly"].get("var", "t"))
     raise ParseError("unrecognized ground ring %r" % (obj,))
-
-
-def format_ground(ring):
-    if ring == ZZ:
-        return "Z"
-    return {"poly": {"p": ring.p, "var": ring.var}}
 
 
 # -- scalars and matrices ---------------------------------------------------
@@ -156,6 +155,8 @@ def parse_poly_string(ring, s, var="x"):
             coef = -coef
         coeffs[exp] = coeffs.get(exp, Frac.of(ring, ring.zero)) + coef
     deg = max(coeffs)
+    if deg > MAX_SHORTHAND_DIM:
+        raise ParseError("degree %d is above %d" % (deg, MAX_SHORTHAND_DIM))
     return [coeffs.get(k, Frac.of(ring, ring.zero)) for k in range(deg + 1)]
 
 
@@ -172,7 +173,11 @@ def parse_algebra(obj, ring=None):
         ring = parse_at(obj, "ground", parse_ground) if "ground" in obj else ZZ
     trusted = bool(obj.get("trusted_semisimple", False))
     if "matrix" in obj:
-        return matrix_algebra(ring, integer(obj, "matrix", "n"))
+        n = integer(obj, "matrix", "n")
+        if n < 1 or n * n > MAX_SHORTHAND_DIM:
+            raise ParseError("Mat_n needs n >= 1 and n^2 <= %d, got n = %d"
+                             % (MAX_SHORTHAND_DIM, n), "/matrix/n")
+        return matrix_algebra(ring, n)
     if "quaternion" in obj:
         return quaternion_algebra(
             ring, parse_frac(ring, field(obj, "quaternion", "a")),
@@ -180,7 +185,8 @@ def parse_algebra(obj, ring=None):
     if "poly_quotient" in obj:
         var = obj["poly_quotient"].get("var", "x")
         modulus = field(obj, "poly_quotient", "modulus")
-        coeffs = parse_poly_string(ring, modulus, var)
+        with located("/poly_quotient/modulus"):
+            coeffs = parse_poly_string(ring, modulus, var)
         return poly_quotient_algebra(ring, coeffs, var=var,
                                      trusted_semisimple=trusted)
     if "mul" in obj:
@@ -198,19 +204,6 @@ def parse_algebra(obj, ring=None):
     raise ParseError("unrecognized algebra spec")
 
 
-def format_algebra(alg):
-    return {
-        "ground": format_ground(alg.ring),
-        "dim": alg.dim,
-        "basis": list(alg.basis_names),
-        "mul": [
-            [[format_frac(c) for c in alg.table[i][j]] for j in range(alg.dim)]
-            for i in range(alg.dim)
-        ],
-        "one": [format_frac(c) for c in alg.one_coords],
-    }
-
-
 # -- orders -----------------------------------------------------------------
 
 
@@ -222,11 +215,8 @@ def parse_order(obj, algebra=None):
     return Order(algebra, Lattice.from_rows(ring, basis, dim))
 
 
-def format_order(order, include_algebra=True):
-    doc = {"basis": format_matrix(order.lattice.basis)}
-    if include_algebra:
-        doc["algebra"] = format_algebra(order.algebra)
-    return doc
+def format_order(order):
+    return {"basis": format_matrix(order.lattice.basis)}
 
 
 def format_certificate(ring, cert):
@@ -269,20 +259,6 @@ def parse_isogeny_type(obj):
     factors = parse_at(obj, "factors", lambda fs: [
         parse_at(fs, i, factor) for i in range(len(fs))])
     return IsogenyType(factors)
-
-
-def format_isogeny_type(itype):
-    return {
-        "factors": [
-            {
-                "label": f.label,
-                "dim": f.dimB,
-                "endo": format_algebra(f.endo),
-                "mult": f.mult,
-            }
-            for f in itype.factors
-        ]
-    }
 
 
 def parse_presentation(obj, order=None):

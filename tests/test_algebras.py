@@ -131,11 +131,15 @@ class TestIdempotentsAndDecomposition:
         dims = sorted(f.dim for f in dec.factors)
         assert dims == [1, 4]
         # embeddings respect multiplication inside each factor
+        def embed(fi, x):
+            row = Matrix(ZZ, [x.coords], x.algebra.dim)
+            return p.element((row * dec.embeddings[fi]).rows[0])
+
         for fi, f in enumerate(dec.factors):
             x = f.basis_element(0)
             y = f.one()
-            lhs = dec.embed(fi, x * y)
-            rhs = dec.embed(fi, x) * dec.embed(fi, y)
+            lhs = embed(fi, x * y)
+            rhs = embed(fi, x) * embed(fi, y)
             assert lhs.coords == rhs.coords
 
     def test_bad_idempotent_system_rejected(self):

@@ -213,9 +213,9 @@ def test_field_discriminants_match_round_two():
     (x - c)^n - a or a shifted cyclotomic polynomial, so Z[x]/(f) has
     index a power of s in Z[x]/(g) on top of g's own; s ∈ {1, 2} below
     degree 9 and s = 1 from there, where Round Two in sympy takes seconds
-    on the extra index.  Both
-    families have discriminants with small prime factors only: a p-step
-    at a prime p tries every element of F_p when it splits off idempotents.
+    on the extra index.  Both families have discriminants with small
+    prime factors only, so one more f has a large one: the sextic below,
+    whose discriminant has the prime factor 17,015,347.
     """
     import sympy
     from sympy.polys.numberfields.basis import round_two
@@ -224,6 +224,7 @@ def test_field_discriminants_match_round_two():
     cyclotomic = {6: [7, 9, 14, 18], 8: [15, 16, 20, 24, 30], 10: [11, 22],
                   12: [13, 21, 26, 28, 36, 42]}  # m with φ(m) = n
     rng = random.Random(7)
+    polys = [sympy.Poly(x**6 + 8*x**5 + 4*x**4 + 32*x**3 - 32*x + 256, x)]
     for n in range(5, 13):
         while True:
             c, s = rng.randint(-2, 2), rng.choice([1, 2] if n < 9 else [1])
@@ -236,7 +237,9 @@ def test_field_discriminants_match_round_two():
             top_first = sympy.Poly(g, x).all_coeffs()
             f = sympy.Poly([co * s ** k for k, co in enumerate(top_first)], x)
             if f.is_irreducible:
+                polys.append(f)
                 break
+    for f in polys:
         _, field_disc = round_two(f)
         order = equation_order(ZZ, [int(co) for co in reversed(f.all_coeffs())])
         assert discriminant(maximal_order(order)) == int(field_disc), f

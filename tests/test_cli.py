@@ -141,6 +141,16 @@ def without(doc, key):
     # rows of width 2 for a dimension-4 algebra
     ("disc", {"algebra": {"matrix": {"n": 2}},
               "basis": [["1", "0"], ["0", "1"]]}, "/basis"),
+    # shorthands whose dimension is out of range, rejected before any
+    # table is built
+    ("center", {"matrix": {"n": -2}}, "/matrix/n"),
+    ("center", {"matrix": {"n": 0}}, "/matrix/n"),
+    ("center", {"matrix": {"n": "999999999999999999999"}}, "/matrix/n"),
+    ("center", {"matrix": {"n": 9}}, "/matrix/n"),
+    ("center", {"poly_quotient": {"modulus": "x^1000+1"}},
+     "/poly_quotient/modulus"),
+    ("disc", {"algebra": {"poly_quotient": {"modulus": "x^65-2"}},
+              "basis": [["1"]]}, "/algebra/poly_quotient/modulus"),
 ])
 def test_malformed_document_is_parse_error(tmp_path, capsys, command, doc,
                                            location):
@@ -199,6 +209,18 @@ class TestCertify:
         code, out, _ = run_cli_capture(tmp_path, capsys, doc, "certify")
         assert code == 0
         assert json.loads(out)["verdict"] is True
+
+    def test_vanishing_discriminant_needs_primes(self, tmp_path, capsys):
+        # x^2 + t is inseparable over F_2(t): the discriminant vanishes and
+        # names no prime, yet F_2[t] + F_2[t]·tx is not maximal at t
+        code, out, err = run_cli_capture(tmp_path, capsys, F2T_ORDER,
+                                         "certify")
+        assert code == 1 and not out
+        assert json.loads(err)["code"] == "NeedsSuppliedPrimes"
+        code, out, _ = run_cli_capture(tmp_path, capsys, F2T_ORDER,
+                                       "certify", "--primes", "t")
+        assert code == 2
+        assert json.loads(out)["failing_prime"] == "t"
 
 
 class TestCommands:

@@ -114,6 +114,13 @@ class TestRadical:
         assert len(a.radical_basis()) == 3
 
 
+def simple_factor_count(a):
+    """The number of simple factors of A/rad(A): its primitive central
+    idempotents."""
+    quot, _, _ = a.quotient(a.radical_basis())
+    return len(quot.primitive_central_idempotents())
+
+
 def poly_quotient_fp(p, f):
     """F_p[x]/(f) on the basis 1, x, ..., for f monic, lowest degree first."""
     n = len(f) - 1
@@ -255,16 +262,16 @@ def test_commutative_orders_make_no_charpoly(tmp_path, monkeypatch, capsys):
 
 class TestSemisimpleStructure:
     def test_simple_factor_counts(self):
-        assert f_p_matrix_algebra(2, 2).count_simple_factors() == 1
-        assert f_p_group_algebra_c2(3).count_simple_factors() == 2
-        assert f_p_group_algebra_c2(2).count_simple_factors() == 1
-        assert upper_triangular_2(5).count_simple_factors() == 2
+        assert simple_factor_count(f_p_matrix_algebra(2, 2)) == 1
+        assert simple_factor_count(f_p_group_algebra_c2(3)) == 2
+        assert simple_factor_count(f_p_group_algebra_c2(2)) == 1
+        assert simple_factor_count(upper_triangular_2(5)) == 2
 
     def test_field_extension_is_one_factor(self):
         # F_4 = F_2[x]/(x^2 + x + 1)
         table = [[[1, 0], [0, 1]], [[0, 1], [1, 1]]]
         a = FiniteAlgebra(2, table, [1, 0])
-        assert a.count_simple_factors() == 1
+        assert simple_factor_count(a) == 1
         assert a.radical_basis() == []
 
     def test_primitive_idempotents(self):

@@ -1,0 +1,26 @@
+"""Every import in src/maxord is used by the module that makes it, so that
+deleting the last use of a name also deletes its import."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "maxord"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text())
+    imported = {}  # bound name -> line of its import
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = \
+                    node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = ["%s (line %d)" % (name, line)
+              for name, line in sorted(imported.items()) if name not in used]
+    assert not unused, "unused imports in %s: %s" % (path.name,
+                                                      ", ".join(unused))

@@ -16,7 +16,6 @@ from maxord.orders import (
     discriminant,
     endomorphism_order,
     idealizer,
-    integral_closure_commutative,
     is_maximal_at_p,
     maximal_order,
     order_closure,
@@ -24,7 +23,6 @@ from maxord.orders import (
     radical_mod_p,
     residue_algebra,
     two_sided_ideals_over_p,
-    valuation_w,
 )
 from maxord.rings import ZZ, Frac, poly_ring
 from maxord.selftest import squarefree
@@ -35,6 +33,7 @@ from test_certificates import (
     f5t_kummer_order,
     S3,
 )
+from test_finitealg import simple_factor_count
 
 F2T = poly_ring(2)
 HALF = Frac(ZZ, 1, 2)
@@ -91,12 +90,12 @@ class TestResidueAndRadical:
         alg, order = quadratic_equation_order(-1)
         res, reduce_c, lift_c = residue_algebra(order, 5)
         assert res.dim == 2 and res.p == 5
-        assert res.count_simple_factors() == 2  # 5 splits in Z[i]
+        assert simple_factor_count(res) == 2  # 5 splits in Z[i]
 
     def test_residue_inert_prime(self):
         alg, order = quadratic_equation_order(-1)
         res, _, _ = residue_algebra(order, 3)
-        assert res.count_simple_factors() == 1  # 3 inert in Z[i]
+        assert simple_factor_count(res) == 1  # 3 inert in Z[i]
 
     def test_residue_not_prime(self):
         alg, order = quadratic_equation_order(-1)
@@ -174,8 +173,8 @@ class TestIdealizerAndSaturation:
         alg = quadratic_algebra(5)
         a = Order(alg, Lattice.standard(ZZ, 2))
         b = Order(alg, Lattice.from_rows(ZZ, [[1, 0], [0, 3]], 2))
-        ca = integral_closure_commutative(a)
-        cb = integral_closure_commutative(b)
+        ca = maximal_order(a)
+        cb = maximal_order(b)
         assert ca.lattice == cb.lattice
 
     def test_function_field_example(self):
@@ -327,7 +326,7 @@ class TestDiscriminant:
 
     def test_scaling_under_index(self):
         alg = quadratic_algebra(5)
-        big = integral_closure_commutative(Order(alg, Lattice.standard(ZZ, 2)))
+        big = maximal_order(Order(alg, Lattice.standard(ZZ, 2)))
         small = Order(alg, Lattice.standard(ZZ, 2))
         # disc scales by the square of the index
         assert discriminant(small) == 4 * discriminant(big)
@@ -376,14 +375,6 @@ class TestIdealsAndValuations:
         ideals = two_sided_ideals_over_p(order, 3)
         indices = sorted(lattice_index(i.lattice, order.lattice) for i in ideals)
         assert indices == [1, 81]  # 0 and 3*Lambda mod p: module index 3^4
-
-    def test_valuations(self):
-        alg = quaternion_algebra(ZZ, -1, -1)
-        one, i, j, k = (alg.basis_element(a) for a in range(4))
-        two = one.scaled(Frac.of(ZZ, 2))
-        from fractions import Fraction
-        assert valuation_w(alg, two, 2, 2) == 1
-        assert valuation_w(alg, one + i, 2, 2) == Fraction(1, 2)
 
 
 class TestMaximalityProperties:

@@ -12,6 +12,7 @@ from maxord.errors import (
 from maxord.exactlin import Lattice, Matrix
 from maxord.orders import Order, maximal_order
 from maxord.rings import ZZ, Frac
+from maxord import serre
 from maxord.selftest import upper_triangular_order
 from maxord.serre import (
     IsogenyFactor,
@@ -210,6 +211,25 @@ class TestNaturality:
         phi = [[self.alg.one()]]
         with pytest.raises(NotAModuleMap):
             check_naturality(pres1, pres2, phi, self.t)
+
+    def test_square_that_does_not_commute_is_false(self, monkeypatch):
+        # O --0--> O has the free cokernel O, so the square is not empty;
+        # doubling the section of side 1 breaks it
+        pres = ModulePresentation(self.o, [[self.alg.zero()]])
+        phi = [[self.alg.one()]]
+        assert check_naturality(pres, pres, phi, self.t)
+        real, calls = serre.tensor_lattice, []
+
+        def skewed(p, t):
+            out, divisors = real(p, t)
+            if not calls:
+                out.section = out.section.scaled(2)
+            calls.append(p)
+            return out, divisors
+
+        monkeypatch.setattr(serre, "tensor_lattice", skewed)
+        assert not check_naturality(pres, pres, phi, self.t)
+        assert len(calls) == 2
 
 
 class TestRandomizedProperties:
