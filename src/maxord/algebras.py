@@ -5,7 +5,8 @@ Coordinates are row vectors; for an element a, ``coords(a*x) =
 coords(x) * Lmat(a)``.
 """
 
-import math
+import functools
+import operator
 import random
 
 from .errors import (
@@ -17,11 +18,7 @@ from .errors import (
 )
 from .exactlin import (FractionField, Matrix, kernel, power_relation, rref,
                        solve)
-from .rings import Frac, _trial_primes, frac0, frac1, poly_ring
-
-# how many of the smallest primes (those below 100) central_idempotents
-# tries before it factors a minimal polynomial over Q
-IRREDUCIBILITY_PRIMES = 25
+from .rings import Frac, frac0, frac1, rational_factors
 
 
 class Algebra:
@@ -155,6 +152,8 @@ class Algebra:
 
     def center(self):
         """Basis of the center, as a list of elements (rref-canonical)."""
+        if self.is_commutative():
+            return self.basis()
         n, t = self.dim, self.table
         ker = kernel(self.field, [
             [a - b for j in range(n) for a, b in zip(t[i][j], t[j][i])]
@@ -162,7 +161,9 @@ class Algebra:
         return [self.element(row) for row in rref(self.field, ker)[0]]
 
     def is_commutative(self):
-        return len(self.center()) == self.dim
+        t = self.table
+        return all(t[i][j] == t[j][i]
+                   for i in range(self.dim) for j in range(i))
 
     def trace_gram(self):
         return Matrix(self.ring, [[self.trace_coords(x) for x in row]
@@ -194,7 +195,15 @@ class Algebra:
             raise BadIdempotents("idempotents do not sum to 1")
 
     def central_idempotents(self, seed=0):
-        """Complete set of primitive central idempotents (characteristic 0)."""
+        """Complete set of primitive central idempotents (characteristic 0).
+
+        A central z whose minimal polynomial f has degree dim Z(A)
+        generates Z(A) ≅ Q[x]/(f).  For f = f_1···f_r over Q, y =
+        (f/f_i)(z) is 0 in the other factors of Z(A) and a unit in the
+        i-th, so its minimal polynomial is x·h(x) with h(0) ≠ 0, and e_i =
+        1 - h(y)/h(0).  The coefficients of z are drawn from a range that
+        widens with the attempt: k idempotent basis vectors need k values.
+        """
         if self.ring.characteristic != 0:
             raise NeedsSuppliedIdempotents(
                 "central idempotents must be supplied in characteristic p"
@@ -204,65 +213,33 @@ class Algebra:
         if dim_z == 1:
             return [self.one()]
         rng = random.Random(seed)
-        for _ in range(64):
+        for attempt in range(64):
+            bound = 2 + attempt * dim_z
             z = self.zero()
             for zb in zbasis:
-                z = z + zb.scaled(Frac.of(self.ring, rng.randint(-2, 2)))
+                z = z + zb.scaled(Frac.of(self.ring,
+                                          rng.randint(-bound, bound)))
             mp = self.min_poly(z)
             if len(mp) - 1 < dim_z:
                 continue
-            if _irreducible_by_reduction(mp):
-                return [self.one()]  # the center Q[z] is a field
-            import sympy  # factoring over Q, for a center not proved a field
-
-            x = sympy.Symbol("x")
-            poly = sympy.Poly(
-                [sympy.Rational(c.num, c.den) for c in reversed(mp)], x
-            )
-            _, factors = poly.factor_list()
-            if any(e > 1 for _, e in factors):
+            factors = rational_factors(mp)
+            if factors is None:
                 raise NotSemisimple(
                     "center has a non-squarefree minimal polynomial"
                 )
+            if len(factors) == 1:
+                return [self.one()]  # the center Q[z] is a field
+            values = [self.eval_poly(f_i, z) for f_i in factors]
             idems = []
-            for f_i, _ in factors:
-                g_i = sympy.exquo(poly, f_i)
-                u, _, g = sympy.gcdex(g_i, f_i)
-                if not g.is_one:
-                    raise InternalError("min poly factors are not coprime")
-                e_poly = (u * g_i).rem(poly)
-                coeffs = list(reversed(e_poly.all_coeffs()))
-                fr = [Frac(self.ring, int(sympy.numer(c)), int(sympy.denom(c)))
-                      for c in coeffs]
-                idems.append(self.eval_poly(fr, z))
+            for i in range(len(factors)):
+                y = functools.reduce(operator.mul, values[:i] + values[i + 1:])
+                h = self.min_poly(y)[1:]
+                idems.append(self.one() - self.eval_poly(h, y).scaled(
+                    h[0].inverse()))
             self.check_idempotent_system(idems)
             idems.sort(key=lambda e: [str(c) for c in e.coords])
             return idems
         raise InternalError("failed to find a primitive center element")
-
-
-def _irreducible_by_reduction(coeffs):
-    """Whether reductions mod small primes prove the monic polynomial over
-    Q (Frac coefficients, lowest degree first) irreducible.
-
-    Cleared of denominators, a factor of degree k over Q reduces mod every
-    prime p not dividing the leading coefficient to a product of prime
-    factors mod p, so k is a sum of some of their degrees.  When the
-    sums possible at every prime tried leave only 0 and the full degree,
-    there is no such factor.
-    """
-    den = math.lcm(*(c.den for c in coeffs))
-    ints = [c.num * (den // c.den) for c in coeffs]
-    possible = set(range(len(ints)))
-    for p in _trial_primes()[:IRREDUCIBILITY_PRIMES]:
-        if ints[-1] % p:
-            sums = {0}
-            for d in poly_ring(p).factor_degrees(tuple(c % p for c in ints)):
-                sums |= {s + d for s in sums}
-            possible &= sums
-            if len(possible) == 2:  # only 0 and the degree
-                return True
-    return False
 
 
 class AlgebraElement:
@@ -307,16 +284,6 @@ class AlgebraElement:
             self.algebra, self.algebra.mul_coords(self.coords, other.coords)
         )
 
-    def __pow__(self, n):
-        acc = self.algebra.one()
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
-
     def __eq__(self, other):
         return (
             isinstance(other, AlgebraElement)
@@ -326,9 +293,6 @@ class AlgebraElement:
 
     def __hash__(self):
         return hash(tuple(self.coords))
-
-    def is_zero(self):
-        return all(not c for c in self.coords)
 
     def __repr__(self):
         terms = [

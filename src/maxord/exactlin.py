@@ -252,10 +252,6 @@ class Matrix:
     def nrows(self):
         return len(self.rows)
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
@@ -279,17 +275,6 @@ class Matrix:
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
             self.ncols,
         )
-
-    def __sub__(self, other):
-        return Matrix._of(
-            self.ring,
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            self.ncols,
-        )
-
-    def __neg__(self):
-        return Matrix._of(self.ring, [[-a for a in row] for row in self.rows],
-                          self.ncols)
 
     def scaled(self, c):
         c = Frac.of(self.ring, c)

@@ -455,9 +455,20 @@ def p_step(order, p):
     Λ, or None; facts says whether O_l(J) = Λ and how many maximal ideals
     lie over p.  Callers go through Order.step_at, which runs it once per
     order and prime.
+
+    In a commutative semisimple algebra O_l(J) = Λ already proves Λ
+    p-maximal (Pohst–Zassenhaus; Cohen, GTM 138, §6.1), so the maximal
+    ideals are only counted.  Proof: R is Japanese, so the integral
+    closure Õ of R in A is a finite R-module, and Λ is p-maximal iff Λ =
+    U = {x ∈ Õ : p^j·x ∈ Λ for some j}.  Else, as p^j·U ⊆ Λ for one j and
+    J^m ⊆ pΛ, U·J^k ⊆ Λ for a least k ≥ 1; take y ∈ U·J^(k-1) outside Λ.
+    For a ∈ J, ya ∈ Λ lies in every prime of Õ over p, as a does, so in
+    every prime of Λ over p (lying over): ya ∈ J, so y ∈ O_l(J) ≠ Λ.
     """
     ideals = _p_step_ideals(order, p)
     facts = {"idealizerFixed": True, "maximalIdeals": len(ideals) - 1}
+    if order.algebra.is_commutative():
+        ideals = ideals[:1]
     for k, ideal in enumerate(ideals):
         grown = idealizer(order, ideal)
         if grown.lattice != order.lattice:

@@ -153,6 +153,58 @@ class TestIdempotentsAndDecomposition:
         with pytest.raises(NotSemisimple):
             nil.central_idempotents(seed=1)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_idempotents_match_sympy_route(self, seed):
+        """The idempotents equal those of the former route: the minimal
+        polynomial f of a central element generating the center, factored
+        by sympy, and e_i = u·(f/f_i) mod f from sympy's gcdex."""
+        import sympy
+
+        rng = random.Random(seed)
+        x = sympy.Symbol("x")
+
+        def irreducible():  # monic, of degree 1-3
+            while True:
+                g = sympy.Poly([1] + [sympy.Rational(rng.randint(-6, 6),
+                                                     rng.randint(1, 3))
+                                      for _ in range(rng.randint(1, 3))], x)
+                if g.is_irreducible:
+                    return g
+
+        def over_q(poly):
+            return [F(int(sympy.numer(c)), int(sympy.denom(c)))
+                    for c in reversed(poly.all_coeffs())]
+
+        product = irreducible()
+        for _ in range(rng.randint(1, 2)):
+            g = irreducible()
+            if (product * g).is_sqf:
+                product *= g
+        parts = [poly_quotient_algebra(ZZ, over_q(product)),
+                 poly_quotient_algebra(ZZ, over_q(irreducible())),
+                 matrix_algebra(ZZ, 2), quaternion_algebra(ZZ, -1, -3)]
+        alg = product_algebra(rng.sample(parts, rng.randint(2, 4)))
+        zbasis = alg.center()
+        while True:
+            z = alg.zero()
+            for zb in zbasis:
+                z = z + zb.scaled(F(rng.randint(-9, 9)))
+            mp = alg.min_poly(z)
+            if len(mp) - 1 == len(zbasis):
+                break
+        poly = sympy.Poly([sympy.Rational(c.num, c.den)
+                           for c in reversed(mp)], x)
+        want = []
+        for f_i, _ in poly.factor_list()[1]:
+            g_i = sympy.exquo(poly, f_i)
+            u, _, _ = sympy.gcdex(g_i, f_i)
+            e_poly = (u * g_i).rem(poly)
+            want.append(alg.eval_poly(over_q(e_poly), z))
+        got = alg.central_idempotents(seed=seed)
+        assert len(got) > 1
+        key = lambda e: [str(c) for c in e.coords]  # noqa: E731
+        assert sorted(got, key=key) == sorted(want, key=key)
+
 
 class TestMatrixOverAlgebra:
     def test_dims_and_unit(self):

@@ -236,6 +236,23 @@ class TestCommands:
         assert code == 0
         assert sorted(json.loads(out)["factor_dims"]) == [1, 1]
 
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_decompose_many_idempotents(self, tmp_path, capsys, n):
+        # Q^n in full form, e_i e_j = delta_ij e_i: a random central
+        # element needs n distinct coefficients to generate the center
+        def unit(i):
+            return ["1" if k == i else "0" for k in range(n)]
+
+        doc = {"dim": n, "basis": ["e%d" % i for i in range(n)],
+               "mul": [[unit(i) if i == j else ["0"] * n for j in range(n)]
+                       for i in range(n)],
+               "one": ["1"] * n}
+        code, out, _ = run_cli_capture(tmp_path, capsys, doc, "decompose")
+        assert code == 0
+        out = json.loads(out)
+        assert out["factor_dims"] == [1] * n
+        assert sorted(out["idempotents"]) == sorted(unit(i) for i in range(n))
+
     def test_maximal_order(self, tmp_path, capsys):
         code, out, _ = run_cli_capture(
             tmp_path, capsys, EISENSTEIN_EQUATION_ORDER, "maximal-order")

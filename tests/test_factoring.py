@@ -1,18 +1,20 @@
-"""Primality and factoring over Z and F_p[t] against sympy as the oracle.
+"""Primality and factoring over Z, F_p[t] and Q against sympy as the oracle.
 
 The ground rings factor with their own code (trial division over Z,
-Cantor-Zassenhaus over F_p[t]) and call sympy only for integers trial
-division cannot settle, so these tests compare both paths with sympy's
-answers."""
+Cantor-Zassenhaus over F_p[t], Hensel lifting and recombination over Q)
+and call sympy only for integers trial division cannot settle, so these
+tests compare both paths with sympy's answers."""
 
+import functools
 import random
 
 import pytest
 import sympy
 
-from maxord.algebras import _irreducible_by_reduction
+from maxord import rings
 from maxord.errors import ZeroElement
-from maxord.rings import TRIAL_BOUND, ZZ, Frac, pmul, poly_ring, ptrim
+from maxord.rings import (TRIAL_BOUND, ZZ, Frac, pmul, pnorm, poly_ring,
+                          ptrim, rational_factors)
 
 # strong pseudoprimes to the first 1, 1, 4 and 9 prime bases
 PSEUDOPRIMES = [561, 2047, 3215031751, 3825123056546413051]
@@ -68,8 +70,6 @@ def check_poly(ring, a):
     want = sympy_poly_factor(ring, a)
     assert ring.factor(a) == want, (ring, a)
     assert ring.is_prime(a) == (len(want) == 1 and want[0][1] == 1), (ring, a)
-    assert ring.factor_degrees(a) == sorted(
-        len(q) - 1 for q, e in want for _ in range(e)), (ring, a)
 
 
 def power(a, e, p):
@@ -121,18 +121,43 @@ class TestPolynomials:
                                   p))
 
 
-def test_irreducibility_by_reduction():
-    """A True verdict is a proof (sympy agrees); x^12 - 3*2^12 is proved
-    although it is reducible mod every prime, from the factor degrees."""
-    def over_q(coeffs):
-        return [c if isinstance(c, Frac) else Frac(ZZ, c) for c in coeffs]
+def over_q(coeffs):
+    return [c if isinstance(c, Frac) else Frac(ZZ, c) for c in coeffs]
 
-    assert _irreducible_by_reduction(over_q([-3 * 2 ** 12] + [0] * 11 + [1]))
-    assert _irreducible_by_reduction(over_q([Frac(ZZ, -5, 4), 0, 1]))
-    assert not _irreducible_by_reduction(over_q([-1, 0, 1]))
-    assert not _irreducible_by_reduction(over_q([2, 0, 3, 0, 1]))
-    # irreducible, but of degrees (1, 1, 1, 1) or (2, 2) mod every prime
-    assert not _irreducible_by_reduction(over_q([1, 0, 0, 0, 1]))
+
+def sympy_rational_factors(coeffs):
+    """The monic factors of sympy's factor_list, as Frac lists."""
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Rational(c.num, c.den) for c in reversed(coeffs)],
+                      x)
+    _, factors = poly.factor_list()
+    assert all(e == 1 for _, e in factors)
+    out = [[Frac(ZZ, int(sympy.numer(c)), int(sympy.denom(c)))
+            for c in reversed(f.monic().all_coeffs())] for f, _ in factors]
+    return sorted(out, key=str)
+
+
+def test_irreducibility_by_reduction(monkeypatch):
+    """The degrees of the factors mod small primes settle a field with no
+    Hensel lifting, and that verdict is a proof (sympy agrees):
+    x^12 - 3*2^12 is proved irreducible although it is reducible mod every
+    prime.  x^4 + 1, of degrees (1, 1, 1, 1) or (2, 2) mod every prime, is
+    proved irreducible by lifting and recombination."""
+    lifts = []
+    lift = rings._hensel_lift
+    monkeypatch.setattr(rings, "_hensel_lift",
+                        lambda *args: lifts.append(args) or lift(*args))
+
+    def verdict(coeffs):
+        """(irreducible, whether a lift was needed)."""
+        lifts.clear()
+        return len(rational_factors(coeffs)) == 1, bool(lifts)
+
+    assert verdict(over_q([-3 * 2 ** 12] + [0] * 11 + [1])) == (True, False)
+    assert verdict(over_q([Frac(ZZ, -5, 4), 0, 1])) == (True, False)
+    assert verdict(over_q([-1, 0, 1])) == (False, True)
+    assert verdict(over_q([2, 0, 3, 0, 1])) == (False, True)
+    assert verdict(over_q([1, 0, 0, 0, 1])) == (True, True)
     x = sympy.Symbol("x")
     rng = random.Random(5)
     proved = 0
@@ -147,7 +172,86 @@ def test_irreducibility_by_reduction():
             coeffs = [Frac(ZZ, int(c)) for c in reversed(f.all_coeffs())]
         poly = sympy.Poly([sympy.Rational(c.num, c.den)
                            for c in reversed(coeffs)], x)
-        if _irreducible_by_reduction(coeffs):
-            proved += 1
-            assert poly.is_irreducible, coeffs
+        if not poly.is_sqf:
+            continue
+        irreducible, lifted = verdict(coeffs)
+        assert irreducible == poly.is_irreducible, coeffs
+        proved += irreducible and not lifted
     assert proved >= 20
+
+
+def cyclotomic(n):
+    x = sympy.Symbol("x")
+    return over_q([int(c) for c in reversed(
+        sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs())])
+
+
+# the Swinnerton-Dyer polynomial of sqrt 2, sqrt 3 and sqrt 5 (without the
+# sqrt 5): irreducible, and a product of factors of degree <= 2 mod every
+# prime
+SWINNERTON_DYER = [576, 0, -960, 0, 352, 0, -40, 0, 1]
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1, 0, 0, 0, 1],
+    SWINNERTON_DYER,
+    [-1] + [0] * 23 + [1],                    # x^24 - 1: eight cyclotomics
+    [-1] + [0] * 29 + [1],                    # x^30 - 1
+    [1, 0, -1, 0, 2, 0, -1, 0, 1],            # (x^4 + 1)(x^4 - x^2 + 1)
+    [Frac(ZZ, -1, 6), 0, Frac(ZZ, 1, 3), 0, 0, 0, 3],  # non-monic
+    [-7 * 13, 0, 0, 7 + 13, 0, 0, -1],        # (7 - x^3)(x^3 - 13)
+] + [cyclotomic(n) for n in range(1, 31)],
+    ids=lambda c: "deg%d" % (len(c) - 1))
+def test_rational_factors_match_sympy(coeffs):
+    coeffs = over_q(coeffs)
+    assert sorted(rational_factors(coeffs), key=str) == \
+        sympy_rational_factors(coeffs)
+
+
+def test_rational_factors_seeded_products():
+    """Products of 2-4 distinct irreducibles of degree 1-4, with rational
+    and non-monic coefficients."""
+    x = sympy.Symbol("x")
+    rng = random.Random(11)
+
+    def irreducible(d):
+        while True:
+            f = sympy.Poly([sympy.Rational(rng.choice([-3, -2, -1, 1, 2, 5]),
+                                           rng.randint(1, 4))]
+                           + [sympy.Rational(rng.randint(-9, 9),
+                                             rng.randint(1, 5))
+                              for _ in range(d)], x)
+            if f.is_irreducible:
+                return f
+
+    for _ in range(40):
+        factors = []
+        for _ in range(rng.randint(2, 4)):
+            f = irreducible(rng.randint(1, 4))
+            if all(f.monic() != g.monic() for g in factors):
+                factors.append(f)
+        prod = functools.reduce(lambda a, b: a * b, factors)
+        coeffs = [Frac(ZZ, int(sympy.numer(c)), int(sympy.denom(c)))
+                  for c in reversed(prod.all_coeffs())]
+        got = rational_factors(coeffs)
+        assert len(got) == len(factors), prod
+        assert sorted(got, key=str) == sympy_rational_factors(coeffs), prod
+
+
+@pytest.mark.parametrize("coeffs, p, k", [
+    (SWINNERTON_DYER, 7, 9), ([-1] + [0] * 23 + [1], 5, 30),
+    ([-3 * 2 ** 12] + [0] * 11 + [1], 11, 6)])
+def test_hensel_lift(coeffs, p, k):
+    """The lifts multiply to f mod p^k and reduce to the factors mod p."""
+    factors = [q for q, _ in poly_ring(p).factor(pnorm(coeffs, p))]
+    lifted = rings._hensel_lift(coeffs, factors, p, k)
+    assert rings._pprod(lifted, p ** k) == pnorm(coeffs, p ** k)
+    assert [pnorm(h, p) for h in lifted] == factors
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1, -2, 1], [0, 0, 1, 1], [4, 0, 0, -4, 0, 0, 1],  # (x^3 - 2)^2
+    [0, 0, Frac(ZZ, 1, 9), Frac(ZZ, 2, 3), 1],  # x^2 (x + 1/3)^2
+])
+def test_rational_factors_not_squarefree(coeffs):
+    assert rational_factors(over_q(coeffs)) is None

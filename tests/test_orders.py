@@ -295,6 +295,40 @@ class TestIdealizerOverFp:
             assert self.check_chain(order, p, monkeypatch) >= 2
 
 
+def test_radical_idealizer_decides_commutative_orders(monkeypatch):
+    """Pohst-Zassenhaus: in a commutative semisimple algebra, wherever
+    O_l(J) = Λ along a p-maximalization chain, O_l(I) = Λ for every
+    maximal ideal I over p too, and p_step computes O_l(J) alone.  Seeded
+    orders over Z (fields and products of fields) and over F_p[t]."""
+    rng = random.Random(3)
+    cases = [(f5t_kummer_order(), (2, 1)), (f5t_kummer_order(), (3, 0, 1)),
+             (f2t_inseparable_order(), (0, 1)), (f2t_inseparable_order(), S3)]
+    while len(cases) < 20:
+        n = rng.randint(2, 5)
+        order = equation_order(ZZ, [rng.randint(-9, 9) for _ in range(n)]
+                               + [1])
+        disc = discriminant(order)
+        cases += [(order, p) for p in (2, 3, 5) if disc and disc % p == 0]
+    calls = []
+    idealize = orders.idealizer
+    monkeypatch.setattr(orders, "idealizer",
+                        lambda *args: calls.append(args) or idealize(*args))
+    fixed = 0
+    for order, p in cases:
+        while order is not None:
+            grows = [idealize(order, ideal).lattice != order.lattice
+                     for ideal in orders._p_step_ideals(order, p)]
+            calls.clear()
+            grown, facts = order.step_at(p)
+            assert facts["maximalIdeals"] == len(grows) - 1
+            if not grows[0]:
+                assert not any(grows) and grown is None
+                assert len(calls) == 1
+                fixed += 1
+            order = grown
+    assert fixed >= len(cases)
+
+
 class TestQuadraticSweepAgainstOracles:
     def test_closed_form_small(self):
         for d in (-1, -3, 2, 5, -7, 13):

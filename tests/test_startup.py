@@ -1,9 +1,12 @@
-"""sympy is loaded only to factor polynomials over Q.  Importing the CLI,
-and running it on documents over Z and F_p[t] whose centers are Q or
-F_p(t), must not load it; each check runs in a fresh interpreter."""
+"""sympy is loaded only for integers of 2^32 and above, which trial
+division cannot factor.  Importing the CLI, and running it on documents
+over Z and F_p[t], centers that split over Q included, must not load it;
+each check runs in a fresh interpreter."""
 
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -67,11 +70,46 @@ def test_commands_over_z_and_fpt_do_not_load_sympy(tmp_path, argv, doc):
     assert not sympy_loaded(tmp_path, argv, doc)
 
 
-def test_splitting_center_loads_sympy(tmp_path):
-    # the control: Q[x]/(x^2-1) = Q x Q needs a factorization over Q
-    doc = {"algebra": {"poly_quotient": {"modulus": "x^2-1"}},
+@pytest.mark.parametrize("argv, modulus", [
+    (["maximal-order"], "x^2-1"),
+    (["decompose"], "x^3-x^2-2x+2"),  # (x - 1)(x^2 - 2)
+])
+def test_splitting_center_does_not_load_sympy(tmp_path, argv, modulus):
+    # a center that is not a field is split by factoring over Q
+    algebra = {"poly_quotient": {"modulus": modulus}}
+    doc = algebra
+    if argv == ["maximal-order"]:
+        doc = {"algebra": algebra, "basis": [["1", "0"], ["0", "1"]]}
+    assert not sympy_loaded(tmp_path, argv, doc)
+
+
+def test_large_prime_discriminant_loads_sympy(tmp_path):
+    # the control: the discriminant 4*8589934609 has a prime factor above
+    # 2^32, which trial division cannot settle
+    doc = {"algebra": {"poly_quotient": {"modulus": "x^2-8589934609"}},
            "basis": [["1", "0"], ["0", "1"]]}
     assert sympy_loaded(tmp_path, ["maximal-order"], doc)
+
+
+def test_sympy_imported_only_for_large_integers():
+    found = []
+
+    def visit(node, module, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, module, child.name)
+                continue
+            names = ([a.name for a in child.names]
+                     if isinstance(child, ast.Import) else
+                     [child.module or ""]
+                     if isinstance(child, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "sympy" for name in names):
+                found.append((module, func))
+            visit(child, module, func)
+
+    for path in sorted(pathlib.Path(SRC, "maxord").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    assert found == [("rings", "int_factorization"), ("rings", "int_is_prime")]
 
 
 def test_quadratic_field_does_not_load_sympy(tmp_path):
