@@ -41,9 +41,6 @@ class Algebra:
         # the nonzero structure constants: sparse[i][j] = [(k, c_ijk)]
         self.sparse = [[[(k, c) for k, c in enumerate(row) if c] for row in ti]
                        for ti in self.table]
-        # trace(x) = sum_k x_k tau_k with tau_k = sum_t c_{k,t,t}
-        self.trace_form = [sum((row[t][t] for t in range(self.dim)),
-                               frac0(ring)) for row in self.table]
         if validate:
             self._validate()
 
@@ -118,17 +115,6 @@ class Algebra:
                 for i in range(self.dim)]
         return Matrix(self.ring, rows, self.dim)
 
-    def trace(self, a):
-        return self.trace_coords(a.coords)
-
-    def trace_coords(self, x):
-        """Trace of left multiplication by the element with coordinates x."""
-        acc = frac0(self.ring)
-        for c, t in zip(x, self.trace_form):
-            if c and t:
-                acc = acc + c * t
-        return acc
-
     def charpoly(self, a):
         return self.left_mul_matrix(a).charpoly()
 
@@ -164,15 +150,6 @@ class Algebra:
         t = self.table
         return all(t[i][j] == t[j][i]
                    for i in range(self.dim) for j in range(i))
-
-    def trace_gram(self):
-        return Matrix(self.ring, [[self.trace_coords(x) for x in row]
-                                  for row in self.table], self.dim)
-
-    def is_separable_semisimple(self):
-        """Nondegeneracy of the regular trace form; certifies the
-        separable-semisimple property exactly."""
-        return not self.trace_gram().det().is_zero()
 
     def check_idempotent_system(self, idems):
         one = self.one()

@@ -79,13 +79,6 @@ def _emit(doc, args):
         sys.stdout.write(text)
 
 
-def _load_idempotents(alg, args):
-    if not args.idempotents_file:
-        return None
-    return _load(args.idempotents_file, lambda doc: [
-        alg.element([parse_frac(alg.ring, c) for c in row]) for row in doc])
-
-
 def cmd_center(args):
     alg = _load(args.input, parse_algebra)
     basis = [ [str(c) for c in z.coords] for z in alg.center() ]
@@ -95,8 +88,10 @@ def cmd_center(args):
 
 def cmd_decompose(args):
     alg = _load(args.input, parse_algebra)
-    idems = _load_idempotents(alg, args)
-    if idems is None:
+    if args.idempotents_file:
+        idems = _load(args.idempotents_file, lambda doc: [
+            alg.element([parse_frac(alg.ring, c) for c in row]) for row in doc])
+    else:
         idems = alg.central_idempotents(seed=args.seed)
     from .algebras import decompose
     dec = decompose(alg, idems)
@@ -110,9 +105,8 @@ def cmd_decompose(args):
 def cmd_maximal_order(args):
     order = _load(args.input, parse_order)
     ring = order.algebra.ring
-    idems = _load_idempotents(order.algebra, args)
     extra = parse_primes(ring, args.primes or "") or None
-    out = maximal_order(order, idems=idems, extra_primes=extra, seed=args.seed)
+    out = maximal_order(order, extra_primes=extra)
     certs = [format_certificate(ring, is_maximal_at_p(out, q))
              for q in candidate_primes(out, extra)]
     doc = format_order(out)
@@ -246,7 +240,7 @@ def cmd_minimal_isogeny(args):
 
 def cmd_selftest(args):
     from . import selftest
-    report = selftest.run(seed=args.seed)
+    report = selftest.run()
     _emit(report, args)
     return 0 if report["ok"] else 1
 
@@ -277,8 +271,8 @@ def build_parser():
                    help="input JSON document (not needed for selftest)")
     p.add_argument("--primes", help="extra candidate primes, e.g. \"2,3\" or \"t\"")
     p.add_argument("--idempotents-file",
-                   help="JSON array of central idempotent coordinate vectors")
-    p.add_argument("--seed", type=int, default=0)
+                   help="decompose: JSON array of central idempotent vectors")
+    p.add_argument("--seed", type=int, default=0, help="decompose: RNG seed")
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--output", help="write the result document here")
     return p

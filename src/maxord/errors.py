@@ -93,5 +93,9 @@ class NotAModuleMap(MaxordError):
     code = "NotAModuleMap"
 
 
+class BoundExceeded(MaxordError):
+    code = "BoundExceeded"
+
+
 class InternalError(MaxordError):
     code = "InternalError"

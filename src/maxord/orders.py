@@ -5,6 +5,7 @@ endomorphism orders."""
 import functools
 
 from .errors import (
+    BoundExceeded,
     InternalError,
     NeedsSuppliedPrimes,
     NotFullRank,
@@ -20,10 +21,9 @@ from .exactlin import (
     hnf,
     kernel,
     lattice_index,
-    solve,
 )
 from .finitealg import FiniteAlgebra
-from .algebras import decompose, matrix_over_algebra
+from .algebras import matrix_over_algebra
 from .rings import Frac, pnorm
 
 
@@ -490,7 +490,9 @@ def is_maximal_at_p(order, p):
 
 
 def p_maximal_order(order, p):
-    """Grow the order until its localization at p is maximal."""
+    """Grow the order until its localization at p is maximal.  A nonzero
+    discriminant bounds the steps; a vanishing one leaves a budget of
+    64·dim steps, which is no proved bound."""
     ring = order.algebra.ring
     disc = discriminant(order)
     if disc != ring.zero:
@@ -503,6 +505,11 @@ def p_maximal_order(order, p):
         if grown is None:
             return cur
         cur = grown
+    if disc == ring.zero:
+        raise BoundExceeded(
+            "p-maximalization at %s ran past its budget of %d steps, no "
+            "proved bound as the discriminant vanishes; is the algebra, "
+            "declared trusted_semisimple, semisimple?" % (ring.to_str(p), bound))
     raise InternalError("p-maximalization did not terminate within its bound")
 
 
@@ -510,34 +517,19 @@ def p_maximal_order(order, p):
 # global maximal orders
 
 
-def maximal_order(start, idems=None, extra_primes=None, seed=0):
-    """Maximal order containing the input, by center decomposition and
-    per-prime saturation at the discriminant primes."""
-    alg = start.algebra
-    ring = alg.ring
-    if not alg.trusted_semisimple and not alg.is_separable_semisimple():
+def maximal_order(start, extra_primes=None):
+    """Maximal order containing the input, by p-saturation at each candidate
+    prime.  Unless the algebra is trusted semisimple, its trace form must be
+    nondegenerate: disc(Λ) = det(B)²·det(trace Gram) ≠ 0."""
+    if not start.algebra.trusted_semisimple and \
+            discriminant(start) == start.algebra.ring.zero:
         raise NotSemisimple(
             "trace form is degenerate; pass a trusted-semisimple algebra"
         )
-    if idems is None:
-        if ring.characteristic == 0:
-            idems = alg.central_idempotents(seed)
-        else:
-            idems = [alg.one()]
-    if len(idems) == 1:
-        return _maximalize_factor(start, extra_primes)
-    dec = decompose(alg, idems)
-    rows = []
-    for t, factor in enumerate(dec.factors):
-        emb = dec.embeddings[t]
-        sols = solve(alg.field, emb.rows,
-                     [(idems[t] * b).coords for b in start.basis_elements()])
-        if sols is None:
-            raise InternalError("projection left the idempotent block")
-        sub = order_closure(factor, [factor.element(x) for x in sols])
-        sub = _maximalize_factor(sub, extra_primes)
-        rows.extend((sub.lattice.basis * emb).rows)
-    return Order(alg, Lattice.from_rows(ring, rows, alg.dim))
+    cur = start
+    for q in candidate_primes(start, extra_primes):
+        cur = p_maximal_order(cur, q)
+    return cur
 
 
 def candidate_primes(order, extra_primes=None):
@@ -559,13 +551,6 @@ def candidate_primes(order, extra_primes=None):
         if q not in primes:
             primes.append(q)
     return primes
-
-
-def _maximalize_factor(order, extra_primes):
-    cur = order
-    for q in candidate_primes(order, extra_primes):
-        cur = p_maximal_order(cur, q)
-    return cur
 
 
 # ---------------------------------------------------------------------------

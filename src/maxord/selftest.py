@@ -48,7 +48,7 @@ def upper_triangular_order():
     return Order(alg, Lattice.standard(ZZ, 3))
 
 
-def run(seed=0):
+def run():
     checks = []
 
     def check(name, ok, detail=""):
@@ -70,7 +70,7 @@ def run(seed=0):
     # quaternion saturation
     quat = quaternion_algebra(ZZ, -1, -1)
     lip = order_closure(quat, [quat.basis_element(1), quat.basis_element(2)])
-    hur = maximal_order(lip, seed=seed)
+    hur = maximal_order(lip)
     half = [Frac(ZZ, 1, 2)] * 4
     check(
         "quaternion index-2 saturation",
@@ -112,7 +112,7 @@ def run(seed=0):
             continue
         qf = poly_quotient_algebra(ZZ, [-d, 0, 1])
         start = order_closure(qf, [qf.basis_element(1)])
-        out = maximal_order(start, seed=seed)
+        out = maximal_order(start)
         if d % 4 == 1:
             expect = Lattice.from_rows(
                 ZZ, [[Frac(ZZ, 1, 2), Frac(ZZ, 1, 2)], [0, 1]], 2)
@@ -122,5 +122,4 @@ def run(seed=0):
             bad.append(d)
     check("quadratic sweep |d| <= 50", not bad, str(bad))
 
-    return {"ok": all(c["ok"] for c in checks), "checks": checks,
-            "seed": seed}
+    return {"ok": all(c["ok"] for c in checks), "checks": checks}

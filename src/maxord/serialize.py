@@ -258,6 +258,9 @@ def parse_isogeny_type(obj):
 
     factors = parse_at(obj, "factors", lambda fs: [
         parse_at(fs, i, factor) for i in range(len(fs))])
+    mults = [f.mult for f in factors]
+    if min(mults, default=0) < 0 or not any(mults):
+        raise ParseError("multiplicities must be >= 0, not all 0", "/factors")
     return IsogenyType(factors)
 
 

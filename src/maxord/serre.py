@@ -324,14 +324,7 @@ def tensor_lattice(pres, t):
     if not phi.is_integral():
         raise ActionMismatch("presentation does not preserve the lattice")
     s_mat, _, v_mat = snf(phi)
-    rank = sum(
-        1 for i in range(min(s_mat.nrows, s_mat.ncols))
-        if s_mat.rows[i][i]
-    )
-    divisors = [
-        s_mat.rows[i][i].integral_value() for i in range(rank)
-        if not ring.is_unit(s_mat.rows[i][i].integral_value())
-    ]
+    rank, divisors = _elementary_divisors(ring, s_mat)
     q = pres.s * rho - rank
     # coordinates on the free quotient: last q coords of x·V
     proj_cols = v_mat.submatrix(range(pres.s * rho),
@@ -353,6 +346,16 @@ def tensor_lattice(pres, t):
     out.projection = proj_cols
     out.section = section
     return out, divisors
+
+
+def _elementary_divisors(ring, s_mat):
+    """(rank, elementary divisors) of a Smith normal form: the number of
+    nonzero diagonal entries, which come first, and those that are not
+    units, as ring elements."""
+    diag = [d.integral_value() for d in
+            (s_mat.rows[i][i] for i in range(min(s_mat.nrows, s_mat.ncols)))
+            if d]
+    return len(diag), [d for d in diag if not ring.is_unit(d)]
 
 
 def _block_diag(ring, m, s):
@@ -395,13 +398,7 @@ def minimal_isogeny(o, o_prime, itype, lattices):
         cmat = Matrix(ring, cur.coordinates(t.lattice.basis.rows), cur.rank)
         if not cmat.is_integral():
             raise NotContained("saturated lattice does not contain the input")
-        s_mat, _, _ = snf(cmat, transform=False)
-        divs = [
-            s_mat.rows[i][i].integral_value()
-            for i in range(min(s_mat.nrows, s_mat.ncols))
-            if s_mat.rows[i][i]
-            and not ring.is_unit(s_mat.rows[i][i].integral_value())
-        ]
+        _, divs = _elementary_divisors(ring, snf(cmat, transform=False)[0])
         per.append({"prime": t.prime, "elementaryDivisors": divs})
         degree = ring.canonical(
             ring.mul(degree, lattice_index(t.lattice, cur))

@@ -12,7 +12,8 @@ from maxord.algebras import (
     quaternion_algebra,
 )
 from maxord.errors import BadIdempotents, NotSemisimple
-from maxord.exactlin import FractionField, Matrix, solve
+from maxord.exactlin import FractionField, Lattice, Matrix, solve
+from maxord.orders import Order, discriminant, maximal_order
 from maxord.rings import ZZ, Frac, frac1, pnorm, poly_ring
 
 F2T = poly_ring(2)
@@ -84,23 +85,35 @@ class TestStructure:
         assert [str(c) for c in cp] == ["-2", "0", "1"]
 
     def test_trace(self):
+        # the discriminant is the Gram determinant of the regular trace:
+        # Tr(E11) = 2 in M_2, so Mat_2(Z) has discriminant 2^4·(-1) = -16,
+        # where the reduced trace would give -1
         m2 = matrix_algebra(ZZ, 2)
-        # reduced vs. regular: the regular trace of E11 in M_2 is 2
-        assert m2.trace(m2.basis_element(0)) == F(2)
+        assert discriminant(Order(m2, Lattice.standard(ZZ, 4))) == -16
 
     def test_semisimplicity_detection(self):
-        m2 = matrix_algebra(ZZ, 2)
-        assert m2.is_separable_semisimple()
+        # an algebra not trusted semisimple needs a nonzero discriminant
+        m2 = matrix_algebra(ZZ, 2, trusted_semisimple=False)
+        order = Order(m2, Lattice.standard(ZZ, 4))
+        assert maximal_order(order).lattice == order.lattice
         # Q[x]/(x^2): nilpotents, degenerate trace form
         nil = poly_quotient_algebra(ZZ, [F(0), F(0), F(1)])
-        assert not nil.is_separable_semisimple()
+        with pytest.raises(NotSemisimple):
+            maximal_order(Order(nil, Lattice.standard(ZZ, 2)))
 
     def test_inseparable_field_needs_trust(self):
         # F_2(t)[x]/(x^2 - t) is a field but its trace form vanishes
-        t = Frac.of(F2T, (0, 1))
-        a = poly_quotient_algebra(F2T, [-t, Frac.of(F2T, F2T.zero),
-                                        Frac.of(F2T, F2T.one)])
-        assert not a.is_separable_semisimple()
+        t = F2T.canonical((0, 1))
+        modulus = [Frac.of(F2T, c) for c in (t, F2T.zero, F2T.one)]
+        a = poly_quotient_algebra(F2T, modulus)
+        with pytest.raises(NotSemisimple):
+            maximal_order(Order(a, Lattice.standard(F2T, 2)), extra_primes=[t])
+        trusted = Order(poly_quotient_algebra(F2T, modulus,
+                                              trusted_semisimple=True),
+                        Lattice.standard(F2T, 2))
+        assert discriminant(trusted) == F2T.zero
+        assert maximal_order(trusted, extra_primes=[t]).lattice == \
+            trusted.lattice
 
 
 class TestIdempotentsAndDecomposition:

@@ -151,6 +151,12 @@ def without(doc, key):
      "/poly_quotient/modulus"),
     ("disc", {"algebra": {"poly_quotient": {"modulus": "x^65-2"}},
               "basis": [["1"]]}, "/algebra/poly_quotient/modulus"),
+    # a type of dimension 0 has no model algebra to embed the order in
+    ("serre-class", dict(SERRE_CLASS_DOC, type={"factors": []}),
+     "/type/factors"),
+    ("serre-class", dict(SERRE_CLASS_DOC, type={"factors": [
+        {"label": "E", "dim": 1, "endo": "Q", "mult": -1}]}),
+     "/type/factors"),
 ])
 def test_malformed_document_is_parse_error(tmp_path, capsys, command, doc,
                                            location):
@@ -221,6 +227,23 @@ class TestCertify:
                                        "certify", "--primes", "t")
         assert code == 2
         assert json.loads(out)["failing_prime"] == "t"
+
+
+def test_trusted_algebra_that_is_not_semisimple(tmp_path, capsys):
+    # F_2(t)[x]/(x^2) declared trusted_semisimple: its discriminant
+    # vanishes, so p-maximalization at t has a budget, not a proved bound,
+    # and the order x/t^k grows past it
+    doc = {"algebra": {"ground": {"poly": {"p": 2}},
+                       "poly_quotient": {"modulus": "x^2"},
+                       "trusted_semisimple": True},
+           "basis": [["1", "0"], ["0", "t"]]}
+    code, out, err = run_cli_capture(tmp_path, capsys, doc,
+                                     "maximal-order", "--primes", "t")
+    assert code == 1 and not out
+    rec = json.loads(err)
+    assert rec["code"] == "BoundExceeded"
+    assert "at t" in rec["message"] and "128 steps" in rec["message"]
+    assert "trusted_semisimple" in rec["message"]
 
 
 class TestCommands:

@@ -24,3 +24,25 @@ def test_no_unused_imports(path):
               for name, line in sorted(imported.items()) if name not in used]
     assert not unused, "unused imports in %s: %s" % (path.name,
                                                       ", ".join(unused))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_private_definitions_are_used(path):
+    """Every _-prefixed function, method or class is referenced in its own
+    module, so that deleting its last caller also deletes it."""
+    tree = ast.parse(path.read_text())
+    defined = {}  # private name -> line of its definition
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            name = node.name
+            if name.startswith("_") and not name.endswith("__"):
+                defined[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    unused = ["%s (line %d)" % (name, line)
+              for name, line in sorted(defined.items()) if name not in used]
+    assert not unused, "unused private definitions in %s: %s" % (
+        path.name, ", ".join(unused))

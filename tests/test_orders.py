@@ -4,15 +4,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxord.algebras import (
+    Algebra,
+    decompose,
     matrix_algebra,
     poly_quotient_algebra,
+    product_algebra,
     quaternion_algebra,
 )
 from maxord import orders
 from maxord.errors import NotIntegral, NotPrime
-from maxord.exactlin import Lattice, lattice_index
+from maxord.exactlin import Lattice, lattice_index, solve
 from maxord.orders import (
     Order,
+    candidate_primes,
     discriminant,
     endomorphism_order,
     idealizer,
@@ -188,6 +192,60 @@ class TestIdealizerAndSaturation:
         sat = p_maximal_order(sub, (0, 1))
         assert sat.lattice == Lattice.standard(F2T, 2)
         assert is_maximal_at_p(sat, (0, 1))["verdict"]
+
+
+def decomposition_route(start):
+    """The maximal order by the former route over Z: split the center over
+    Q, close the projection of the start in each factor, maximalize each
+    closure at its own discriminant primes, and put the factors back."""
+    alg = start.algebra
+    idems = alg.central_idempotents()
+    dec = decompose(alg, idems)
+    rows = []
+    for e, factor, emb in zip(idems, dec.factors, dec.embeddings):
+        sols = solve(alg.field, emb.rows,
+                     [(e * b).coords for b in start.basis_elements()])
+        sub = order_closure(factor, [factor.element(x) for x in sols])
+        for q in candidate_primes(sub):
+            sub = p_maximal_order(sub, q)
+        rows.extend((sub.lattice.basis * emb).rows)
+    return Lattice.from_rows(ZZ, rows, alg.dim)
+
+
+def split_algebras():
+    """Algebras over Q whose centers split, each with a starting order:
+    Z[x] in Q[x]/(x^3 - x) and in Q[x]/((x^2 + 1)(x^2 - 2)), and the
+    standard product orders of (-1,-1|Q) x Q(sqrt 5) and of Mat_2(Q) x
+    (-3,-5|Q)."""
+    cubic = poly_quotient_algebra(ZZ, [0, -1, 0, 1], trusted_semisimple=True)
+    quartic = poly_quotient_algebra(ZZ, [-2, 0, -1, 0, 1],
+                                    trusted_semisimple=True)
+    hamilton = product_algebra([quaternion_algebra(ZZ, -1, -1),
+                                quadratic_algebra(5)])
+    mixed = product_algebra([matrix_algebra(ZZ, 2),
+                             quaternion_algebra(ZZ, -3, -5)])
+    return [Order(alg, Lattice.standard(ZZ, alg.dim))
+            for alg in (cubic, quartic, hamilton, mixed)]
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_split_algebras_take_the_single_path(index, monkeypatch):
+    """maximal_order saturates the start prime by prime, with no center
+    split: it gives the lattice of the decomposition route, calls neither
+    central_idempotents nor min_poly, and its certificates hold."""
+    start = split_algebras()[index]
+    calls = []
+    for name in ("central_idempotents", "min_poly"):
+        def counted(self, *args, _name=name, _f=getattr(Algebra, name)):
+            calls.append(_name)
+            return _f(self, *args)
+        monkeypatch.setattr(Algebra, name, counted)
+    out = maximal_order(start)
+    assert calls == []
+    assert len(start.algebra.central_idempotents()) > 1
+    assert out.lattice == decomposition_route(start)
+    for q in candidate_primes(out):
+        assert is_maximal_at_p(out, q)["verdict"]
 
 
 def assert_inherits_structure(grown):
