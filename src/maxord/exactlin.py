@@ -3,11 +3,14 @@
 Echelon form, quotient spaces, kernels, solving, relations among powers
 and the Hessenberg characteristic polynomial are written once, over a
 field interface with two instances: Frac(R) and F_p.  Matrices carry
-fraction entries; Hermite and Smith normal forms operate on integral
-matrices and return unimodular transformations when asked for.  Lattices
-are stored with canonical (HNF) bases so lattice equality is
-representation equality.
+fraction entries.  Over R there is one elimination, the Hermite form:
+Smith forms alternate Hermite forms of rows and columns, and lattices,
+stored with canonical (HNF) bases so that lattice equality is
+representation equality, read coordinates by back-substitution.
 """
+
+import functools
+import itertools
 
 from .errors import InputNotIntegral, NotSublattice, RankDeficient
 from .rings import Frac, frac0, frac1
@@ -374,12 +377,6 @@ class Matrix:
             raise ValueError("matrix is singular or not square")
         return Matrix._of(self.ring, x, self.ncols)
 
-    def trace(self):
-        acc = frac0(self.ring)
-        for i in range(min(self.nrows, self.ncols)):
-            acc = acc + self.rows[i][i]
-        return acc
-
     def charpoly(self):
         """Coefficients of det(xI - self), lowest degree first, monic."""
         if self.nrows != self.ncols:
@@ -454,105 +451,69 @@ def hnf(m, transform=True):
             _frac_rows(ring, u, nr) if transform else None)
 
 
+def solve_echelon(ring, basis, rows):
+    """X over R with X·basis = rows, for basis rows over R in row echelon
+    form, by back-substitution: one division by each pivot, which must be
+    exact, after which every column must be clear; None when some row is
+    no R-combination of the basis rows."""
+    sub, mul = ring.sub, ring.mul
+    pivots = [next(j for j, c in enumerate(b) if c) for b in basis]
+    out = []
+    for v in rows:
+        v, x = list(v), []
+        for j, b in zip(pivots, basis):
+            xa, r = ring.divmod(v[j], b[j])
+            if r:
+                return None
+            x.append(xa)
+            if xa:
+                for k in range(j, len(b)):
+                    if b[k]:
+                        v[k] = sub(v[k], mul(xa, b[k]))
+        if any(v):
+            return None
+        out.append(x)
+    return out
+
+
+def _is_diagonal(a):
+    return not any(x for i, row in enumerate(a.rows)
+                   for j, x in enumerate(row) if i != j)
+
+
 def snf(m, transform=True):
-    """Smith normal form: returns (s, u, v) with s = u*m*v diagonal,
-    divisibility chain d_i | d_{i+1}, diagonal entries unit-normalized;
-    u and v are None when transform is False."""
+    """Smith normal form: (s, v) with s diagonal, d_i | d_(i+1), the d_i
+    unit-normalized, and v unimodular with u·m·v = s for some unimodular
+    u; v is None when transform is False.
+
+    Hermite forms of the rows and of the columns alternate until the
+    matrix is diagonal, as each round either replaces the corner entry by
+    a proper divisor or clears its row and column (Kannan & Bachem, SIAM
+    J. Comput. 8, 1979; Cohen, GTM 138, §2.4).  Then gcd/lcm steps on
+    pairs of diagonal entries make the chain."""
     ring = m.ring
-    a = m.to_ring_rows()
-    nr, nc = len(a), m.ncols
-    u = [[ring.one if i == j else ring.zero for j in range(nr)]
-         for i in range(nr)] if transform else None
-    v = [[ring.one if i == j else ring.zero for j in range(nc)]
-         for i in range(nc)] if transform else None
-    rows = (a, u) if transform else (a,)
-    cols = (a, v) if transform else (a,)
-
-    def col_combine(j, k, x, y, z, w):
-        # (col_j, col_k) <- (x*col_j + y*col_k, z*col_j + w*col_k)
-        for mat in cols:
-            for row in mat:
-                row[j], row[k] = (
-                    ring.add(ring.mul(x, row[j]), ring.mul(y, row[k])),
-                    ring.add(ring.mul(z, row[j]), ring.mul(w, row[k])),
-                )
-
-    n = min(nr, nc)
-    for k in range(n):
-        # find a nonzero pivot in the trailing submatrix
-        pivot = None
-        best = None
-        for i in range(k, nr):
-            for j in range(k, nc):
-                if not ring.is_zero(a[i][j]):
-                    sz = ring.size(a[i][j])
-                    if best is None or sz < best:
-                        best, pivot = sz, (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != k:
-            for mat in rows:
-                mat[k], mat[pi] = mat[pi], mat[k]
-        if pj != k:
-            for mat in cols:
-                for row in mat:
-                    row[k], row[pj] = row[pj], row[k]
-        while True:
-            for i in range(k + 1, nr):
-                if ring.is_zero(a[i][k]):
-                    continue
-                # plain reduction when the pivot divides, so that the pivot
-                # row is untouched (xgcd may return x = 0 in that case and
-                # replace the pivot row, which would cycle forever)
-                if ring.divides(a[k][k], a[i][k]):
-                    q = ring.exact_div(a[i][k], a[k][k])
-                    _combine_rows(ring, rows, k, i, ring.one, ring.zero,
-                                  ring.neg(q), ring.one)
-                else:
-                    g, x, y = ring.xgcd(a[k][k], a[i][k])
-                    _combine_rows(ring, rows, k, i, x, y,
-                                  ring.neg(ring.exact_div(a[i][k], g)),
-                                  ring.exact_div(a[k][k], g))
-            for j in range(k + 1, nc):
-                if ring.is_zero(a[k][j]):
-                    continue
-                if ring.divides(a[k][k], a[k][j]):
-                    q = ring.exact_div(a[k][j], a[k][k])
-                    col_combine(k, j, ring.one, ring.zero,
-                                ring.neg(q), ring.one)
-                else:
-                    g, x, y = ring.xgcd(a[k][k], a[k][j])
-                    col_combine(k, j, x, y,
-                                ring.neg(ring.exact_div(a[k][j], g)),
-                                ring.exact_div(a[k][k], g))
-            if all(ring.is_zero(a[i][k]) for i in range(k + 1, nr)) and all(
-                ring.is_zero(a[k][j]) for j in range(k + 1, nc)
-            ):
-                # enforce divisibility of the rest by the pivot
-                bad = None
-                for i in range(k + 1, nr):
-                    for j in range(k + 1, nc):
-                        if not ring.divides(a[k][k], a[i][j]):
-                            bad = (i, j)
-                            break
-                    if bad:
-                        break
-                if bad is None:
-                    break
-                bi, _ = bad
-                for mat in rows:
-                    mat[k] = [ring.add(x, y) for x, y in zip(mat[k], mat[bi])]
-    for k in range(n):
-        unit, _ = ring.unit_normalize(a[k][k])
-        if unit != ring.one:
-            inv = ring.unit_inverse(unit)
-            for mat in rows:
-                mat[k] = [ring.mul(inv, c) for c in mat[k]]
-    if not transform:
-        return _frac_rows(ring, a, nc), None, None
-    return (_frac_rows(ring, a, nc), _frac_rows(ring, u, nr),
-            _frac_rows(ring, v, nc))
+    w = Matrix.identity(ring, m.ncols) if transform else None  # v transposed
+    a = hnf(m, transform=False)[0]
+    while not _is_diagonal(a):
+        h, u = hnf(a.transpose(), transform=transform)
+        w = u * w if transform else None
+        a = h.transpose()
+        if not _is_diagonal(a):
+            a = hnf(a, transform=False)[0]
+    d = [a.rows[k][k].num for k in range(min(a.nrows, a.ncols))]
+    for i, j in itertools.combinations(range(len(d)), 2):
+        if not ring.divides(d[i], d[j]):
+            g, x, y = ring.xgcd(d[i], d[j])
+            ag, bg = ring.exact_div(d[i], g), ring.exact_div(d[j], g)
+            d[i], d[j] = g, ring.mul(d[i], bg)
+            a.rows[i][i], a.rows[j][j] = Frac(ring, g), Frac(ring, d[j])
+            if transform:  # columns (v_i, v_j) times [[1, -y·b/g], [1, x·a/g]]
+                c = Frac.of(ring, ring.neg(ring.mul(y, bg)))
+                e = Frac.of(ring, ring.mul(x, ag))
+                wi, wj = w.rows[i], w.rows[j]
+                w.rows[i] = [p + q for p, q in zip(wi, wj)]
+                w.rows[j] = [c * p + e * q for p, q in zip(wi, wj)]
+    return a, w.transpose() if transform else None
 
 
 # ---------------------------------------------------------------------------
@@ -624,8 +585,17 @@ class Lattice:
 
     def coordinates(self, vecs):
         """Rows t with t * basis = v for each v in vecs, or None when some v
-        is outside the rational span."""
-        return solve(FractionField(self.ring), self.basis.rows, vecs)
+        is outside the rational span.  For basis = h/d and vecs = w/e over
+        R, (c·e·t)·h = c·d·w is over R for c the product of h's pivots."""
+        ring = self.ring
+        h, d = self.basis.cleared()
+        w, e = Matrix(ring, vecs, self.ambient_dim).cleared()
+        c = functools.reduce(ring.mul, [next(x for x in r if x) for r in h],
+                             ring.one)
+        x = solve_echelon(ring, h, [[ring.mul(ring.mul(c, d), y) for y in r]
+                                    for r in w])
+        return None if x is None else [
+            [Frac(ring, y, ring.mul(c, e)) for y in r] for r in x]
 
     def contains_vector(self, vec):
         return self.contains_rows([vec])
@@ -634,8 +604,14 @@ class Lattice:
         return self.contains_rows(other.basis.rows)
 
     def contains_rows(self, vecs):
-        t = self.coordinates(vecs)
-        return t is not None and all(x.is_integral() for row in t for x in row)
+        """Whether each v in vecs is in the lattice: for basis = h/d and
+        vecs = w/e over R, whether y·h = d·w has a solution over R with
+        e | y (y = e·t)."""
+        ring = self.ring
+        h, d = self.basis.cleared()
+        w, e = Matrix(ring, vecs, self.ambient_dim).cleared()
+        y = solve_echelon(ring, h, [[ring.mul(d, x) for x in r] for r in w])
+        return y is not None and all(ring.divides(e, x) for r in y for x in r)
 
     def add(self, other):
         if self.ambient_dim != other.ambient_dim:
@@ -655,15 +631,14 @@ class Lattice:
 
 
 def lattice_index(sub, sup):
-    """Generalized index [sup : sub] as a canonical ring element."""
+    """Generalized index [sup : sub] as a canonical ring element: for sub ⊆
+    sup of equal rank, both HNF bases have the same pivot columns, and the
+    index is the product of the ratios of their pivots."""
     if sub.ambient_dim != sup.ambient_dim or sub.rank != sup.rank:
         raise NotSublattice("lattices are not commensurable")
-    ring = sub.ring
-    if sub.rank == 0:
-        return ring.one
-    t_rows = sup.coordinates(sub.basis.rows)
-    if t_rows is None or not all(
-            x.is_integral() for row in t_rows for x in row):
+    if not sup.contains_lattice(sub):
         raise NotSublattice("sub is not contained in sup")
-    det = Matrix(ring, t_rows, sub.rank).det()
-    return ring.canonical(det.integral_value())
+    ratio = frac1(sub.ring)
+    for a, b in zip(sub.basis.rows, sup.basis.rows):
+        ratio = ratio * next(x for x in a if x) / next(x for x in b if x)
+    return sub.ring.canonical(ratio.integral_value())

@@ -1,4 +1,4 @@
-"""R-orders in finite-dimensional algebras: closure, radicals, idealizers,
+"""R-orders in finite-dimensional algebras: radicals, idealizers,
 p-maximalization, maximality certificates, ideal enumeration, and
 endomorphism orders."""
 
@@ -21,6 +21,7 @@ from .exactlin import (
     hnf,
     kernel,
     lattice_index,
+    solve_echelon,
 )
 from .finitealg import FiniteAlgebra
 from .algebras import matrix_over_algebra
@@ -105,9 +106,6 @@ class Order:
             self._steps[p] = p_step(self, p)
         return self._steps[p]
 
-    def contains(self, other):
-        return self.lattice.contains_lattice(other.lattice)
-
     def __eq__(self, other):
         return isinstance(other, Order) and self.lattice == other.lattice
 
@@ -151,46 +149,6 @@ class LatticeIdeal:
 
     def __repr__(self):
         return "LatticeIdeal(over %r, %r)" % (self.prime, self.lattice)
-
-
-# ---------------------------------------------------------------------------
-# closure
-
-
-def lattice_product(alg, a, b):
-    """HNF lattice generated by pairwise products of basis rows."""
-    rows = [
-        alg.mul_coords(ra, rb) for ra in a.basis.rows for rb in b.basis.rows
-    ]
-    return Lattice.from_rows(alg.ring, rows, alg.dim)
-
-
-def order_closure(alg, gens, max_steps=64):
-    """Smallest order containing the generators (and 1)."""
-    ring = alg.ring
-    for g in gens:
-        cp = alg.charpoly(g)
-        for c in cp:
-            if not c.is_integral():
-                raise NotIntegral(
-                    "generator %r is not integral (coefficient %s)" % (g, c)
-                )
-    rows = [alg.one_coords] + [g.coords for g in gens]
-    lat = Lattice.from_rows(ring, rows, alg.dim)
-    for _ in range(max_steps):
-        nxt = lat.add(lattice_product(alg, lat, lat))
-        if nxt == lat:
-            if lat.rank != alg.dim:
-                raise NotFullRank(
-                    "generators span a proper subalgebra (rank %d of %d)"
-                    % (lat.rank, alg.dim)
-                )
-            return Order(alg, lat)
-        lat = nxt
-    raise NotIntegral(
-        "multiplicative closure did not stabilize; the generated ring is "
-        "not a finitely generated module"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +260,8 @@ def _idealizer_mod_p(ideal, side):
         prods = struct[i] if side == "left" else [row[i] for row in struct]
         # I-coordinates of b_i·w_k (or w_k·b_i), from Λ's structure; the
         # divisions are exact because that product lies in I
-        images = _solve_upper(ring, w, [_lincomb(ring, wk, prods) for wk in w])
+        images = solve_echelon(ring, w,
+                               [_lincomb(ring, wk, prods) for wk in w])
         for s in scalars:
             cond.append([x for t in images
                          for x in reduce([ring.mul(s, c) for c in t])])
@@ -325,27 +284,6 @@ def _lincomb(ring, coeffs, vecs):
     return acc
 
 
-def _solve_upper(ring, u, rows):
-    """X with X·u = rows, for u upper triangular over R; NotIntegral when X
-    is not over R.  Each entry of X is the quotient of one division, so X
-    is over R exactly when every division is exact."""
-    sub, mul = ring.sub, ring.mul
-    out = []
-    for v in rows:
-        v, x = list(v), []
-        for a, ua in enumerate(u):
-            xa, r = ring.divmod(v[a], ua[a])
-            if r:
-                raise NotIntegral("triangular system has no integral solution")
-            x.append(xa)
-            if xa:
-                for b in range(a + 1, len(ua)):
-                    if ua[b]:
-                        v[b] = sub(v[b], mul(xa, ua[b]))
-        out.append(x)
-    return out
-
-
 def _grown_order(order, p, lattice):
     """The order Γ on lattice, for an order Λ with Λ ⊆ Γ ⊆ (1/p)Λ, its
     structure constants taken from Λ's in ring arithmetic.
@@ -359,19 +297,19 @@ def _grown_order(order, p, lattice):
     The division by p² is exact exactly when Γ is closed under
     multiplication, so a lattice that is not raises NotIntegral.  1 ∈ Λ
     ⊆ Γ has Γ-coordinates u·S, for u its Λ-coordinates.  Both bases are
-    HNFs, hence upper triangular, and P and S come from triangular
-    solves with exact divisions.
+    HNFs, hence upper triangular, and P and S come from back-substitutions
+    whose divisions are exact, as P and S are integral.
     """
     ring, n = order.algebra.ring, order.dim
     h_lam, d_lam = order.bmat.cleared()
     h_gam, d_gam = lattice.basis.cleared()
     # P·(d_Γ·H_Λ) = p·d_Λ·H_Γ, and P·S = p·I
     scale = ring.mul(p, d_lam)
-    big_p = _solve_upper(
+    big_p = solve_echelon(
         ring, [[ring.mul(d_gam, x) for x in row] for row in h_lam],
         [[ring.mul(scale, x) for x in row] for row in h_gam])
-    s = _solve_upper(ring, big_p, [[p if a == b else ring.zero
-                                    for b in range(n)] for a in range(n)])
+    s = solve_echelon(ring, big_p, [[p if a == b else ring.zero
+                                     for b in range(n)] for a in range(n)])
     p2 = ring.mul(p, p)
     # c^Λ_ab·S, then contracted with row i of P on a, row j of P on b
     cs = [[_lincomb(ring, c, s) for c in row]

@@ -396,7 +396,6 @@ class IntegerRing(GroundRing):
     neg = staticmethod(operator.neg)
     mul = staticmethod(operator.mul)
     gcd = staticmethod(math.gcd)
-    size = staticmethod(abs)
 
     def __repr__(self):
         return "Z"
@@ -531,10 +530,6 @@ class PolyRing(GroundRing):
         if u != (1,):
             num = self.mul(self.unit_inverse(u), num)
         return num, den
-
-    def size(self, a):
-        """A Euclidean size used for pivot selection."""
-        return len(a)
 
     def is_unit(self, a):
         return len(a) == 1

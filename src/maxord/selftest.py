@@ -14,7 +14,6 @@ from .orders import (
     discriminant,
     is_maximal_at_p,
     maximal_order,
-    order_closure,
     radical_mod_p,
     two_sided_ideals_over_p,
 )
@@ -24,18 +23,6 @@ from .serre import (
     ModulePresentation,
     tensor_isogeny_class,
 )
-
-
-def squarefree(d):
-    if d in (0, 1):
-        return False
-    k = 2
-    n = abs(d)
-    while k * k <= n:
-        if n % (k * k) == 0:
-            return False
-        k += 1
-    return True
 
 
 def upper_triangular_order():
@@ -69,7 +56,7 @@ def run():
 
     # quaternion saturation
     quat = quaternion_algebra(ZZ, -1, -1)
-    lip = order_closure(quat, [quat.basis_element(1), quat.basis_element(2)])
+    lip = Order(quat, Lattice.standard(ZZ, 4))
     hur = maximal_order(lip)
     half = [Frac(ZZ, 1, 2)] * 4
     check(
@@ -108,10 +95,10 @@ def run():
     # quadratic sweep against the classical ring of integers
     bad = []
     for d in range(-50, 51):
-        if not squarefree(d):
+        if d in (0, 1) or any(e > 1 for _, e in ZZ.factor(d)):
             continue
         qf = poly_quotient_algebra(ZZ, [-d, 0, 1])
-        start = order_closure(qf, [qf.basis_element(1)])
+        start = Order(qf, Lattice.standard(ZZ, 2))
         out = maximal_order(start)
         if d % 4 == 1:
             expect = Lattice.from_rows(

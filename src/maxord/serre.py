@@ -288,10 +288,6 @@ def tensor_isogeny_class(pres, itype, embedding):
     return itype.with_multiplicities(mults)
 
 
-def tensor_dimension(itype):
-    return itype.total_dimension()
-
-
 # ---------------------------------------------------------------------------
 # lattice-level computation
 
@@ -323,10 +319,15 @@ def tensor_lattice(pres, t):
     phi = Matrix(ring, rows, pres.s * rho)
     if not phi.is_integral():
         raise ActionMismatch("presentation does not preserve the lattice")
-    s_mat, _, v_mat = snf(phi)
+    s_mat, v_mat = snf(phi)
     rank, divisors = _elementary_divisors(ring, s_mat)
     q = pres.s * rho - rank
-    # coordinates on the free quotient: last q coords of x·V
+    # coordinates on the free quotient: last q coords of x·V.  Those
+    # columns of V are a basis of the kernel of phi; its Hermite basis
+    # keeps the entries of the descended action small
+    cols = v_mat.transpose().rows
+    cols[rank:] = Lattice.from_rows(ring, cols[rank:], pres.s * rho).basis.rows
+    v_mat = Matrix._of(ring, cols, pres.s * rho).transpose()
     proj_cols = v_mat.submatrix(range(pres.s * rho),
                                 range(rank, pres.s * rho))
     v_inv = v_mat.inverse()

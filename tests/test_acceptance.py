@@ -22,14 +22,13 @@ from maxord.orders import (
     Order,
     discriminant,
     is_maximal_at_p,
-    lattice_product,
     maximal_order,
     p_maximal_order,
     radical_mod_p,
     two_sided_ideals_over_p,
 )
 from maxord.rings import ZZ, Frac, poly_ring
-from maxord.selftest import squarefree, upper_triangular_order
+from maxord.selftest import upper_triangular_order
 from maxord.serre import (
     IsogenyFactor,
     IsogenyType,
@@ -37,7 +36,6 @@ from maxord.serre import (
     PeriodLattice,
     check_naturality,
     minimal_isogeny,
-    tensor_dimension,
     tensor_isogeny_class,
     tensor_lattice,
 )
@@ -59,6 +57,18 @@ def quadratic_order(d):
         ZZ, [Frac.of(ZZ, -d), Frac.of(ZZ, 0), Frac.of(ZZ, 1)],
         trusted_semisimple=True)
     return Order(alg, Lattice.standard(ZZ, 2))
+
+
+def squarefree(d):
+    """Whether d is a squarefree integer other than 0 and 1."""
+    return d not in (0, 1) and all(e == 1 for _, e in ZZ.factor(d))
+
+
+def lattice_product(alg, a, b):
+    """The lattice spanned by the products of the basis rows of a and b."""
+    rows = [alg.mul_coords(ra, rb)
+            for ra in a.basis.rows for rb in b.basis.rows]
+    return Lattice.from_rows(alg.ring, rows, alg.dim)
 
 
 def regular_period_lattice(order, prime="generic"):
@@ -128,7 +138,7 @@ def test_criterion_1_golden_vectors():
     got = []
     for alpha in ([[e11]], [[e22]], [[e12], [e22]]):
         res = tensor_isogeny_class(ModulePresentation(o, alpha), itype, emb)
-        got.append((res.factors[0].mult, tensor_dimension(res)))
+        got.append((res.factors[0].mult, res.total_dimension()))
     ok = got == [(1, 1), (1, 1), (0, 0)]
     report(1, "golden multiplicity/dimension vectors", ok,
            1.0, time.monotonic() - start)
@@ -303,7 +313,7 @@ def test_criterion_6_functor_property_suite():
             out, divisors = tensor_lattice(pres, t)
             # (e) lattice rank doubles the class dimension
             res = tensor_isogeny_class(pres, itype, emb)
-            if out.lattice.rank != 2 * tensor_dimension(res):
+            if out.lattice.rank != 2 * res.total_dimension():
                 ok = False
             # (b) right-exactness: the tensored relations die in the
             # quotient, and the projection hits all of it

@@ -8,6 +8,7 @@ import os
 
 import maxord
 import maxord.cli  # noqa: F401  (imports every module the tracer wraps)
+from test_cli import SERRE_LATTICE_DOC
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                       "perfbench", "tracer.py")
@@ -45,3 +46,22 @@ def test_tracer_hooks_read_a_maximal_order_run(tmp_path, capsys):
     assert not tracer.hook_errors
     assert tracer.counts["exactlin.hnf.calls"] > 0
     assert tracer.counts["orders.idealizer.calls"] > 0
+
+
+def test_tracer_hooks_read_a_serre_lattice_run(tmp_path, capsys):
+    # snf calls hnf, whose hook reads the matrix it is given and the first
+    # matrix it returns
+    from test_cli import SERRE_LATTICE_DOC
+
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps(SERRE_LATTICE_DOC))
+    tracer = make_tracer()
+    try:
+        assert tracer.install() == []
+        assert maxord.cli.main(["serre-lattice", str(path)]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert not tracer.hook_errors
+    assert tracer.counts["exactlin.snf.calls"] > 0
+    assert tracer.incl["exactlin.snf"] > 0

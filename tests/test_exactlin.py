@@ -1,18 +1,24 @@
+import collections
 import itertools
+import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxord.exactlin import (
+    FractionField,
     Lattice,
     Matrix,
     hnf,
     lattice_index,
     snf,
+    solve,
 )
 from maxord.errors import NotSublattice
-from maxord.rings import ZZ, Frac, poly_ring
+from maxord.rings import ZZ, Frac, frac0, poly_ring
 
 F2T = poly_ring(2)
+F3T = poly_ring(3)
 
 small_int = st.integers(min_value=-9, max_value=9)
 
@@ -38,6 +44,22 @@ def random_unimodular(rng_rows, n):
         shear[i][j] = c
         m = m * Matrix(ZZ, shear, n)
     return m
+
+
+def small_element(ring, rng):
+    if ring == ZZ:
+        return rng.randint(-6, 6)
+    coeffs = [rng.randrange(ring.p) for _ in range(rng.randint(0, 3))]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def assert_smith_pair(m, s, v):
+    """v is unimodular, and m·v spans the row lattice of s."""
+    ring = m.ring
+    assert ring.is_unit(v.det().integral_value())
+    assert Lattice.from_rows(ring, m * v) == Lattice.from_rows(ring, s)
 
 
 class TestHnf:
@@ -78,25 +100,23 @@ class TestHnf:
 
 class TestSnf:
     def test_gcd_lcm(self):
-        s, _, _ = snf(Matrix(ZZ, [[2, 0], [0, 3]], 2))
+        s, _ = snf(Matrix(ZZ, [[2, 0], [0, 3]], 2))
         assert s == Matrix(ZZ, [[1, 0], [0, 6]], 2)
 
     def test_zero(self):
         m = Matrix(ZZ, [[0, 0], [0, 0]], 2)
-        s, _, _ = snf(m)
+        s, _ = snf(m)
         assert s == m
 
     def test_unimodular_input(self):
-        s, _, _ = snf(Matrix.identity(ZZ, 2))
+        s, _ = snf(Matrix.identity(ZZ, 2))
         assert s == Matrix.identity(ZZ, 2)
 
     @settings(max_examples=80, deadline=None)
     @given(dims.flatmap(lambda d: int_matrix(*d)))
     def test_reconstruction_and_chain(self, m):
-        s, u, v = snf(m)
-        assert u * m * v == s
-        assert u.det().integral_value() in (1, -1)
-        assert v.det().integral_value() in (1, -1)
+        s, v = snf(m)
+        assert_smith_pair(m, s, v)
         diag = [s.rows[i][i] for i in range(min(m.nrows, m.ncols))]
         for a, b in zip(diag, diag[1:]):
             if a.is_zero():
@@ -109,16 +129,41 @@ class TestSnf:
                     assert s.rows[i][j].is_zero()
 
     def test_regression_gcd_step_terminates(self):
-        # formerly looped forever: the gcd step could swap pivot and entry
-        # without progress when one already divided the other
+        # a gcd step could once swap pivot and entry without progress when
+        # one already divided the other, and loop forever
         m = Matrix(ZZ, [[-1, -1, 2, 0], [3, -1, 0, 2],
                         [1, -1, 1, 1], [3, 1, -3, 1]], 4)
-        s, u, v = snf(m)
-        assert u * m * v == s
+        s, v = snf(m)
+        assert_smith_pair(m, s, v)
         diag = [s.rows[i][i].integral_value() for i in range(4)]
         for a, b in zip(diag, diag[1:]):
             if a:
                 assert b % a == 0
+
+    @pytest.mark.parametrize("ring", [ZZ, F3T], ids=repr)
+    def test_diagonal_is_determinantal_divisors(self, ring):
+        """d_k = D_k / D_(k-1), for D_k the gcd of the k×k minors, found by
+        enumeration."""
+        rng = random.Random(23)
+        for _ in range(40):
+            nr, nc = rng.randint(1, 4), rng.randint(1, 4)
+            m = Matrix(ring, [[small_element(ring, rng) for _ in range(nc)]
+                              for _ in range(nr)], nc)
+            s, v = snf(m, transform=rng.random() < 0.5)
+            gcds = [ring.one]
+            for k in range(1, min(nr, nc) + 1):
+                g = ring.zero
+                for rows in itertools.combinations(range(nr), k):
+                    for cols in itertools.combinations(range(nc), k):
+                        minor = m.submatrix(rows, cols).det().integral_value()
+                        g = ring.gcd(g, minor)
+                gcds.append(g)
+            for k in range(min(nr, nc)):
+                want = (ring.zero if ring.is_zero(gcds[k + 1])
+                        else ring.exact_div(gcds[k + 1], gcds[k]))
+                assert s.rows[k][k].integral_value() == want
+            if v is not None:
+                assert_smith_pair(m, s, v)
 
     def test_divisors_poly(self):
         t = Frac.of(F2T, (0, 1))
@@ -173,6 +218,60 @@ class TestLattice:
                 seen.append((x, y))
         assert len(seen) == idx
 
+    @pytest.mark.parametrize("ring", [ZZ, F3T], ids=repr)
+    def test_back_substitution_matches_rational_solve(self, ring):
+        """coordinates, contains_rows and lattice_index, which back-substitute
+        against the HNF basis, agree with a rational solve and a
+        determinant, on full-rank and rank-deficient lattices."""
+        rng = random.Random(29)
+        field = FractionField(ring)
+
+        def frac(scale):
+            den = small_element(ring, rng)
+            return Frac(ring, small_element(ring, rng),
+                        ring.one if ring.is_zero(den) or rng.random() > scale
+                        else den)
+
+        def combos(rows, k, scale):
+            out = []
+            for _ in range(k):
+                acc = [frac0(ring)] * len(rows[0])
+                for row in rows:
+                    c = frac(scale)
+                    acc = [a + c * b for a, b in zip(acc, row)]
+                out.append(acc)
+            return out
+
+        kinds = collections.Counter()
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            rank = rng.randint(1, n)
+            lat = Lattice.from_rows(
+                ring, [[frac(0.3) for _ in range(n)] for _ in range(rank)], n)
+            if lat.rank != rank:
+                continue
+            basis = lat.basis.rows
+            for vecs in (combos(basis, 2, 0.0),  # in the lattice
+                         combos(basis, 2, 0.5),  # in its span
+                         [[frac(0.3) for _ in range(n)]]):  # anywhere
+                want = solve(field, basis, vecs)
+                inside = want is not None and all(
+                    x.is_integral() for row in want for x in row)
+                kinds[inside, want is None] += 1
+                assert lat.coordinates(vecs) == want
+                assert lat.contains_rows(vecs) == inside
+            sub = Lattice.from_rows(ring, combos(basis, rank, 0.0), n)
+            if sub.rank == rank:
+                det = Matrix(ring, solve(field, basis, sub.basis.rows),
+                             rank).det()
+                assert lattice_index(sub, lat) == ring.canonical(
+                    det.integral_value())
+                if sub != lat:
+                    with pytest.raises(NotSublattice):
+                        lattice_index(lat, sub)
+        # every case was met: inside, in the span only, outside the span
+        assert set(kinds) == {(True, False), (False, False), (False, True)}
+
     def test_dual_inverse_transpose(self):
         lat = Lattice.from_rows(ZZ, [[2, 1], [0, 3]], 2)
         dual = lat.dual()
@@ -196,5 +295,5 @@ class TestCharpoly:
         cp = m.charpoly()
         # constant term = (-1)^n det; next-to-top coefficient = -trace
         assert cp[0] == -m.det()
-        assert cp[2] == -m.trace()
+        assert cp[2] == -sum(m.rows[i][i] for i in range(3))
         assert str(cp[3]) == "1"

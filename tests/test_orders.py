@@ -12,7 +12,7 @@ from maxord.algebras import (
     quaternion_algebra,
 )
 from maxord import orders
-from maxord.errors import NotIntegral, NotPrime
+from maxord.errors import NotFullRank, NotIntegral, NotPrime
 from maxord.exactlin import Lattice, lattice_index, solve
 from maxord.orders import (
     Order,
@@ -22,15 +22,17 @@ from maxord.orders import (
     idealizer,
     is_maximal_at_p,
     maximal_order,
-    order_closure,
     p_maximal_order,
     radical_mod_p,
     residue_algebra,
     two_sided_ideals_over_p,
 )
 from maxord.rings import ZZ, Frac, poly_ring
-from maxord.selftest import squarefree
-from test_acceptance import brute_force_maximal_order
+from test_acceptance import (
+    brute_force_maximal_order,
+    lattice_product,
+    squarefree,
+)
 from test_certificates import (
     equation_order,
     f2t_inseparable_order,
@@ -62,6 +64,25 @@ def expected_maximal_quadratic(alg, d):
     else:
         rows = [[1, 0], [0, 1]]
     return Order(alg, Lattice.from_rows(ZZ, rows, 2))
+
+
+def order_closure(alg, gens, max_steps=64):
+    """The smallest order containing 1 and the generators: their lattice,
+    closed under products; NotIntegral for a generator whose
+    characteristic polynomial is not over Z."""
+    for g in gens:
+        if not all(c.is_integral() for c in alg.charpoly(g)):
+            raise NotIntegral("generator %r is not integral" % (g,))
+    lat = Lattice.from_rows(
+        alg.ring, [alg.one_coords] + [g.coords for g in gens], alg.dim)
+    for _ in range(max_steps):
+        nxt = lat.add(lattice_product(alg, lat, lat))
+        if nxt == lat:
+            if lat.rank != alg.dim:
+                raise NotFullRank("generators span a proper subalgebra")
+            return Order(alg, lat)
+        lat = nxt
+    raise NotIntegral("multiplicative closure did not stabilize")
 
 
 class TestOrderBasics:

@@ -1,12 +1,12 @@
 """Seeded checks of the two ground rings (Z on plain ints, F_p[t] on
 coefficient tuples), of their fractions, and of lattices built from rows
-against the Hermite form with its transform."""
+against the Hermite form with its transform, and of the Smith transform."""
 
 import random
 
 import pytest
 
-from maxord.exactlin import Lattice, Matrix, hnf
+from maxord.exactlin import Lattice, Matrix, hnf, snf
 from maxord.rings import ZZ, Frac, IntegerRing, PolyRing, poly_ring
 
 F5T = poly_ring(5)
@@ -136,16 +136,21 @@ def random_rows(ring, rng, nrows, ncols):
     return out
 
 
+def tall_matrices(ring):
+    """25 seeded tall matrices of rational rows."""
+    rng = random.Random(19)
+    for _ in range(25):
+        ncols = rng.randint(1, 4)
+        nrows = ncols + rng.randint(1, 4)
+        yield Matrix(ring, random_rows(ring, rng, nrows, ncols), ncols)
+
+
 @pytest.mark.parametrize("ring", [ZZ, F5T], ids=repr)
 def test_from_rows_is_hnf_over_common_denominator(ring):
     """On tall matrices, the canonical basis of Lattice.from_rows is the
     Hermite form with its transform, of the rows times their common
     denominator d, divided by d."""
-    rng = random.Random(19)
-    for _ in range(25):
-        ncols = rng.randint(1, 4)
-        nrows = ncols + rng.randint(1, 4)
-        m = Matrix(ring, random_rows(ring, rng, nrows, ncols), ncols)
+    for m in tall_matrices(ring):
         d = m.denominator_lcm()
         scaled = m.scaled(Frac(ring, d))
         h, u = hnf(scaled)
@@ -154,6 +159,18 @@ def test_from_rows_is_hnf_over_common_denominator(ring):
         nonzero = [row for row in h.rows if any(row)]
         assert lat.basis.scaled(Frac(ring, d)).rows == nonzero
         assert hnf(scaled, transform=False) == (h, None)
+
+
+def test_smith_transform_is_unimodular_over_f5t():
+    """On the cleared tall matrices above, the column transform of the Smith
+    form has a nonzero constant determinant, and m·v spans the lattice of
+    the Smith form."""
+    for m in tall_matrices(F5T):
+        rows, _ = m.cleared()
+        cleared = Matrix(F5T, rows, m.ncols)
+        s, v = snf(cleared)
+        assert F5T.is_unit(v.det().integral_value())
+        assert Lattice.from_rows(F5T, cleared * v) == Lattice.from_rows(F5T, s)
 
 
 def test_denominator_lcm():

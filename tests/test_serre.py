@@ -21,7 +21,6 @@ from maxord.serre import (
     PeriodLattice,
     check_naturality,
     minimal_isogeny,
-    tensor_dimension,
     tensor_isogeny_class,
     tensor_lattice,
 )
@@ -71,7 +70,7 @@ class TestWorkedMultiplicities:
         pres = ModulePresentation(self.order, [], s=1)
         res = tensor_isogeny_class(pres, self.itype, self.emb)
         assert res.factors[0].mult == 2
-        assert tensor_dimension(res) == 2
+        assert res.total_dimension() == 2
 
     def test_bad_embedding_rejected(self):
         bad = Matrix(ZZ, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], 4)
@@ -257,7 +256,7 @@ class TestRandomizedProperties:
             res = tensor_isogeny_class(pres, itype, emb)
             out, _ = tensor_lattice(pres, t)
             # rank of the period lattice = 2·dim of the class (dim D = 2)
-            assert out.lattice.rank == 2 * tensor_dimension(res)
+            assert out.lattice.rank == 2 * res.total_dimension()
 
     def test_invertible_alpha_gives_finite_cokernel(self):
         o = quadratic_order(-1)
