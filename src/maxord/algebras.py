@@ -110,11 +110,6 @@ class Algebra:
                 for i in range(self.dim)]
         return Matrix(self.ring, rows, self.dim)
 
-    def right_mul_matrix(self, a):
-        rows = [self.mul_coords(self.basis_element(i).coords, a.coords)
-                for i in range(self.dim)]
-        return Matrix(self.ring, rows, self.dim)
-
     def charpoly(self, a):
         return self.left_mul_matrix(a).charpoly()
 

@@ -350,25 +350,11 @@ class Matrix:
         return len(rref(FractionField(self.ring), self.rows)[1])
 
     def det(self):
+        """(-1)^n times the constant term of the characteristic polynomial."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of non-square matrix")
-        m = [row[:] for row in self.rows]
-        n = self.nrows
-        det = frac1(self.ring)
-        for j in range(n):
-            p = next((i for i in range(j, n) if m[i][j]), None)
-            if p is None:
-                return frac0(self.ring)
-            if p != j:
-                m[j], m[p] = m[p], m[j]
-                det = -det
-            det = det * m[j][j]
-            inv = m[j][j].inverse()
-            for i in range(j + 1, n):
-                if m[i][j]:
-                    c = m[i][j] * inv
-                    m[i] = [a - c * b for a, b in zip(m[i], m[j])]
-        return det
+        c = charpoly(FractionField(self.ring), self.rows)[0]
+        return -c if self.nrows % 2 else c
 
     def inverse(self):
         x = solve(FractionField(self.ring), self.rows,
@@ -527,7 +513,7 @@ class Lattice:
     allowed.  Equal lattices have identical basis matrices.
     """
 
-    __slots__ = ("ring", "ambient_dim", "basis")
+    __slots__ = ("ring", "ambient_dim", "basis", "_solver")
 
     def __init__(self, ring, ambient_dim, basis, _canonical=False):
         self.ring = ring
@@ -535,6 +521,7 @@ class Lattice:
         if not _canonical:
             raise ValueError("use Lattice.from_rows")
         self.basis = basis
+        self._solver = None
 
     @classmethod
     def from_rows(cls, ring, rows, ambient_dim=None):
@@ -583,17 +570,26 @@ class Lattice:
     def __repr__(self):
         return "Lattice(rank %d in dim %d)" % (self.rank, self.ambient_dim)
 
+    def _solver_data(self):
+        """(h, d, c): the basis is h/d with h over R, and c is the product
+        of h's pivots; computed when first read."""
+        if self._solver is None:
+            ring = self.ring
+            h, d = self.basis.cleared()
+            c = functools.reduce(ring.mul, [next(x for x in r if x) for r in h],
+                                 ring.one)
+            self._solver = h, d, c
+        return self._solver
+
     def coordinates(self, vecs):
         """Rows t with t * basis = v for each v in vecs, or None when some v
         is outside the rational span.  For basis = h/d and vecs = w/e over
         R, (c·e·t)·h = c·d·w is over R for c the product of h's pivots."""
         ring = self.ring
-        h, d = self.basis.cleared()
+        h, d, c = self._solver_data()
         w, e = Matrix(ring, vecs, self.ambient_dim).cleared()
-        c = functools.reduce(ring.mul, [next(x for x in r if x) for r in h],
-                             ring.one)
-        x = solve_echelon(ring, h, [[ring.mul(ring.mul(c, d), y) for y in r]
-                                    for r in w])
+        cd = ring.mul(c, d)
+        x = solve_echelon(ring, h, [[ring.mul(cd, y) for y in r] for r in w])
         return None if x is None else [
             [Frac(ring, y, ring.mul(c, e)) for y in r] for r in x]
 
@@ -608,7 +604,7 @@ class Lattice:
         vecs = w/e over R, whether y·h = d·w has a solution over R with
         e | y (y = e·t)."""
         ring = self.ring
-        h, d = self.basis.cleared()
+        h, d, _ = self._solver_data()
         w, e = Matrix(ring, vecs, self.ambient_dim).cleared()
         y = solve_echelon(ring, h, [[ring.mul(d, x) for x in r] for r in w])
         return y is not None and all(ring.divides(e, x) for r in y for x in r)

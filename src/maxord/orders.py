@@ -40,7 +40,6 @@ class Order:
         if lattice.ambient_dim != self.dim or lattice.rank != self.dim:
             raise NotFullRank("order basis must be square of full rank")
         self.bmat = lattice.basis
-        self._binv = None
         self._struct = None
         self._unit = None
         self._steps = {}
@@ -48,13 +47,6 @@ class Order:
             self.structure_constants()
             if self.unit_coords() is None:
                 raise NotIntegral("order does not contain 1")
-
-    @property
-    def binv(self):
-        """The inverse of the basis matrix, computed when first read."""
-        if self._binv is None:
-            self._binv = self.bmat.inverse()
-        return self._binv
 
     def unit_coords(self):
         """Order coordinates of 1 (ring elements), or None when 1 is not
@@ -65,11 +57,7 @@ class Order:
 
     def order_coords(self, ambient_coords):
         """Integral order-basis coordinates (ring elements), or None."""
-        row = Matrix(self.algebra.ring, [ambient_coords], self.dim)
-        t = (row * self.binv).rows[0]
-        if not all(x.is_integral() for x in t):
-            return None
-        return [x.integral_value() for x in t]
+        return _integral(self.lattice.coordinates([ambient_coords])[0])
 
     def ambient_coords(self, order_coords):
         ring = self.algebra.ring
@@ -80,23 +68,22 @@ class Order:
         return [self.algebra.element(row) for row in self.bmat.rows]
 
     def structure_constants(self):
-        """c[i][j] = order coords of b_i * b_j, as ring elements."""
+        """c[i][j] = order coords of b_i * b_j, as ring elements: all n²
+        products in one back-substitution."""
         if self._struct is None:
-            alg = self.algebra
-            struct = []
-            for i in range(self.dim):
-                row = []
-                for j in range(self.dim):
-                    prod = alg.mul_coords(self.bmat.rows[i], self.bmat.rows[j])
-                    c = self.order_coords(prod)
-                    if c is None:
-                        raise NotIntegral(
-                            "order basis is not multiplicatively closed "
-                            "(b_%d * b_%d escapes)" % (i, j)
-                        )
-                    row.append(c)
-                struct.append(row)
-            self._struct = struct
+            n, mul, rows = self.dim, self.algebra.mul_coords, self.bmat.rows
+            coords = self.lattice.coordinates(
+                [mul(a, b) for a in rows for b in rows])
+            flat = []
+            for k, t in enumerate(coords):
+                c = _integral(t)
+                if c is None:
+                    raise NotIntegral(
+                        "order basis is not multiplicatively closed "
+                        "(b_%d * b_%d escapes)" % divmod(k, n)
+                    )
+                flat.append(c)
+            self._struct = [flat[i * n:(i + 1) * n] for i in range(n)]
         return self._struct
 
     def step_at(self, p):
@@ -114,6 +101,14 @@ class Order:
 
     def __repr__(self):
         return "Order(%r)" % self.lattice
+
+
+def _integral(row):
+    """The entries of a row of Fracs as ring elements, or None when one is
+    not integral."""
+    if not all(x.is_integral() for x in row):
+        return None
+    return [x.integral_value() for x in row]
 
 
 class LatticeIdeal:
@@ -224,30 +219,15 @@ def radical_mod_p(order, p):
     return _ideal_over_p(order, p, lift, res.radical_basis())
 
 
-def idealizer(order, ideal, side="left"):
-    """O_l(I) = {x : xI ⊆ I} (or O_r); an order containing the input.
-
-    A LatticeIdeal, which records its prime, is done over F_p; any other
-    full-rank lattice by the dual of its condition lattice.
-    """
-    if isinstance(ideal, LatticeIdeal):
-        return _idealizer_mod_p(ideal, side)
-    alg, lat = order.algebra, ideal
-    if lat.rank != alg.dim:
-        raise RankDeficient("idealizer needs a full-rank ideal")
-    mul = alg.right_mul_matrix if side == "left" else alg.left_mul_matrix
-    maps = [mul(alg.element(w)) for w in lat.basis.rows]
-    return _stabilizer_order(alg, lat, maps)
-
-
-def _idealizer_mod_p(ideal, side):
-    """O_l(I) = (1/p)·{y ∈ Λ : yI ⊆ pI} for pΛ ⊆ I ⊆ Λ (O_r: Iy ⊆ pI).
+def idealizer(order, ideal):
+    """O_l(I) = (1/p)·{y ∈ Λ : yI ⊆ pI} for an ideal pΛ ⊆ I ⊆ Λ over p; an
+    order containing Λ.
 
     y ↦ (I-coordinates of y·w_k mod p)_k, for w_k an R-basis of I, is
     F_p-linear on Λ/pΛ, so the y form pΛ plus the lifts of a kernel over
     F_p (Cohen, GTM 138, §6.1).  Λ itself when that kernel is 0.
     """
-    order, p = ideal.order, ideal.prime
+    p = ideal.prime
     ring, n = order.algebra.ring, order.dim
     q, scalars, reduce, lift = _residue_maps(ring, p, n)
     # I in Λ-coordinates: the HNF of pΛ + lifts is upper triangular
@@ -257,11 +237,10 @@ def _idealizer_mod_p(ideal, side):
     struct = order.structure_constants()
     cond = []
     for i in range(n):
-        prods = struct[i] if side == "left" else [row[i] for row in struct]
-        # I-coordinates of b_i·w_k (or w_k·b_i), from Λ's structure; the
-        # divisions are exact because that product lies in I
+        # I-coordinates of b_i·w_k, from Λ's structure; the divisions are
+        # exact because that product lies in I
         images = solve_echelon(ring, w,
-                               [_lincomb(ring, wk, prods) for wk in w])
+                               [_lincomb(ring, wk, struct[i]) for wk in w])
         for s in scalars:
             cond.append([x for t in images
                          for x in reduce([ring.mul(s, c) for c in t])])
@@ -340,13 +319,13 @@ def _grown_order(order, p, lattice):
 def _stabilizer_order(alg, lat, maps):
     """The order {x in alg : x·maps[i] ∈ lat for every i}.
 
-    maps[i] multiplies coordinates by the i-th basis vector w_i of lat (on
-    the side being stabilized).  In lattice coordinates x is in the order
-    iff it pairs integrally with every column of maps[i]·basis⁻¹, so the
-    order is the dual of the lattice those columns span.
+    maps[i] multiplies coordinates by the i-th basis vector w_i of lat:
+    x·maps[i] is x·w_i.  In lattice coordinates x is in the order iff it
+    pairs integrally with every column of maps[i]·basis⁻¹, whose rows are
+    those of maps[i] in lattice coordinates, so the order is the dual of
+    the lattice those columns span.
     """
-    binv = lat.basis.inverse()
-    cols = [row for m in maps for row in (m * binv).transpose().rows]
+    cols = [col for m in maps for col in zip(*lat.coordinates(m.rows))]
     col_lat = Lattice.from_rows(alg.ring, cols, alg.dim)
     if col_lat.rank != alg.dim:
         raise InternalError("stabilizer condition system is rank-deficient")

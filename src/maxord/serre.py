@@ -11,11 +11,12 @@ from .errors import (
     ActionMismatch,
     DimensionTooLarge,
     EmbeddingNotAlgebraMap,
+    InternalError,
     NotAModuleMap,
     NotContained,
     NotIntegral,
 )
-from .exactlin import Lattice, Matrix, lattice_index, quotient_space, snf
+from .exactlin import Lattice, Matrix, hnf, lattice_index, quotient_space, snf
 from .algebras import matrix_over_algebra, product_algebra
 from .rings import Frac, frac0, frac1
 
@@ -177,9 +178,27 @@ class PeriodLattice:
     def act(self, element):
         """Action matrix of an arbitrary algebra element (rational coords
         in the order basis are allowed)."""
-        ring = self.order.algebra.ring
-        row = Matrix(ring, [element.coords], self.order.dim)
-        return self._combination((row * self.order.binv).rows[0])
+        return self._combination(
+            self.order.lattice.coordinates([element.coords])[0])
+
+
+def _in_basis(t, m):
+    """B·m·B⁻¹, for B the basis of the full-rank lattice of t: the map m
+    on ambient coordinates, read in lattice coordinates."""
+    lat = t.lattice
+    return Matrix._of(lat.ring, lat.coordinates((lat.basis * m).rows),
+                      lat.rank)
+
+
+def _block_rows(t, elements):
+    """Rows of the block matrix (B·act(x)·B⁻¹) over a matrix of algebra
+    elements x, for B the basis of the lattice of t."""
+    rows = []
+    for row in elements:
+        blocks = [_in_basis(t, t.act(x)).rows for x in row]
+        rows.extend([x for b in blocks for x in b[a]]
+                    for a in range(t.lattice.rank))
+    return rows
 
 
 class IsogenyDescriptor:
@@ -306,17 +325,7 @@ def tensor_lattice(pres, t):
     rho = t.lattice.rank
     if rho != t.lattice.ambient_dim:
         raise ActionMismatch("period lattice must be full rank")
-    binv_t = t.lattice.basis.inverse()
-    rows = []
-    for ti in range(pres.r):
-        for a in range(rho):
-            tau = Matrix(ring, [t.lattice.basis.rows[a]], rho)
-            row = []
-            for u in range(pres.s):
-                img = tau * t.act(pres.alpha[ti][u]) * binv_t
-                row.extend(img.rows[0])
-            rows.append(row)
-    phi = Matrix(ring, rows, pres.s * rho)
+    phi = Matrix(ring, _block_rows(t, pres.alpha), pres.s * rho)
     if not phi.is_integral():
         raise ActionMismatch("presentation does not preserve the lattice")
     s_mat, v_mat = snf(phi)
@@ -330,7 +339,10 @@ def tensor_lattice(pres, t):
     v_mat = Matrix._of(ring, cols, pres.s * rho).transpose()
     proj_cols = v_mat.submatrix(range(pres.s * rho),
                                 range(rank, pres.s * rho))
-    v_inv = v_mat.inverse()
+    # v is unimodular, so its Hermite form is I and the transform is v⁻¹
+    h, v_inv = hnf(v_mat)
+    if h != Matrix.identity(ring, pres.s * rho):
+        raise InternalError("Smith transform is not unimodular")
     section = v_inv.submatrix(range(rank, pres.s * rho),
                               range(pres.s * rho))
     out_lat = Lattice.standard(ring, q)
@@ -339,11 +351,9 @@ def tensor_lattice(pres, t):
         action = []
         for i in range(o.dim):
             # order action in T-basis coordinates, block-diagonal on T^s
-            big_t = _block_diag(
-                ring, t.lattice.basis * t.action[i] * binv_t, pres.s)
+            big_t = _block_diag(ring, _in_basis(t, t.action[i]), pres.s)
             action.append(section * big_t * proj_cols)
-    out = PeriodLattice(o, out_lat, action, prime=t.prime,
-                        validate=action is not None)
+    out = PeriodLattice(o, out_lat, action, prime=t.prime, validate=False)
     out.projection = proj_cols
     out.section = section
     return out, divisors
@@ -449,22 +459,7 @@ def check_naturality(pres1, pres2, phi, t):
     # lattice level
     out1, _ = tensor_lattice(pres1, t)
     out2, _ = tensor_lattice(pres2, t)
-    rho = t.lattice.rank
-    binv_t = t.lattice.basis.inverse()
-    blocks = []
-    for u1 in range(pres1.s):
-        row_blocks = []
-        for u2 in range(pres2.s):
-            row_blocks.append(t.lattice.basis * t.act(phi[u1][u2]) * binv_t)
-        blocks.append(row_blocks)
-    big_rows = []
-    for u1 in range(pres1.s):
-        for i in range(rho):
-            row = []
-            for u2 in range(pres2.s):
-                row.extend(blocks[u1][u2].rows[i])
-            big_rows.append(row)
-    phi_mat = Matrix(ring, big_rows, pres2.s * rho)
+    phi_mat = Matrix(ring, _block_rows(t, phi), pres2.s * t.lattice.rank)
     # the induced map on free quotients, defined via the section of side 1;
     # the square ξ₂∘(φ⊗1) = T(φ)∘ξ₁ commutes iff this agrees with pushing
     # every generator of T^{s1} through φ⊗1 and projecting on side 2 (this

@@ -283,6 +283,17 @@ def _functor_fixture_upper_triangular():
     return o, t, itype, emb
 
 
+def random_presentation(rng, o, r, s):
+    """coker(α) for an r×s matrix α of order elements with small entries."""
+    alg = o.algebra
+    alpha = [
+        [alg.element([Frac.of(ZZ, rng.randint(-3, 3))
+                      for _ in range(alg.dim)]) for _ in range(s)]
+        for _ in range(r)
+    ]
+    return ModulePresentation(o, alpha, s=s)
+
+
 def test_criterion_6_functor_property_suite():
     start = time.monotonic()
     rng = random.Random(20240826)
@@ -294,22 +305,13 @@ def test_criterion_6_functor_property_suite():
     count = 0
     ok = True
 
-    def random_presentation(o, r, s):
-        alg = o.algebra
-        alpha = [
-            [alg.element([Frac.of(ZZ, rng.randint(-3, 3))
-                          for _ in range(alg.dim)]) for _ in range(s)]
-            for _ in range(r)
-        ]
-        return ModulePresentation(o, alpha, s=s)
-
     for o, t, itype, emb in fixtures:
         rho = t.lattice.rank
         binv = t.lattice.basis.inverse()
         for _ in range(34):
             count += 1
             r, s = rng.randint(0, 2), rng.randint(1, 2)
-            pres = random_presentation(o, r, s)
+            pres = random_presentation(rng, o, r, s)
             out, divisors = tensor_lattice(pres, t)
             # (e) lattice rank doubles the class dimension
             res = tensor_isogeny_class(pres, itype, emb)
@@ -358,6 +360,22 @@ def test_criterion_6_functor_property_suite():
     assert count >= 100
     report(6, "functor property suite (%d presentations)" % count, ok,
            60.0, time.monotonic() - start)
+
+
+def test_built_period_lattices_pass_validation():
+    """tensor_lattice builds its period lattice without validating it; on
+    the commutative fixtures of criterion 6, validation accepts every
+    descended action it builds."""
+    rng = random.Random(20240826)
+    checked = 0
+    for o, t, _, _ in (_functor_fixture_z(), _functor_fixture_gaussian()):
+        for _ in range(34):
+            r, s = rng.randint(0, 2), rng.randint(1, 2)
+            out, _ = tensor_lattice(random_presentation(rng, o, r, s), t)
+            if out.action is not None:
+                PeriodLattice(o, out.lattice, out.action)
+                checked += 1
+    assert checked >= 30
 
 
 def test_criterion_7_minimal_isogeny_chains():

@@ -46,6 +46,8 @@ def test_tracer_hooks_read_a_maximal_order_run(tmp_path, capsys):
     assert not tracer.hook_errors
     assert tracer.counts["exactlin.hnf.calls"] > 0
     assert tracer.counts["orders.idealizer.calls"] > 0
+    # coordinates in an order come from back-substitution, not an inverse
+    assert tracer.counts["exactlin.inverse.calls"] == 0
 
 
 def test_tracer_hooks_read_a_serre_lattice_run(tmp_path, capsys):
@@ -65,3 +67,5 @@ def test_tracer_hooks_read_a_serre_lattice_run(tmp_path, capsys):
     assert not tracer.hook_errors
     assert tracer.counts["exactlin.snf.calls"] > 0
     assert tracer.incl["exactlin.snf"] > 0
+    # and so do coordinates in a period lattice and the Smith section
+    assert tracer.counts["exactlin.inverse.calls"] == 0

@@ -297,3 +297,35 @@ class TestCharpoly:
         assert cp[0] == -m.det()
         assert cp[2] == -sum(m.rows[i][i] for i in range(3))
         assert str(cp[3]) == "1"
+
+    @pytest.mark.parametrize("ring", [ZZ, F3T], ids=repr)
+    def test_det_matches_leibniz_sum(self, ring):
+        """det, read off the charpoly, is the signed sum over permutations
+        of products of entries: seeded matrices of sizes 1 to 5 with
+        fractional entries, a third of them with two proportional rows."""
+        rng = random.Random(41)
+
+        def frac():
+            den = small_element(ring, rng)
+            return Frac(ring, small_element(ring, rng),
+                        ring.one if ring.is_zero(den) else den)
+
+        zero = frac0(ring)
+        singular = 0
+        for n in range(1, 6):
+            for k in range(6):
+                rows = [[frac() for _ in range(n)] for _ in range(n)]
+                if n > 1 and k % 3 == 0:
+                    c = frac()
+                    rows[-1] = [c * x for x in rows[0]]
+                want = zero
+                for perm in itertools.permutations(range(n)):
+                    term = Frac.of(ring, (-1) ** sum(
+                        perm[i] > perm[j] for i in range(n)
+                        for j in range(i + 1, n)))
+                    for i, j in enumerate(perm):
+                        term = term * rows[i][j]
+                    want = want + term
+                singular += want.is_zero()
+                assert Matrix(ring, rows, n).det() == want
+        assert singular >= 8

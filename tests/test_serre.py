@@ -1,17 +1,23 @@
+import collections
 import random
 
 import pytest
 
-from maxord.algebras import Algebra, poly_quotient_algebra
+from maxord.algebras import (
+    Algebra,
+    poly_quotient_algebra,
+    quaternion_algebra,
+)
 from maxord.errors import (
     ActionMismatch,
     EmbeddingNotAlgebraMap,
     NotAModuleMap,
     NotContained,
+    NotIntegral,
 )
 from maxord.exactlin import Lattice, Matrix
 from maxord.orders import Order, maximal_order
-from maxord.rings import ZZ, Frac
+from maxord.rings import ZZ, Frac, poly_ring
 from maxord import serre
 from maxord.selftest import upper_triangular_order
 from maxord.serre import (
@@ -24,8 +30,10 @@ from maxord.serre import (
     tensor_isogeny_class,
     tensor_lattice,
 )
+from test_exactlin import small_element
 
 HALF = Frac(ZZ, 1, 2)
+F3T = poly_ring(3)
 
 RATIONAL = Algebra(ZZ, [[[1]]], [1], trusted_semisimple=True)
 
@@ -276,3 +284,126 @@ class TestRandomizedProperties:
                 prod *= abs(d)
             det = abs(rel.det().integral_value())
             assert prod == det
+
+
+def base_orders(ring):
+    """(algebra, lattice rows) of orders whose bases have denominators or
+    are standard: over Z, Z[x/2] in Q[x]/(x^2 - 20), Z[x] in Q[x]/(x^3 - 2)
+    and the Hurwitz order; over F_3[t], F_3[t][x/t] in F_3(t)[x]/(x^2 -
+    t^2(t + 1)), F_3[t][x] in F_3(t)[x]/(x^3 - t) and the standard order
+    of (t, t + 1 | F_3(t))."""
+    def standard(n):
+        return [[Frac.of(ring, ring.one if i == j else ring.zero)
+                 for j in range(n)] for i in range(n)]
+
+    if ring == ZZ:
+        return [
+            (poly_quotient_algebra(ZZ, [-20, 0, 1]), [[1, 0], [0, HALF]]),
+            (poly_quotient_algebra(ZZ, [-2, 0, 0, 1]), standard(3)),
+            (quaternion_algebra(ZZ, -1, -1),
+             [[HALF] * 4, [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+        ]
+    t = (0, 1)
+    return [
+        (poly_quotient_algebra(ring, [(0, 0, 2, 2), (), (1,)]),
+         [[(1,), ()], [(), Frac(ring, (1,), t)]]),
+        (poly_quotient_algebra(ring, [(0, 2), (), (), (1,)]), standard(3)),
+        (quaternion_algebra(ring, Frac(ring, t), Frac(ring, (1, 1))),
+         standard(4)),
+    ]
+
+
+def basis_inverse_struct(alg, lat):
+    """The structure constants of the order on lat through the inverse of
+    its basis, or the message of the first pair (i, j) in order whose
+    product escapes."""
+    binv = lat.basis.inverse()
+    rows = lat.basis.rows
+    struct = []
+    for i, a in enumerate(rows):
+        struct.append([])
+        for j, b in enumerate(rows):
+            t = (Matrix(alg.ring, [alg.mul_coords(a, b)], alg.dim)
+                 * binv).rows[0]
+            if not all(x.is_integral() for x in t):
+                return ("order basis is not multiplicatively closed "
+                        "(b_%d * b_%d escapes)" % (i, j))
+            struct[-1].append([x.integral_value() for x in t])
+    return struct
+
+
+@pytest.mark.parametrize("ring", [ZZ, F3T], ids=repr)
+def test_coordinates_match_basis_inverse(ring):
+    """Structure constants, unit and order coordinates, PeriodLattice.act
+    and _in_basis, all read by back-substitution, agree with products by
+    the inverse of the basis, on seeded orders R + c·Λ and R[a] inside the
+    base orders, on period lattices Λ·y, and on lattices containing 1 that
+    are not closed, which raise with the message of the first escape."""
+    rng = random.Random(37)
+
+    def frac(scale):
+        den = small_element(ring, rng)
+        return Frac(ring, small_element(ring, rng),
+                    ring.one if ring.is_zero(den) or rng.random() > scale
+                    else den)
+
+    kinds = collections.Counter()
+    for alg, base in base_orders(ring) * 6:
+        n, mul = alg.dim, alg.mul_coords
+        base = Lattice.from_rows(ring, base, n).basis.rows
+        c = Frac.of(ring, small_element(ring, rng))
+        coeffs = [Frac.of(ring, small_element(ring, rng)) for _ in base]
+        a = [sum((k * x for k, x in zip(coeffs, col)), Frac.of(ring, 0))
+             for col in zip(*base)]
+        powers = [alg.one_coords]
+        while len(powers) < n:
+            powers.append(mul(powers[-1], a))
+        candidates = [[alg.one_coords] + [[c * x for x in b] for b in base],
+                      powers,
+                      [alg.one_coords] + [[frac(0.5) for _ in range(n)]
+                                          for _ in range(n - 1)]]
+        for rows in candidates:
+            lat = Lattice.from_rows(ring, rows, n)
+            if lat.rank != n:
+                continue
+            want = basis_inverse_struct(alg, lat)
+            if isinstance(want, str):
+                with pytest.raises(NotIntegral) as err:
+                    Order(alg, lat)
+                assert str(err.value) == want
+                kinds["escapes"] += 1
+                continue
+            kinds["closed"] += 1
+            o = Order(alg, lat)
+            binv = lat.basis.inverse()
+
+            def ref_coords(vec):
+                return (Matrix(ring, [vec], n) * binv).rows[0]
+
+            assert o.structure_constants() == want
+            assert o.unit_coords() == [
+                x.integral_value() for x in ref_coords(alg.one_coords)]
+            for v in ([frac(0.0) for _ in range(n)],
+                      [frac(0.5) for _ in range(n)]):
+                ref = ref_coords(v)
+                assert o.order_coords(v) == (
+                    [x.integral_value() for x in ref]
+                    if all(x.is_integral() for x in ref) else None)
+            # the period lattice Λ·y, with Λ acting by left multiplication
+            y = [frac(0.0) for _ in range(n)]
+            t_rows = [mul(b, y) for b in lat.basis.rows]
+            if Lattice.from_rows(ring, t_rows, n).rank != n:
+                t_rows = lat.basis.rows
+            action = [alg.left_mul_matrix(alg.element(b))
+                      for b in lat.basis.rows]
+            t = PeriodLattice(o, Lattice.from_rows(ring, t_rows, n), action)
+            x = alg.element([frac(0.5) for _ in range(n)])
+            ref = Matrix(ring, [[0] * n for _ in range(n)], n)
+            for k, m in zip(ref_coords(x.coords), action):
+                ref = ref + m.scaled(k)
+            assert t.act(x) == ref == alg.left_mul_matrix(x)
+            m = Matrix(ring, [[frac(0.5) for _ in range(n)]
+                              for _ in range(n)], n)
+            tb = t.lattice.basis
+            assert serre._in_basis(t, m) == tb * m * tb.inverse()
+    assert kinds["closed"] >= 8 and kinds["escapes"] >= 6, kinds
