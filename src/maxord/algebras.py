@@ -110,9 +110,6 @@ class Algebra:
                 for i in range(self.dim)]
         return Matrix(self.ring, rows, self.dim)
 
-    def charpoly(self, a):
-        return self.left_mul_matrix(a).charpoly()
-
     def min_poly(self, a):
         """Monic minimal polynomial coefficients, lowest degree first."""
         return power_relation(self.field, self.one_coords,

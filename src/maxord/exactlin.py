@@ -363,12 +363,6 @@ class Matrix:
             raise ValueError("matrix is singular or not square")
         return Matrix._of(self.ring, x, self.ncols)
 
-    def charpoly(self):
-        """Coefficients of det(xI - self), lowest degree first, monic."""
-        if self.nrows != self.ncols:
-            raise ValueError("charpoly of non-square matrix")
-        return charpoly(FractionField(self.ring), self.rows)
-
 
 # ---------------------------------------------------------------------------
 # Hermite and Smith normal forms (row style, over the ground ring)

@@ -119,11 +119,6 @@ def format_matrix(m):
 
 # -- polynomial strings (for poly_quotient moduli) --------------------------
 
-_TERM = re.compile(
-    r"^(?P<coef>[^*a-su-z]*?)\*?(?P<var>[a-su-z])?(?:\^(?P<exp>\d+))?$"
-)
-
-
 def parse_poly_string(ring, s, var="x"):
     """Parse a monic-friendly polynomial like "x^2-5" or "x^2+t" into a
     coefficient list (lowest degree first) of Frac over the ring.
@@ -261,7 +256,13 @@ def parse_isogeny_type(obj):
     mults = [f.mult for f in factors]
     if min(mults, default=0) < 0 or not any(mults):
         raise ParseError("multiplicities must be >= 0, not all 0", "/factors")
-    return IsogenyType(factors)
+    itype = IsogenyType(factors)
+    # the model algebra ∏ Mat_mult(D) is built like a Mat_n shorthand
+    dim = itype.model_dim()
+    if dim > MAX_SHORTHAND_DIM:
+        raise ParseError("model algebra dimension %d is above %d"
+                         % (dim, MAX_SHORTHAND_DIM), "/factors")
+    return itype
 
 
 def parse_presentation(obj, order=None):

@@ -9,16 +9,15 @@ lattices carrying an explicit order action.
 
 from .errors import (
     ActionMismatch,
-    DimensionTooLarge,
     EmbeddingNotAlgebraMap,
     InternalError,
     NotAModuleMap,
     NotContained,
     NotIntegral,
 )
-from .exactlin import Lattice, Matrix, hnf, lattice_index, quotient_space, snf
+from .exactlin import Lattice, Matrix, hnf, lattice_index, snf
 from .algebras import matrix_over_algebra, product_algebra
-from .rings import Frac, frac0, frac1
+from .rings import Frac, frac0
 
 
 class IsogenyFactor:
@@ -50,31 +49,26 @@ class IsogenyType:
             for f, m in zip(self.factors, mults)
         ])
 
-    def model(self):
-        """(E, idempotent coords per factor, block data) for E = ∏ Mat_n(D).
+    def model_dim(self):
+        """dim E for the model algebra E = ∏ Mat_n(D) of model()."""
+        return sum(f.mult ** 2 * f.endo.dim for f in self.factors)
 
-        Factors of multiplicity 0 contribute nothing; their idempotent is
-        the zero vector.
+    def model(self):
+        """(E, coordinate range of each factor's block) for E = ∏ Mat_n(D).
+
+        Factors of multiplicity 0 contribute nothing; their range is empty.
         """
         live = [f for f in self.factors if f.mult > 0]
         if not live:
             raise ValueError("cannot build the model of the zero type")
         blocks = [matrix_over_algebra(f.endo, f.mult) for f in live]
         big = product_algebra(blocks) if len(blocks) > 1 else blocks[0]
-        ring = big.ring
-        eps = []
-        offset = 0
-        pos = 0
+        ranges, offset = [], 0
         for f in self.factors:
-            coords = [frac0(ring)] * big.dim
-            if f.mult > 0:
-                blk = blocks[pos]
-                for t, c in enumerate(blk.one_coords):
-                    coords[offset + t] = c
-                offset += blk.dim
-                pos += 1
-            eps.append(big.element(coords))
-        return big, eps
+            size = f.mult ** 2 * f.endo.dim
+            ranges.append(range(offset, offset + size))
+            offset += size
+        return big, ranges
 
     def __repr__(self):
         return "[" + " x ".join(repr(f) for f in self.factors) + "]"
@@ -212,18 +206,18 @@ class IsogenyDescriptor:
 
 
 def tensor_isogeny_class(pres, itype, embedding):
-    """Isogeny type of M ⊗_O A.
+    """Isogeny type of M ⊗_O A, read off M ⊗_O E = E^s / α·E^r (the tensor
+    product is right exact) one factor block B = Mat_n(D) of E at a time.
 
-    `embedding` is an (order dim)×(dim E) matrix giving the image of each
-    order basis element inside the type's model algebra E.
+    `embedding` is an (order dim)×(dim E) matrix whose rows are the images
+    of the order's basis elements inside the type's model algebra E.
     """
     o = pres.order
-    alg = o.algebra
-    ring = alg.ring
+    ring = o.algebra.ring
     n = o.dim
-    E, eps = itype.model()
-    if embedding.nrows != n or embedding.ncols != E.dim:
+    if embedding.nrows != n or embedding.ncols != itype.model_dim():
         raise EmbeddingNotAlgebraMap("embedding matrix has the wrong shape")
+    E, ranges = itype.model()
     emb = [E.element(row) for row in embedding.rows]
     struct = o.structure_constants()
     acc = E.zero()
@@ -241,62 +235,22 @@ def tensor_isogeny_class(pres, itype, embedding):
                 raise EmbeddingNotAlgebraMap(
                     "multiplicativity fails on basis pair (%d, %d)" % (i, j)
                 )
-
-    # V = coker(alpha) ⊗ Q inside K^(s·dimA)
-    s, na = pres.s, alg.dim
-    rel_rows = pres.image_rows([b.coords for b in alg.basis()])
-    proj_v, section_v, dv = quotient_space(alg.field, rel_rows, s * na)
-    de = E.dim
-    if dv * de > 4096:
-        raise DimensionTooLarge("dim V · dim E = %d exceeds 4096" % (dv * de))
-    if dv == 0:
-        return itype.with_multiplicities([0] * len(itype.factors))
-
-    def v_times_basis(vq, a):
-        amb = section_v(vq)
-        out = []
-        ba = alg.basis_element(a).coords
-        for u in range(s):
-            block = amb[u * na:(u + 1) * na]
-            out.extend(alg.mul_coords(block, ba))
-        return proj_v(out)
-
-    # W = V ⊗ E; relations (v·b_a) ⊗ e  -  v ⊗ (emb_a·e)
-    def widx(x, y):
-        return x * de + y
-
-    wrel = []
-    for x in range(dv):
-        vq = [frac1(ring) if t == x else frac0(ring) for t in range(dv)]
-        for a in range(n):
-            va = v_times_basis(vq, a)
-            for y in range(de):
-                ce = emb[a] * E.basis_element(y)
-                row = [frac0(ring)] * (dv * de)
-                for t in range(dv):
-                    if va[t]:
-                        row[widx(t, y)] = row[widx(t, y)] + va[t]
-                for t in range(de):
-                    if ce.coords[t]:
-                        row[widx(x, t)] = row[widx(x, t)] - ce.coords[t]
-                wrel.append(row)
-    proj_w, _, _ = quotient_space(alg.field, wrel, dv * de)
+    s = pres.s
+    flat = [a.coords for row in pres.alpha for a in row]
+    images = (Matrix(ring, o.lattice.coordinates(flat), n) * embedding).rows
     mults = []
-    for f, ep in zip(itype.factors, eps):
+    for f, block in zip(itype.factors, ranges):
         if f.mult == 0:
             mults.append(0)
             continue
-        img_rows = []
-        for x in range(dv):
-            for y in range(de):
-                img = E.basis_element(y) * ep
-                row = [frac0(ring)] * (dv * de)
-                for t in range(de):
-                    if img.coords[t]:
-                        row[widx(x, t)] = img.coords[t]
-                img_rows.append(proj_w(row))
-        qdim = len(img_rows[0]) if img_rows else 0
-        dim_img = Matrix(ring, img_rows, qdim).rank() if qdim else 0
+        # the relations α·(y·e_t) for y in B, which lie in B^s as B is an
+        # ideal of E
+        basis = [E.basis_element(y).coords for y in block]
+        lo, hi = block.start, block.stop
+        rows = [[x for u in range(s)
+                 for x in E.mul_coords(images[t * s + u], y)[lo:hi]]
+                for t in range(pres.r) for y in basis]
+        dim_img = s * len(block) - Matrix(ring, rows, s * len(block)).rank()
         denom = f.mult * f.endo.dim
         if dim_img % denom:
             raise ActionMismatch(
@@ -393,18 +347,13 @@ def minimal_isogeny(o, o_prime, itype, lattices):
     ring = o.algebra.ring
     per = []
     degree = ring.one
+    prime_basis = o_prime.basis_elements()
     for t in lattices:
-        cur = t.lattice
-        prime_basis = o_prime.basis_elements()
-        while True:
-            rows = list(cur.basis.rows)
-            for b in prime_basis:
-                img = cur.basis * t.act(b)
-                rows.extend(img.rows)
-            nxt = Lattice.from_rows(ring, rows, cur.ambient_dim)
-            if nxt == cur:
-                break
-            cur = nxt
+        # O'·T = Σ b·T is O'-stable, as O' is closed under products, and
+        # holds T, as 1 lies in O'
+        cur = Lattice.from_rows(
+            ring, [r for b in prime_basis for r in
+                   (t.lattice.basis * t.act(b)).rows], t.lattice.ambient_dim)
         # elementary divisors of cur/t.lattice
         cmat = Matrix(ring, cur.coordinates(t.lattice.basis.rows), cur.rank)
         if not cmat.is_integral():

@@ -12,7 +12,7 @@ from maxord.algebras import (
     quaternion_algebra,
 )
 from maxord.errors import BadIdempotents, NotSemisimple
-from maxord.exactlin import FractionField, Lattice, Matrix, solve
+from maxord.exactlin import FractionField, Lattice, Matrix, charpoly, solve
 from maxord.orders import Order, discriminant, maximal_order
 from maxord.rings import ZZ, Frac, frac1, pnorm, poly_ring
 
@@ -81,7 +81,7 @@ class TestStructure:
         x = a.basis_element(1)
         mp = a.min_poly(x)
         assert [str(c) for c in mp] == ["-2", "0", "1"]
-        cp = a.charpoly(x)
+        cp = charpoly(FractionField(ZZ), a.left_mul_matrix(x).rows)
         assert [str(c) for c in cp] == ["-2", "0", "1"]
 
     def test_trace(self):

@@ -8,7 +8,7 @@ import os
 
 import maxord
 import maxord.cli  # noqa: F401  (imports every module the tracer wraps)
-from test_cli import SERRE_LATTICE_DOC
+from test_cli import SERRE_CLASS_DOC, SERRE_LATTICE_DOC
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                       "perfbench", "tracer.py")
@@ -53,7 +53,7 @@ def test_tracer_hooks_read_a_maximal_order_run(tmp_path, capsys):
 def test_tracer_hooks_read_a_serre_lattice_run(tmp_path, capsys):
     # snf calls hnf, whose hook reads the matrix it is given and the first
     # matrix it returns
-    from test_cli import SERRE_LATTICE_DOC
+    from test_cli import SERRE_CLASS_DOC, SERRE_LATTICE_DOC
 
     path = tmp_path / "lattice.json"
     path.write_text(json.dumps(SERRE_LATTICE_DOC))
@@ -69,3 +69,20 @@ def test_tracer_hooks_read_a_serre_lattice_run(tmp_path, capsys):
     assert tracer.incl["exactlin.snf"] > 0
     # and so do coordinates in a period lattice and the Smith section
     assert tracer.counts["exactlin.inverse.calls"] == 0
+
+
+def test_tracer_hooks_read_a_serre_class_run(tmp_path, capsys):
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps(SERRE_CLASS_DOC))
+    tracer = make_tracer()
+    try:
+        assert tracer.install() == []
+        assert maxord.cli.main(["serre-class", str(path)]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert not tracer.hook_errors
+    assert tracer.counts["serre.tensor_isogeny_class.calls"] == 1
+    # one rank per factor block of positive multiplicity, and no quotient
+    # spaces
+    assert tracer.counts["exactlin.rref.calls"] == 1

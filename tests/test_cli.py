@@ -157,6 +157,10 @@ def without(doc, key):
     ("serre-class", dict(SERRE_CLASS_DOC, type={"factors": [
         {"label": "E", "dim": 1, "endo": "Q", "mult": -1}]}),
      "/type/factors"),
+    # a model algebra Mat_9(Q) of dimension 81 > 64
+    ("serre-class", dict(SERRE_CLASS_DOC, type={"factors": [
+        {"label": "E", "dim": 1, "endo": "Q", "mult": 9}]}),
+     "/type/factors"),
 ])
 def test_malformed_document_is_parse_error(tmp_path, capsys, command, doc,
                                            location):

@@ -13,7 +13,8 @@ from maxord.algebras import (
 )
 from maxord import orders
 from maxord.errors import NotFullRank, NotIntegral, NotPrime
-from maxord.exactlin import Lattice, Matrix, lattice_index, solve
+from maxord.exactlin import (FractionField, Lattice, Matrix, charpoly,
+                              lattice_index, solve)
 from maxord.orders import (
     Order,
     candidate_primes,
@@ -71,7 +72,8 @@ def order_closure(alg, gens, max_steps=64):
     closed under products; NotIntegral for a generator whose
     characteristic polynomial is not over Z."""
     for g in gens:
-        if not all(c.is_integral() for c in alg.charpoly(g)):
+        if not all(c.is_integral() for c in charpoly(
+                FractionField(alg.ring), alg.left_mul_matrix(g).rows)):
             raise NotIntegral("generator %r is not integral" % (g,))
     lat = Lattice.from_rows(
         alg.ring, [alg.one_coords] + [g.coords for g in gens], alg.dim)

@@ -1,4 +1,5 @@
 import collections
+import fractions
 import random
 
 import pytest
@@ -85,6 +86,76 @@ class TestWorkedMultiplicities:
         pres = ModulePresentation(self.order, [], s=1)
         with pytest.raises(EmbeddingNotAlgebraMap):
             tensor_isogeny_class(pres, self.itype, bad)
+
+
+def rational_rank(rows):
+    """Rank over Q by elimination on Fractions, independent of exactlin."""
+    rows = [[fractions.Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for j in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            q = rows[i][j] / rows[rank][j]
+            rows[i] = [a - q * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+class TestMultiplicitiesOverSplitOrders:
+    """Z[c·x] inside Q[x]/∏(x − rᵢ), tensored against ∏ Eᵢ^mᵢ with x sent
+    to rᵢ on factor i: the multiplicity of Eᵢ is mᵢ·(s − rank α(rᵢ)).  For
+    c > 1 the order's basis (c·x)^j is not the algebra's basis x^j."""
+
+    def split_case(self, rng, c):
+        k = rng.randint(2, 3)
+        roots = rng.sample(range(-3, 4), k)
+        f = [1]
+        for root in roots:
+            f = [a - root * b for a, b in zip([0] + f, f + [0])]
+        alg = poly_quotient_algebra(ZZ, [Frac.of(ZZ, a) for a in f],
+                                    trusted_semisimple=True)
+        order = Order(alg, Lattice.from_rows(ZZ, [
+            [c ** j if i == j else 0 for i in range(k)] for j in range(k)]))
+        mults = [rng.randint(1, 2) for _ in roots]
+        if rng.random() < 0.5:
+            mults[rng.randrange(k)] = 0
+        width = sum(m * m for m in mults)
+        emb, off = [[0] * width for _ in range(k)], 0
+        for root, m in zip(roots, mults):
+            for j in range(k):
+                for d in range(m):
+                    emb[j][off + d * m + d] = (c * root) ** j
+            off += m * m
+        # α = U·diag(c·x − c·ρ)·V, each ρ a root or not: entry (t, w) is
+        # a·(c·x) + b, which lies in Z[c·x]
+        r, s = rng.randint(1, 2), rng.randint(1, 3)
+        rhos = [rng.choice(roots + [4]) for _ in range(r)]
+        u = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(r)]
+        v = [[rng.randint(-2, 2) for _ in range(s)] for _ in range(r)]
+        ab = [[(sum(u[t][q] * v[q][w] for q in range(r)),
+                -c * sum(u[t][q] * v[q][w] * rhos[q] for q in range(r)))
+               for w in range(s)] for t in range(r)]
+        alpha = [[alg.element([Frac.of(ZZ, x)
+                               for x in [b, c * a] + [0] * (k - 2)])
+                  for a, b in row] for row in ab]
+        expected = [m * (s - rational_rank([[b + c * a * root for a, b in row]
+                                            for row in ab]))
+                    for root, m in zip(roots, mults)]
+        itype = IsogenyType([IsogenyFactor("E%d" % i, 1, RATIONAL, m)
+                             for i, m in enumerate(mults)])
+        return (ModulePresentation(order, alpha), itype,
+                Matrix(ZZ, emb, width), expected)
+
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    def test_matches_closed_form(self, c):
+        rng = random.Random("split/%d" % c)
+        for _ in range(20):
+            pres, itype, emb, expected = self.split_case(rng, c)
+            res = tensor_isogeny_class(pres, itype, emb)
+            assert [f.mult for f in res.factors] == expected
 
 
 class TestTensorLattice:
@@ -176,6 +247,19 @@ class TestMinimalIsogeny:
         t2 = standard_period_lattice(self.o, prime=3)
         desc = minimal_isogeny(self.o, self.o_prime, self.itype, [t1, t2])
         assert desc.degree == 4
+
+    def test_acts_once_per_basis_element(self, monkeypatch):
+        calls = []
+        real = PeriodLattice.act
+
+        def counted(t, element):
+            calls.append(element)
+            return real(t, element)
+
+        monkeypatch.setattr(PeriodLattice, "act", counted)
+        lattices = [standard_period_lattice(self.o, prime=p) for p in (2, 3)]
+        minimal_isogeny(self.o, self.o_prime, self.itype, lattices)
+        assert len(calls) == self.o_prime.dim * len(lattices)
 
     def test_not_contained_rejected(self):
         t = standard_period_lattice(self.o_prime)
