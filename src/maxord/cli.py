@@ -216,11 +216,10 @@ def cmd_minimal_isogeny(args):
                            lambda o: parse_order(o, algebra=order.algebra))
         lattices = parse_at(doc, "lattices", lambda ts: [
             parse_period_lattice(t, order) for t in ts])
-        itype = parse_at(doc, "type", parse_isogeny_type)
-        return order, o_prime, itype, lattices
+        return order, o_prime, lattices
 
-    order, o_prime, itype, lattices = _load(args.input, parse)
-    desc = minimal_isogeny(order, o_prime, itype, lattices)
+    order, o_prime, lattices = _load(args.input, parse)
+    desc = minimal_isogeny(order, o_prime, lattices)
     ring = order.algebra.ring
     _emit({
         "degree": ring.to_str(desc.degree),

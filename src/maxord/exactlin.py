@@ -289,8 +289,7 @@ class Matrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("matrix shape mismatch")
-        zero = frac0(self.ring)
-        out = []
+        zero, out = frac0(self.ring), []
         for row in self.rows:
             acc = [zero] * other.ncols
             for a, brow in zip(row, other.rows):
@@ -453,6 +452,20 @@ def solve_echelon(ring, basis, rows):
         if any(v):
             return None
         out.append(x)
+    return out
+
+
+def matmul(ring, a, b):
+    """a·b for matrices over R given by their rows, over the nonzero
+    entries only."""
+    add, mul = ring.add, ring.mul
+    terms = [[(k, y) for k, y in enumerate(row) if y] for row in b]
+    out = [[ring.zero] * len(b[0]) for _ in a]
+    for row, acc in zip(a, out):
+        for c, ts in zip(row, terms):
+            if c:
+                for k, y in ts:
+                    acc[k] = add(acc[k], mul(c, y))
     return out
 
 

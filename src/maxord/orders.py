@@ -3,6 +3,7 @@ p-maximalization, maximality certificates, ideal enumeration, and
 endomorphism orders."""
 
 import functools
+import operator
 
 from .errors import (
     BoundExceeded,
@@ -21,6 +22,7 @@ from .exactlin import (
     hnf,
     kernel,
     lattice_index,
+    matmul,
     solve_echelon,
 )
 from .finitealg import FiniteAlgebra
@@ -42,6 +44,7 @@ class Order:
         self.bmat = lattice.basis
         self._struct = None
         self._unit = None
+        self._disc = None
         self._steps = {}
         if validate:
             self.structure_constants()
@@ -151,38 +154,39 @@ class LatticeIdeal:
 
 
 def _residue_maps(ring, p, n):
-    """(q, scalars, reduce, lift) for Λ/pΛ as a space over F_q, q the
+    """(q, d, reduce, lift, powers) for Λ/pΛ as a space over F_q, q the
     characteristic of R/p and Λ of rank n.
 
-    Residue slot i·d + e stands for scalars[e]·b_i, where the scalars are
-    an F_q-basis of R/p: 1 over Z, and t^e (e < d = deg p) over F_q[t].
-    reduce maps R-coordinates to residue coordinates; lift picks the
-    representatives in [0, q) or of degree < d.
+    Residue slot i·d + e stands for t^e·b_i, e < d: d = 1 over Z, d = deg p
+    over F_q[t].  reduce maps R-coordinates to residue coordinates; lift
+    picks the representatives in [0, q) or of degree < d; powers(v, k) is
+    [v, t·v, ..., t^(k-1)·v] in residue coordinates.
     """
     if ring.characteristic == 0:
         q = p if p > 0 else -p
-
-        def reduce(coords):
-            return [c % q for c in coords]
-
-        def lift(res_coords):
-            return [int(c) for c in res_coords]
-
-        return q, [1], reduce, lift
+        return (q, 1, lambda coords: [c % q for c in coords],
+                lambda res: [int(c) for c in res], lambda v, k: [v])
 
     q, d = ring.p, len(p) - 1
+    # t^d ≡ Σ_e tail[e]·t^e mod p
+    tail = [(-c * pow(p[-1], q - 2, q)) % q for c in p[:d]]
 
     def reduce(coords):
-        out = []
-        for c in coords:
-            r = ring.divmod(c, p)[1]
-            out.extend(r + (0,) * (d - len(r)))
-        return out
+        rs = [ring.divmod(c, p)[1] for c in coords]
+        return [x for r in rs for x in r + (0,) * (d - len(r))]
 
     def lift(res_coords):
         return [pnorm(res_coords[k * d:(k + 1) * d], q) for k in range(n)]
 
-    return q, [(0,) * e + (1,) for e in range(d)], reduce, lift
+    def powers(v, k):
+        out = [v]
+        while len(out) < k:
+            v = [(x + v[b + d - 1] * c) % q for b in range(0, len(v), d)
+                 for x, c in zip([0] + v[b:b + d - 1], tail)]
+            out.append(v)
+        return out
+
+    return q, d, reduce, lift, powers
 
 
 def residue_algebra(order, p):
@@ -190,17 +194,17 @@ def residue_algebra(order, p):
 
     For a polynomial ground ring and a prime of degree d the residue field
     F_{p^d} is restricted to F_p, so the output dimension is dim(Λ)·d and
-    basis slot (i, e) stands for b_i·t^e.
+    basis slot (i, e) stands for b_i·t^e.  Each structure constant is
+    reduced mod p once; t^(e+f)·c_ij comes from it by multiplications by t.
     """
     ring = order.algebra.ring
     if not ring.is_prime(p):
         raise NotPrime("%s is not prime in the ground ring" % ring.to_str(p))
-    struct = order.structure_constants()
-    q, scalars, reduce, lift = _residue_maps(ring, p, order.dim)
-    mul = ring.mul
-    slots = [(i, s) for i in range(order.dim) for s in scalars]
-    table = [[reduce([mul(mul(si, sj), c) for c in struct[i][j]])
-              for j, sj in slots] for i, si in slots]
+    struct, n = order.structure_constants(), order.dim
+    q, d, reduce, lift, powers = _residue_maps(ring, p, n)
+    pw = [[powers(reduce(c), 2 * d - 1) for c in row] for row in struct]
+    table = [[pw[a // d][b // d][a % d + b % d] for b in range(n * d)]
+             for a in range(n * d)]
     return FiniteAlgebra(q, table, reduce(order.unit_coords())), reduce, lift
 
 
@@ -215,8 +219,7 @@ def _ideal_over_p(order, p, lift, residue_rows):
 
 def radical_mod_p(order, p):
     """Two-sided ideal J with J/pΛ = Jacobson radical of Λ/pΛ."""
-    res, _, lift = residue_algebra(order, p)
-    return _ideal_over_p(order, p, lift, res.radical_basis())
+    return _radical_and_maximal(order, p)[0]
 
 
 def idealizer(order, ideal):
@@ -226,24 +229,34 @@ def idealizer(order, ideal):
     y ↦ (I-coordinates of y·w_k mod p)_k, for w_k an R-basis of I, is
     F_p-linear on Λ/pΛ, so the y form pΛ plus the lifts of a kernel over
     F_p (Cohen, GTM 138, §6.1).  Λ itself when that kernel is 0.
+
+    Lemma: for W the basis of I in Λ-coordinates, M = p·W⁻¹ is integral,
+    as pΛ ⊆ I, and v ∈ I has I-coordinates v·M/p.  If v ≡ v′ mod p²Λ then
+    v·M/p − v′·M/p = p·(u·M) ≡ 0 mod p for some u over R.  So the
+    conditions mod p come from W, M and Λ's structure constants, all mod
+    p², with one exact division by p at the end.
     """
     p = ideal.prime
     ring, n = order.algebra.ring, order.dim
-    q, scalars, reduce, lift = _residue_maps(ring, p, n)
+    q, d, reduce, lift, powers = _residue_maps(ring, p, n)
+    p2 = ring.mul(p, p)
+
+    def mod_p2(row):
+        return [ring.divmod(x, p2)[1] if x else x for x in row]
+
     # I in Λ-coordinates: the HNF of pΛ + lifts is upper triangular
-    rows = [[p if a == b else ring.zero for b in range(n)] for a in range(n)]
-    h, _ = hnf(Matrix(ring, rows + list(ideal.lifts), n), transform=False)
+    eye = [[p if a == b else ring.zero for b in range(n)] for a in range(n)]
+    h, _ = hnf(Matrix(ring, eye + list(ideal.lifts), n), transform=False)
     w = [[x.num for x in row] for row in h.rows[:n]]
-    struct = order.structure_constants()
+    m = [mod_p2(row) for row in solve_echelon(ring, w, eye)]
+    flat = [mod_p2(c) for row in order.structure_constants() for c in row]
+    sm = [mod_p2(row) for row in matmul(ring, flat, m)]  # rows c_ia·M
     cond = []
     for i in range(n):
-        # I-coordinates of b_i·w_k, from Λ's structure; the divisions are
-        # exact because that product lies in I
-        images = solve_echelon(ring, w,
-                               [_lincomb(ring, wk, struct[i]) for wk in w])
-        for s in scalars:
-            cond.append([x for t in images
-                         for x in reduce([ring.mul(s, c) for c in t])])
+        # I-coordinates mod p of the b_i·w_k, W·(c_i·M)/p, times each t^e
+        block = matmul(ring, w, sm[i * n:(i + 1) * n])
+        cond += powers(reduce([ring.exact_div(x, p) if x else x
+                               for r in block for x in r]), d)
     ker = kernel(PrimeField(q), cond)
     if not ker:
         return order
@@ -251,16 +264,6 @@ def idealizer(order, ideal):
     rows = order.bmat.rows + [
         [x * inv_p for x in order.ambient_coords(lift(v))] for v in ker]
     return _grown_order(order, p, Lattice.from_rows(ring, rows, n))
-
-
-def _lincomb(ring, coeffs, vecs):
-    """Σ_a coeffs[a]·vecs[a] over R."""
-    add, mul = ring.add, ring.mul
-    acc = [ring.zero] * len(vecs[0])
-    for c, v in zip(coeffs, vecs):
-        if c:
-            acc = [add(x, mul(c, y)) for x, y in zip(acc, v)]
-    return acc
 
 
 def _grown_order(order, p, lattice):
@@ -277,11 +280,13 @@ def _grown_order(order, p, lattice):
     multiplication, so a lattice that is not raises NotIntegral.  1 ∈ Λ
     ⊆ Γ has Γ-coordinates u·S, for u its Λ-coordinates.  Both bases are
     HNFs, hence upper triangular, and P and S come from back-substitutions
-    whose divisions are exact, as P and S are integral.
+    whose divisions are exact, as P and S are integral.  So is B_Γ·B_Λ⁻¹:
+    disc(Γ) = disc(Λ)·(det B_Γ / det B_Λ)², read off the pivots.  Γ and Λ
+    agree away from p, so Γ inherits Λ's verdicts "maximal" there.
     """
     ring, n = order.algebra.ring, order.dim
-    h_lam, d_lam = order.bmat.cleared()
-    h_gam, d_gam = lattice.basis.cleared()
+    h_lam, d_lam, _ = order.lattice._solver_data()
+    h_gam, d_gam, _ = lattice._solver_data()
     # P·(d_Γ·H_Λ) = p·d_Λ·H_Γ, and P·S = p·I
     scale = ring.mul(p, d_lam)
     big_p = solve_echelon(
@@ -291,28 +296,30 @@ def _grown_order(order, p, lattice):
                                      for b in range(n)] for a in range(n)])
     p2 = ring.mul(p, p)
     # c^Λ_ab·S, then contracted with row i of P on a, row j of P on b
-    cs = [[_lincomb(ring, c, s) for c in row]
-          for row in order.structure_constants()]
-    cols = [[cs[a][b] for a in range(n)] for b in range(n)]
-    left = [[_lincomb(ring, prow, col) for col in cols] for prow in big_p]
+    cs = matmul(ring, [c for row in order.structure_constants()
+                        for c in row], s)
+    left = matmul(ring, big_p, [[x for c in cs[a * n:(a + 1) * n] for x in c]
+                                 for a in range(n)])
     new = []
     for i in range(n):
-        row = []
-        for j in range(n):
-            quot = []
-            for x in _lincomb(ring, big_p[j], left[i]):  # p²·c^Γ_ij
-                if x:
-                    x, r = ring.divmod(x, p2)
-                    if r:
-                        raise NotIntegral(
-                            "grown lattice is not multiplicatively closed "
-                            "(b_%d * b_%d escapes)" % (i, j))
-                quot.append(x)
-            row.append(quot)
-        new.append(row)
+        qr = [[ring.divmod(x, p2) if x else (x, x) for x in pp]  # p²·c^Γ_ij
+              for pp in matmul(ring, big_p, [left[i][b * n:(b + 1) * n]
+                                             for b in range(n)])]
+        for j, row in enumerate(qr):
+            if any(r for _, r in row):
+                raise NotIntegral("grown lattice is not multiplicatively "
+                                  "closed (b_%d * b_%d escapes)" % (i, j))
+        new.append([[x for x, _ in row] for row in qr])
     grown = Order(order.algebra, lattice, validate=False)
     grown._struct = new
-    grown._unit = _lincomb(ring, order.unit_coords(), s)
+    grown._unit = matmul(ring, [order.unit_coords()], s)[0]
+    if order._disc is not None:
+        ratio = functools.reduce(operator.mul, [
+            lattice.basis.rows[k][k] / order.bmat.rows[k][k] for k in range(n)])
+        grown._disc = (ratio * ratio * Frac(ring, order._disc)).integral_value()
+    p = ring.canonical(p)
+    grown._steps = {q: step for q, step in order._steps.items()
+                    if q != p and step[0] is None}
     return grown
 
 
@@ -335,7 +342,10 @@ def _stabilizer_order(alg, lat, maps):
 def discriminant(order):
     """Gram determinant of the trace form on an order basis (ring element):
     G_ij = Tr(b_i·b_j) = Σ_k c_ijk·Tr(b_k), with Tr(b_k) = Σ_j c_kjj the
-    trace of left multiplication in the order basis."""
+    trace of left multiplication in the order basis.  Computed once per
+    order; a grown order reads it off its parent's (see _grown_order)."""
+    if order._disc is not None:
+        return order._disc
     ring = order.algebra.ring
     struct = order.structure_constants()
 
@@ -344,22 +354,45 @@ def discriminant(order):
 
     traces = [total(c[j] for j, c in enumerate(row)) for row in struct]
     gram = [[total(map(ring.mul, c, traces)) for c in row] for row in struct]
-    return Matrix(ring, gram, order.dim).det().integral_value()
+    order._disc = Matrix(ring, gram, order.dim).det().integral_value()
+    return order._disc
+
+
+def _radical_and_maximal(order, p):
+    """(J, maximal, count): the p-radical of Λ, and functions that list and
+    count the maximal two-sided ideals over p, from one residue algebra
+    and its radical; count holds no reference to Λ."""
+    res, _, lift = residue_algebra(order, p)
+    rad = res.radical_basis()
+
+    def maximal():
+        quot, _, lift_q = res.quotient(rad)
+        ideals = []
+        for e in quot.primitive_central_idempotents():
+            # Λ/I is the simple factor e·(Λ/J) of the semisimple quotient
+            one_minus = [(a - b) % res.p for a, b in zip(quot.one_coords, e)]
+            ideals.append(_ideal_over_p(order, p, lift, rad + [
+                lift_q(quot.mul(b, one_minus)) for b in quot.basis()]))
+        return ideals
+
+    return (_ideal_over_p(order, p, lift, rad), maximal,
+            lambda: len(res.quotient(rad)[0].primitive_central_idempotents()))
 
 
 def _p_step_ideals(order, p):
-    """[J, I_1, ..., I_k]: the p-radical of Λ and the maximal two-sided
-    ideals over p, from one residue algebra and its radical."""
-    res, _, lift = residue_algebra(order, p)
-    rad = res.radical_basis()
-    quot, _, lift_q = res.quotient(rad)
-    ideals = [_ideal_over_p(order, p, lift, rad)]
-    for e in quot.primitive_central_idempotents():
-        # Λ/I is the simple factor e·(Λ/J) of the semisimple quotient
-        one_minus = [(a - b) % res.p for a, b in zip(quot.one_coords, e)]
-        ideals.append(_ideal_over_p(order, p, lift, rad + [
-            lift_q(quot.mul(b, one_minus)) for b in quot.basis()]))
-    return ideals
+    """[J, I_1, ..., I_k]: the p-radical and the maximal ideals over p."""
+    j, maximal, _ = _radical_and_maximal(order, p)
+    return [j] + maximal()
+
+
+class _StepFacts(dict):
+    """p_step's facts; "maximalIdeals" is self.count() when first read."""
+
+    def __missing__(self, key):
+        if key != "maximalIdeals":
+            raise KeyError(key)
+        self[key] = vars(self).pop("count")()
+        return self[key]
 
 
 def p_step(order, p):
@@ -375,17 +408,21 @@ def p_step(order, p):
 
     In a commutative semisimple algebra O_l(J) = Λ already proves Λ
     p-maximal (Pohst–Zassenhaus; Cohen, GTM 138, §6.1), so the maximal
-    ideals are only counted.  Proof: R is Japanese, so the integral
-    closure Õ of R in A is a finite R-module, and Λ is p-maximal iff Λ =
-    U = {x ∈ Õ : p^j·x ∈ Λ for some j}.  Else, as p^j·U ⊆ Λ for one j and
-    J^m ⊆ pΛ, U·J^k ⊆ Λ for a least k ≥ 1; take y ∈ U·J^(k-1) outside Λ.
-    For a ∈ J, ya ∈ Λ lies in every prime of Õ over p, as a does, so in
-    every prime of Λ over p (lying over): ya ∈ J, so y ∈ O_l(J) ≠ Λ.
+    ideals are only counted, when a certificate reads the count.  Proof: R
+    is Japanese, so the integral closure Õ of R in A is a finite R-module,
+    and Λ is p-maximal iff Λ = U = {x ∈ Õ : p^j·x ∈ Λ for some j}.  Else,
+    as p^j·U ⊆ Λ for one j and J^m ⊆ pΛ, U·J^k ⊆ Λ for a least k ≥ 1;
+    take y ∈ U·J^(k-1) outside Λ.  For a ∈ J, ya ∈ Λ lies in every prime
+    of Õ over p, as a does, so in every prime of Λ over p (lying over):
+    ya ∈ J, so y ∈ O_l(J) ≠ Λ.
     """
-    ideals = _p_step_ideals(order, p)
-    facts = {"idealizerFixed": True, "maximalIdeals": len(ideals) - 1}
+    facts = _StepFacts(idealizerFixed=True)
     if order.algebra.is_commutative():
-        ideals = ideals[:1]
+        j, _, facts.count = _radical_and_maximal(order, p)
+        ideals = [j]
+    else:
+        ideals = _p_step_ideals(order, p)
+        facts["maximalIdeals"] = len(ideals) - 1
     for k, ideal in enumerate(ideals):
         grown = idealizer(order, ideal)
         if grown.lattice != order.lattice:

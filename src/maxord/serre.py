@@ -15,7 +15,7 @@ from .errors import (
     NotContained,
     NotIntegral,
 )
-from .exactlin import Lattice, Matrix, hnf, lattice_index, snf
+from .exactlin import Lattice, Matrix, hnf, lattice_index, matmul, snf
 from .algebras import matrix_over_algebra, product_algebra
 from .rings import Frac, frac0
 
@@ -131,49 +131,43 @@ class PeriodLattice:
             self._validate()
 
     def _validate(self):
+        """The product relations and the unit on D·action over R, for one
+        common denominator D, over the nonzero constants only; stability."""
         o = self.order
-        n = o.dim
+        n, ring, dim = o.dim, o.algebra.ring, self.lattice.ambient_dim
         if len(self.action) != n:
             raise ActionMismatch("need one action matrix per order basis element")
-        struct = o.structure_constants()
-        for i in range(n):
-            for j in range(n):
-                if self.action[j] * self.action[i] != self._combination(
-                        struct[i][j]):
-                    raise ActionMismatch(
-                        "action matrices violate b_%d·b_%d" % (i, j)
-                    )
-        ring = o.algebra.ring
-        if self._combination(o.unit_coords()) != Matrix.identity(
-                ring, self.lattice.ambient_dim):
+        flat, den = Matrix._of(ring, [r for m in self.action for r in m.rows],
+                               dim).cleared()
+        mats = [flat[k * dim:(k + 1) * dim] for k in range(n)]
+        # rows i·n + j, D·Σ_k c_ijk·action[k], and D·Σ_k u_k·action[k]
+        combos = matmul(ring, [c for row in o.structure_constants()
+                               for c in row] + [o.unit_coords()],
+                        [sum(m, []) for m in mats])
+        for k in range(n * n):
+            i, j = divmod(k, n)
+            if sum(matmul(ring, mats[j], mats[i]), []) != [
+                    ring.mul(den, x) for x in combos[k]]:
+                raise ActionMismatch(
+                    "action matrices violate b_%d·b_%d" % (i, j))
+        if combos[-1] != [den if a == b else ring.zero
+                          for a in range(dim) for b in range(dim)]:
             raise ActionMismatch("unit does not act as the identity")
         for i in range(n):
-            img = Lattice.from_rows(ring, self.lattice.basis * self.action[i],
-                                    self.lattice.ambient_dim)
-            if not self.lattice.contains_lattice(img):
+            if not self.lattice.contains_rows(
+                    (self.lattice.basis * self.action[i]).rows):
                 raise ActionMismatch("lattice is not stable under b_%d" % i)
-
-    def _combination(self, coeffs):
-        """Σ_k coeffs[k]·action[k], over the nonzero coefficients and the
-        nonzero matrix entries only."""
-        ring = self.order.algebra.ring
-        dim = self.lattice.ambient_dim
-        zero = frac0(ring)
-        acc = [[zero] * dim for _ in range(dim)]
-        for c, m in zip(coeffs, self.action):
-            if c:
-                c = Frac.of(ring, c)
-                for arow, mrow in zip(acc, m.rows):
-                    for t, x in enumerate(mrow):
-                        if x:
-                            arow[t] = arow[t] + c * x
-        return Matrix._of(ring, acc, dim)
 
     def act(self, element):
         """Action matrix of an arbitrary algebra element (rational coords
-        in the order basis are allowed)."""
-        return self._combination(
-            self.order.lattice.coordinates([element.coords])[0])
+        in the order basis are allowed): Σ_k c_k·action[k]."""
+        ring, dim = self.order.algebra.ring, self.lattice.ambient_dim
+        coords = self.order.lattice.coordinates([element.coords])
+        flat = (Matrix._of(ring, coords, len(self.action)) * Matrix._of(
+            ring, [[x for r in m.rows for x in r] for m in self.action],
+            dim * dim)).rows[0]
+        return Matrix._of(ring, [flat[a * dim:(a + 1) * dim]
+                                 for a in range(dim)], dim)
 
 
 def _in_basis(t, m):
@@ -229,8 +223,9 @@ def tensor_isogeny_class(pres, itype, embedding):
         for j in range(n):
             lhs = emb[i] * emb[j]
             rhs = E.zero()
-            for k in range(n):
-                rhs = rhs + emb[k].scaled(Frac.of(ring, struct[i][j][k]))
+            for c, e in zip(struct[i][j], emb):
+                if c:
+                    rhs = rhs + e.scaled(Frac.of(ring, c))
             if lhs.coords != rhs.coords:
                 raise EmbeddingNotAlgebraMap(
                     "multiplicativity fails on basis pair (%d, %d)" % (i, j)
@@ -324,22 +319,17 @@ def _elementary_divisors(ring, s_mat):
 
 
 def _block_diag(ring, m, s):
-    n = m.nrows
-    rows = []
-    for u in range(s):
-        for i in range(n):
-            row = [frac0(ring)] * (s * m.ncols)
-            for j in range(m.ncols):
-                row[u * m.ncols + j] = Frac.of(ring, m.rows[i][j])
-            rows.append(row)
-    return Matrix(ring, rows, s * m.ncols)
+    """The block-diagonal matrix of s copies of m."""
+    k = m.ncols
+    return Matrix(ring, [[0] * (u * k) + row + [0] * ((s - 1 - u) * k)
+                         for u in range(s) for row in m.rows], s * k)
 
 
 # ---------------------------------------------------------------------------
 # minimal isogenies
 
 
-def minimal_isogeny(o, o_prime, itype, lattices):
+def minimal_isogeny(o, o_prime, lattices):
     """The canonical isogeny A₀ → O'⊗_O A₀: per lattice, the smallest
     O'-stable lattice containing T, with its elementary divisors."""
     if not o_prime.lattice.contains_lattice(o.lattice):

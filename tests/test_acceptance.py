@@ -380,7 +380,6 @@ def test_built_period_lattices_pass_validation():
 
 def test_criterion_7_minimal_isogeny_chains():
     start = time.monotonic()
-    itype = IsogenyType([IsogenyFactor("E", 1, RATIONAL, 1)])
     ok = True
 
     def chain_check(o, o_mid, o_top):
@@ -390,8 +389,8 @@ def test_criterion_7_minimal_isogeny_chains():
             ok = False
             return
         t = regular_period_lattice(o)
-        full = minimal_isogeny(o, o_top, itype, [t])
-        first = minimal_isogeny(o, o_mid, itype, [t])
+        full = minimal_isogeny(o, o_top, [t])
+        first = minimal_isogeny(o, o_mid, [t])
         # continue from the saturated middle lattice
         alg = o.algebra
         cur = t.lattice
@@ -406,7 +405,7 @@ def test_criterion_7_minimal_isogeny_chains():
         action = [alg.left_mul_matrix(alg.element(o_mid.bmat.rows[i]))
                   for i in range(o_mid.dim)]
         t_mid = PeriodLattice(o_mid, cur, action)
-        second = minimal_isogeny(o_mid, o_top, itype, [t_mid])
+        second = minimal_isogeny(o_mid, o_top, [t_mid])
         if full.degree != first.degree * second.degree:
             ok = False
 

@@ -86,3 +86,29 @@ def test_tracer_hooks_read_a_serre_class_run(tmp_path, capsys):
     # one rank per factor block of positive multiplicity, and no quotient
     # spaces
     assert tracer.counts["exactlin.rref.calls"] == 1
+
+
+def test_tracer_counts_one_residue_algebra_per_order_and_prime(tmp_path,
+                                                                capsys):
+    # Z[x]/(x² − 135), discriminant 2²·3³·5: Z[x] is maximal at 2, grows
+    # to Z[x/3] at 3, which is maximal at 3 and 5.  The certificate at 2 of
+    # Z[x/3] is Z[x]'s, inherited, so the residue algebras are those of
+    # (Z[x], 2), (Z[x], 3), (Z[x/3], 3) and (Z[x/3], 5), and so are the
+    # idealizers of their radicals
+    path = tmp_path / "x2-135.json"
+    path.write_text(json.dumps({
+        "algebra": {"poly_quotient": {"modulus": "x^2-135"}},
+        "basis": [["1", "0"], ["0", "1"]]}))
+    tracer = make_tracer()
+    try:
+        assert tracer.install() == []
+        assert maxord.cli.main(["maximal-order", str(path)]) == 0
+    finally:
+        tracer.uninstall()
+    out = json.loads(capsys.readouterr().out)
+    assert out["index"] == "3"
+    assert [c["prime"] for c in out["certificates"]] == ["2", "3", "5"]
+    assert all(c["verdict"] for c in out["certificates"])
+    assert not tracer.hook_errors
+    assert tracer.counts["orders.residue_algebra.calls"] == 4
+    assert tracer.counts["orders.idealizer.calls"] == 4

@@ -341,26 +341,40 @@ class TestCommands:
         assert result["rank"] == 2
         assert result["kernel_divisors"] == ["2"]
 
+    MINIMAL_ISOGENY_DOC = {
+        "order": EISENSTEIN_EQUATION_ORDER,
+        "orderPrime": {"basis": [["1", "0"], ["1/2", "1/2"]]},
+        "type": {"factors": [
+            {"label": "E", "dim": 1, "endo": "Q", "mult": 1}]},
+        "lattices": [{
+            "basis": [["1", "0"], ["0", "1"]],
+            "action": [[["1", "0"], ["0", "1"]],
+                       [["0", "1"], ["-3", "0"]]],
+            "prime": "2",
+        }],
+    }
+
     def test_minimal_isogeny(self, tmp_path, capsys):
-        doc = {
-            "order": EISENSTEIN_EQUATION_ORDER,
-            "orderPrime": {"basis": [["1", "0"], ["1/2", "1/2"]]},
-            "type": {"factors": [
-                {"label": "E", "dim": 1, "endo": "Q", "mult": 1}]},
-            "lattices": [{
-                "basis": [["1", "0"], ["0", "1"]],
-                "action": [[["1", "0"], ["0", "1"]],
-                           [["0", "1"], ["-3", "0"]]],
-                "prime": "2",
-            }],
-        }
-        code, out, _ = run_cli_capture(tmp_path, capsys, doc,
+        code, out, _ = run_cli_capture(tmp_path, capsys,
+                                       self.MINIMAL_ISOGENY_DOC,
                                        "minimal-isogeny")
         assert code == 0
         result = json.loads(out)
         assert result["degree"] == "2"
         assert result["kernels"] == [
             {"prime": "2", "elementary_divisors": ["2"]}]
+
+    def test_minimal_isogeny_without_type(self, tmp_path, capsys):
+        # the command does not read the isogeny type, so a document
+        # without one gives the same output
+        code, out, _ = run_cli_capture(tmp_path, capsys,
+                                       self.MINIMAL_ISOGENY_DOC,
+                                       "minimal-isogeny")
+        code2, out2, _ = run_cli_capture(
+            tmp_path, capsys, without(self.MINIMAL_ISOGENY_DOC, "type"),
+            "minimal-isogeny")
+        assert code == code2 == 0
+        assert out2 == out
 
     def test_selftest(self, capsys):
         assert main(["selftest"]) == 0

@@ -41,6 +41,7 @@ from test_certificates import (
     S3,
 )
 from test_finitealg import simple_factor_count
+from test_p_steps import idealizer_over_r
 
 F2T = poly_ring(2)
 HALF = Frac(ZZ, 1, 2)
@@ -302,8 +303,9 @@ def right_mul_maps(alg, lat):
 
 class TestIdealizerOverFp:
     """The left idealizers of J and of every maximal ideal over p, computed
-    as kernels over F_p, equal the stabilizer orders of their lattices,
-    along the whole p-maximalization chain."""
+    as kernels over F_p, equal the stabilizer orders of their lattices and
+    the idealizers from a solve over R, along the whole p-maximalization
+    chain."""
 
     def check_chain(self, order, p):
         checked = 0
@@ -316,6 +318,7 @@ class TestIdealizerOverFp:
                 reference = orders._stabilizer_order(
                     alg, lat, right_mul_maps(alg, lat))
                 assert fast.lattice == reference.lattice, p
+                assert fast.lattice == idealizer_over_r(order, ideal), p
                 checked += 1
             order = order.step_at(p)[0]
         return checked

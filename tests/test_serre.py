@@ -87,6 +87,18 @@ class TestWorkedMultiplicities:
         with pytest.raises(EmbeddingNotAlgebraMap):
             tensor_isogeny_class(pres, self.itype, bad)
 
+    @pytest.mark.parametrize("rows, message", [
+        ([[1, 0, 0, 0], [0, 1, 0, 0]], "wrong shape"),
+        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], "unit is not sent to 1"),
+        # e12 to E21: e11·e12 = e12 is the first product that fails
+        ([[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+         r"multiplicativity fails on basis pair \(0, 1\)"),
+    ])
+    def test_embedding_checks_in_order(self, rows, message):
+        pres = ModulePresentation(self.order, [], s=1)
+        with pytest.raises(EmbeddingNotAlgebraMap, match=message):
+            tensor_isogeny_class(pres, self.itype, Matrix(ZZ, rows, 4))
+
 
 def rational_rank(rows):
     """Rank over Q by elimination on Fractions, independent of exactlin."""
@@ -219,15 +231,63 @@ class TestTensorLattice:
             tensor_lattice(pres, t)
 
 
+class TestPeriodLatticeValidation:
+    """A parsed period lattice is checked in a fixed order: one matrix per
+    basis element, the product relations, the unit, then stability."""
+
+    def setup_method(self):
+        self.o = quadratic_order(-3)
+        # Z[ω], ω = (1 + √-3)/2: its action matrices have denominator 2
+        self.o_max = maximal_order(self.o)
+
+    def test_one_matrix_per_basis_element(self):
+        t = standard_period_lattice(self.o)
+        with pytest.raises(ActionMismatch, match="need one action matrix"):
+            PeriodLattice(self.o, t.lattice, t.action[:1])
+
+    def test_product_relations_over_a_common_denominator(self):
+        # the basis ω, √-3 of Z[ω] acts by matrices with denominator 2
+        t = standard_period_lattice(self.o_max)
+        assert not all(x.is_integral() for x in t.action[0].rows[1])
+        assert PeriodLattice(self.o_max, t.lattice, t.action).action
+        wrong = Matrix(ZZ, [[HALF, HALF], [Frac(ZZ, -1, 2), HALF]], 2)
+        with pytest.raises(ActionMismatch, match="violate b_0·b_0"):
+            PeriodLattice(self.o_max, t.lattice, [wrong, t.action[1]])
+        # on 1, √-3 only (√-3)² = -3 fails for a wrong matrix of √-3
+        t = standard_period_lattice(self.o)
+        wrong = Matrix(ZZ, [[0, 1], [-2, 0]], 2)
+        with pytest.raises(ActionMismatch, match="violate b_1·b_1"):
+            PeriodLattice(self.o, t.lattice, [t.action[0], wrong])
+
+    def test_unit_acts_as_identity(self):
+        # Z[x]/(x² − 1) by the idempotent diag(1, 0) for both 1 and x: the
+        # product relations hold and the lattice is not stable, but the
+        # unit is checked first
+        o = Order(poly_quotient_algebra(ZZ, [-1, 0, 1],
+                                        trusted_semisimple=True),
+                  Lattice.standard(ZZ, 2))
+        e = Matrix(ZZ, [[1, 0], [0, 0]], 2)
+        lat = Lattice.from_rows(ZZ, [[1, 1], [0, 2]], 2)
+        with pytest.raises(ActionMismatch, match="unit does not act"):
+            PeriodLattice(o, lat, [e, e])
+
+    def test_lattice_stable_under_each_basis_element(self):
+        t = standard_period_lattice(self.o)
+        lat = Lattice.from_rows(ZZ, [[1, 0], [0, 2]], 2)
+        with pytest.raises(ActionMismatch, match="not stable under b_1"):
+            PeriodLattice(self.o, lat, t.action)
+        stable = Lattice.from_rows(ZZ, [[2, 0], [0, 2]], 2)
+        assert PeriodLattice(self.o, stable, t.action).lattice == stable
+
+
 class TestMinimalIsogeny:
     def setup_method(self):
         self.o = quadratic_order(-3)
         self.o_prime = maximal_order(self.o)
-        self.itype = IsogenyType([IsogenyFactor("E", 1, RATIONAL, 1)])
 
     def test_conductor_degree(self):
         t = standard_period_lattice(self.o, prime=2)
-        desc = minimal_isogeny(self.o, self.o_prime, self.itype, [t])
+        desc = minimal_isogeny(self.o, self.o_prime, [t])
         assert desc.degree == 2
         assert desc.per_lattice_divisors == [
             {"prime": 2, "elementaryDivisors": [2]}
@@ -238,14 +298,14 @@ class TestMinimalIsogeny:
         # the bigger order's lattice is already stable under the smaller one
         act = [amb.left_mul_matrix(amb.basis_element(i)) for i in range(2)]
         stable = PeriodLattice(self.o, self.o_prime.lattice, act)
-        desc = minimal_isogeny(self.o, self.o_prime, self.itype, [stable])
+        desc = minimal_isogeny(self.o, self.o_prime, [stable])
         assert desc.degree == 1
         assert desc.per_lattice_divisors[0]["elementaryDivisors"] == []
 
     def test_multiplicative_over_lattices(self):
         t1 = standard_period_lattice(self.o, prime=2)
         t2 = standard_period_lattice(self.o, prime=3)
-        desc = minimal_isogeny(self.o, self.o_prime, self.itype, [t1, t2])
+        desc = minimal_isogeny(self.o, self.o_prime, [t1, t2])
         assert desc.degree == 4
 
     def test_acts_once_per_basis_element(self, monkeypatch):
@@ -258,13 +318,13 @@ class TestMinimalIsogeny:
 
         monkeypatch.setattr(PeriodLattice, "act", counted)
         lattices = [standard_period_lattice(self.o, prime=p) for p in (2, 3)]
-        minimal_isogeny(self.o, self.o_prime, self.itype, lattices)
+        minimal_isogeny(self.o, self.o_prime, lattices)
         assert len(calls) == self.o_prime.dim * len(lattices)
 
     def test_not_contained_rejected(self):
         t = standard_period_lattice(self.o_prime)
         with pytest.raises(NotContained):
-            minimal_isogeny(self.o_prime, self.o, self.itype, [t])
+            minimal_isogeny(self.o_prime, self.o, [t])
 
 
 class TestNaturality:
