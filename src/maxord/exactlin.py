@@ -2,11 +2,12 @@
 
 Echelon form, quotient spaces, kernels, solving, relations among powers
 and the Hessenberg characteristic polynomial are written once, over a
-field interface with two instances: Frac(R) and F_p.  Matrices carry
-fraction entries.  Over R there is one elimination, the Hermite form:
-Smith forms alternate Hermite forms of rows and columns, and lattices,
-stored with canonical (HNF) bases so that lattice equality is
-representation equality, read coordinates by back-substitution.
+field interface with three instances: Frac(R), F_p, and R/p for a prime
+p of F_q[t].  Matrices carry fraction entries.  Over R there is one
+elimination, ``hermite`` on rows of ring elements: Smith forms alternate
+Hermite forms of rows and columns, and a lattice is one Hermite form h
+over R and one denominator d, so that lattice equality is representation
+equality; coordinates are read by back-substitution.
 """
 
 import functools
@@ -67,6 +68,30 @@ class PrimeField:
     def sub_mul(self, row, c, piv):
         p = self.p
         return [(a - c * b) % p for a, b in zip(row, piv)]
+
+
+class ResidueField:
+    """R/p for a prime p of F_q[t], on the remainders mod p."""
+
+    def __init__(self, ring, p):
+        self.ring, self.p, self.zero, self.one = ring, p, ring.zero, ring.one
+
+    def row(self, xs):
+        ring, p = self.ring, self.p
+        return [ring.divmod(x, p)[1] for x in xs]
+
+    def inv(self, x):
+        return self.row([self.ring.xgcd(x, self.p)[1]])[0]
+
+    def scale(self, row, c):
+        mul = self.ring.mul
+        return self.row([mul(x, c) for x in row])
+
+    def sub_mul(self, row, c, piv):
+        """row - c * piv."""
+        sub, mul = self.ring.sub, self.ring.mul
+        return self.row([sub(a, mul(c, b)) if b else a
+                         for a, b in zip(row, piv)])
 
 
 def rref(F, rows):
@@ -381,22 +406,26 @@ def _frac_rows(ring, rows, ncols):
                       ncols)
 
 
-def hnf(m, transform=True):
-    """Row Hermite normal form: returns (h, u) with u unimodular, h = u*m;
-    u is None when transform is False.
+def _identity_rows(ring, n):
+    return [[ring.one if i == j else ring.zero for j in range(n)]
+            for i in range(n)]
+
+
+def hermite(ring, rows, ncols, transform=False):
+    """Row Hermite normal form over R of the matrix with these rows, of
+    ring elements: (h, u) with u unimodular and h = u·rows, zero rows
+    last; u is None when transform is False.
 
     Pivots are unit-normalized (positive / monic) and the entries above
     each pivot are reduced, so the output is canonical for the row space.
     """
-    ring = m.ring
-    a = m.to_ring_rows()
-    nr, nc = len(a), m.ncols
-    u = [[ring.one if i == j else ring.zero for j in range(nr)]
-         for i in range(nr)] if transform else None
+    a = [list(row) for row in rows]
+    nr = len(a)
+    u = _identity_rows(ring, nr) if transform else None
     mats = (a, u) if transform else (a,)
 
     r = 0
-    for j in range(nc):
+    for j in range(ncols):
         pivot = next((i for i in range(r, nr) if a[i][j]), None)
         if pivot is None:
             continue
@@ -426,8 +455,15 @@ def hnf(m, transform=True):
         r += 1
         if r == nr:
             break
-    return (_frac_rows(ring, a, nc),
-            _frac_rows(ring, u, nr) if transform else None)
+    return a, u
+
+
+def hnf(m, transform=True):
+    """hermite on a Matrix over R: (h, u) as Matrices, u None when
+    transform is False."""
+    h, u = hermite(m.ring, m.to_ring_rows(), m.ncols, transform)
+    return (_frac_rows(m.ring, h, m.ncols),
+            _frac_rows(m.ring, u, m.nrows) if transform else None)
 
 
 def solve_echelon(ring, basis, rows):
@@ -435,20 +471,20 @@ def solve_echelon(ring, basis, rows):
     form, by back-substitution: one division by each pivot, which must be
     exact, after which every column must be clear; None when some row is
     no R-combination of the basis rows."""
-    sub, mul = ring.sub, ring.mul
-    pivots = [next(j for j, c in enumerate(b) if c) for b in basis]
+    sub, mul, one = ring.sub, ring.mul, ring.one
+    terms = [[(k, c) for k, c in enumerate(b) if c] for b in basis]
     out = []
     for v in rows:
         v, x = list(v), []
-        for j, b in zip(pivots, basis):
-            xa, r = ring.divmod(v[j], b[j])
+        for ts in terms:
+            j, c = ts[0]
+            xa, r = (v[j], None) if c == one else ring.divmod(v[j], c)
             if r:
                 return None
             x.append(xa)
             if xa:
-                for k in range(j, len(b)):
-                    if b[k]:
-                        v[k] = sub(v[k], mul(xa, b[k]))
+                for k, y in ts:
+                    v[k] = sub(v[k], mul(xa, y))
         if any(v):
             return None
         out.append(x)
@@ -470,7 +506,7 @@ def matmul(ring, a, b):
 
 
 def _is_diagonal(a):
-    return not any(x for i, row in enumerate(a.rows)
+    return not any(x for i, row in enumerate(a)
                    for j, x in enumerate(row) if i != j)
 
 
@@ -484,29 +520,30 @@ def snf(m, transform=True):
     a proper divisor or clears its row and column (Kannan & Bachem, SIAM
     J. Comput. 8, 1979; Cohen, GTM 138, §2.4).  Then gcd/lcm steps on
     pairs of diagonal entries make the chain."""
-    ring = m.ring
-    w = Matrix.identity(ring, m.ncols) if transform else None  # v transposed
-    a = hnf(m, transform=False)[0]
+    ring, nr, nc = m.ring, m.nrows, m.ncols
+    w = _identity_rows(ring, nc) if transform else None  # v transposed
+    a = hermite(ring, m.to_ring_rows(), nc)[0]
     while not _is_diagonal(a):
-        h, u = hnf(a.transpose(), transform=transform)
-        w = u * w if transform else None
-        a = h.transpose()
+        h, u = hermite(ring, list(zip(*a)), nr, transform)
+        w = matmul(ring, u, w) if transform else None
+        a = [list(col) for col in zip(*h)]
         if not _is_diagonal(a):
-            a = hnf(a, transform=False)[0]
-    d = [a.rows[k][k].num for k in range(min(a.nrows, a.ncols))]
+            a = hermite(ring, a, nc)[0]
+    d = [a[k][k] for k in range(min(nr, nc))]
     for i, j in itertools.combinations(range(len(d)), 2):
         if not ring.divides(d[i], d[j]):
             g, x, y = ring.xgcd(d[i], d[j])
             ag, bg = ring.exact_div(d[i], g), ring.exact_div(d[j], g)
             d[i], d[j] = g, ring.mul(d[i], bg)
-            a.rows[i][i], a.rows[j][j] = Frac(ring, g), Frac(ring, d[j])
+            a[i][i], a[j][j] = d[i], d[j]
             if transform:  # columns (v_i, v_j) times [[1, -y·b/g], [1, x·a/g]]
-                c = Frac.of(ring, ring.neg(ring.mul(y, bg)))
-                e = Frac.of(ring, ring.mul(x, ag))
-                wi, wj = w.rows[i], w.rows[j]
-                w.rows[i] = [p + q for p, q in zip(wi, wj)]
-                w.rows[j] = [c * p + e * q for p, q in zip(wi, wj)]
-    return a, w.transpose() if transform else None
+                c, e = ring.neg(ring.mul(y, bg)), ring.mul(x, ag)
+                wi, wj = w[i], w[j]
+                w[i] = [ring.add(p, q) for p, q in zip(wi, wj)]
+                w[j] = [ring.add(ring.mul(c, p), ring.mul(e, q))
+                        for p, q in zip(wi, wj)]
+    return (_frac_rows(ring, a, nc),
+            _frac_rows(ring, list(zip(*w)), nc) if transform else None)
 
 
 # ---------------------------------------------------------------------------
@@ -514,88 +551,73 @@ def snf(m, transform=True):
 
 
 class Lattice:
-    """A finitely generated R-lattice in K^n with a canonical HNF basis.
-
-    The basis has full row rank r <= n; rank 0 (the zero lattice) is
-    allowed.  Equal lattices have identical basis matrices.
+    """A finitely generated R-lattice in K^n, kept as h/d: h over R in
+    Hermite form with no zero rows, and d the least denominator, so that
+    gcd(content(h), d) = 1.  Equal lattices have equal (h, d).  c is the
+    product of h's pivots.  The rank r = len(h) <= n; rank 0 (the zero
+    lattice) is allowed.
     """
 
-    __slots__ = ("ring", "ambient_dim", "basis", "_solver")
+    __slots__ = ("ring", "ambient_dim", "h", "d", "c", "_basis")
 
-    def __init__(self, ring, ambient_dim, basis, _canonical=False):
-        self.ring = ring
-        self.ambient_dim = ambient_dim
-        if not _canonical:
-            raise ValueError("use Lattice.from_rows")
-        self.basis = basis
-        self._solver = None
+    def __init__(self, ring, ambient_dim, h, d):
+        if d != ring.one:
+            g = functools.reduce(ring.gcd, (x for row in h for x in row if x), d)
+            if g != ring.one:
+                h = [[ring.exact_div(x, g) for x in row] for row in h]
+                d = ring.exact_div(d, g)
+        self.ring, self.ambient_dim, self.h, self.d = ring, ambient_dim, h, d
+        self.c = functools.reduce(ring.mul, [next(x for x in row if x)
+                                             for row in h], ring.one)
+        self._basis = None
 
     @classmethod
     def from_rows(cls, ring, rows, ambient_dim=None):
-        if isinstance(rows, Matrix):
-            mat = rows
-            ambient_dim = mat.ncols
-        else:
-            if ambient_dim is None:
-                if not rows:
-                    raise ValueError("ambient_dim needed for empty row list")
-                ambient_dim = len(rows[0])
-            mat = Matrix(ring, rows, ambient_dim)
-        # the HNF of d * rows over R, for d the common denominator, then / d
-        cleared, d = mat.cleared()
-        if d != ring.one:
-            mat = _frac_rows(ring, cleared, ambient_dim)
-        h, _ = hnf(mat, transform=False)
-        keep = [row for row in h.rows if any(row)]
-        if d != ring.one:
-            keep = [[Frac(ring, x.num, d) for x in row] for row in keep]
-        return cls(ring, ambient_dim, Matrix._of(ring, keep, ambient_dim),
-                   _canonical=True)
+        """The lattice spanned by rows over Frac(R), or by a Matrix."""
+        if not isinstance(rows, Matrix):
+            rows = Matrix(ring, rows, ambient_dim)
+        h, d = rows.cleared()
+        h = hermite(ring, h, rows.ncols)[0]
+        return cls(ring, rows.ncols, [row for row in h if any(row)], d)
 
     @classmethod
     def standard(cls, ring, n):
-        return cls(ring, n, Matrix.identity(ring, n), _canonical=True)
+        return cls(ring, n, _identity_rows(ring, n), ring.one)
 
-    @classmethod
-    def zero(cls, ring, n):
-        return cls(ring, n, Matrix._of(ring, [], n), _canonical=True)
+    @property
+    def basis(self):
+        """h/d as a Matrix over Frac(R), built when first read."""
+        if self._basis is None:
+            ring, d = self.ring, self.d
+            self._basis = Matrix._of(ring, [[Frac(ring, x, d) for x in row]
+                                            for row in self.h], self.ambient_dim)
+        return self._basis
 
     @property
     def rank(self):
-        return self.basis.nrows
+        return len(self.h)
 
     def __eq__(self, other):
         return (
             isinstance(other, Lattice)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.d == other.d
+            and self.h == other.h
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self.d, tuple(map(tuple, self.h))))
 
     def __repr__(self):
         return "Lattice(rank %d in dim %d)" % (self.rank, self.ambient_dim)
-
-    def _solver_data(self):
-        """(h, d, c): the basis is h/d with h over R, and c is the product
-        of h's pivots; computed when first read."""
-        if self._solver is None:
-            ring = self.ring
-            h, d = self.basis.cleared()
-            c = functools.reduce(ring.mul, [next(x for x in r if x) for r in h],
-                                 ring.one)
-            self._solver = h, d, c
-        return self._solver
 
     def coordinates(self, vecs):
         """Rows t with t * basis = v for each v in vecs, or None when some v
         is outside the rational span.  For basis = h/d and vecs = w/e over
         R, (c·e·t)·h = c·d·w is over R for c the product of h's pivots."""
-        ring = self.ring
-        h, d, c = self._solver_data()
+        ring, h, c = self.ring, self.h, self.c
         w, e = Matrix(ring, vecs, self.ambient_dim).cleared()
-        cd = ring.mul(c, d)
+        cd = ring.mul(c, self.d)
         x = solve_echelon(ring, h, [[ring.mul(cd, y) for y in r] for r in w])
         return None if x is None else [
             [Frac(ring, y, ring.mul(c, e)) for y in r] for r in x]
@@ -604,16 +626,17 @@ class Lattice:
         return self.contains_rows([vec])
 
     def contains_lattice(self, other):
-        return self.contains_rows(other.basis.rows)
+        return self._contains(other.h, other.d)
 
     def contains_rows(self, vecs):
-        """Whether each v in vecs is in the lattice: for basis = h/d and
-        vecs = w/e over R, whether y·h = d·w has a solution over R with
-        e | y (y = e·t)."""
+        return self._contains(*Matrix(self.ring, vecs, self.ambient_dim).cleared())
+
+    def _contains(self, w, e):
+        """Whether each row of w/e, w over R, is in the lattice: whether
+        y·h = d·w has a solution over R with e | y (y = e·t)."""
         ring = self.ring
-        h, d, _ = self._solver_data()
-        w, e = Matrix(ring, vecs, self.ambient_dim).cleared()
-        y = solve_echelon(ring, h, [[ring.mul(d, x) for x in r] for r in w])
+        y = solve_echelon(ring, self.h, [[ring.mul(self.d, x) for x in r]
+                                         for r in w])
         return y is not None and all(ring.divides(e, x) for r in y for x in r)
 
     def add(self, other):
@@ -635,13 +658,14 @@ class Lattice:
 
 def lattice_index(sub, sup):
     """Generalized index [sup : sub] as a canonical ring element: for sub ⊆
-    sup of equal rank, both HNF bases have the same pivot columns, and the
-    index is the product of the ratios of their pivots."""
+    sup of equal rank, both Hermite bases have the same pivot columns, and
+    the index is the product of the ratios of their pivots,
+    c_sub·d_sup^r / (c_sup·d_sub^r) for the bases h/d."""
     if sub.ambient_dim != sup.ambient_dim or sub.rank != sup.rank:
         raise NotSublattice("lattices are not commensurable")
     if not sup.contains_lattice(sub):
         raise NotSublattice("sub is not contained in sup")
-    ratio = frac1(sub.ring)
-    for a, b in zip(sub.basis.rows, sup.basis.rows):
-        ratio = ratio * next(x for x in a if x) / next(x for x in b if x)
-    return sub.ring.canonical(ratio.integral_value())
+    ring, r = sub.ring, sub.rank
+    return ring.canonical(ring.exact_div(
+        functools.reduce(ring.mul, [sup.d] * r, sub.c),
+        functools.reduce(ring.mul, [sub.d] * r, sup.c)))

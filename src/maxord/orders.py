@@ -3,7 +3,6 @@ p-maximalization, maximality certificates, ideal enumeration, and
 endomorphism orders."""
 
 import functools
-import operator
 
 from .errors import (
     BoundExceeded,
@@ -19,10 +18,12 @@ from .exactlin import (
     Lattice,
     Matrix,
     PrimeField,
-    hnf,
+    ResidueField,
+    hermite,
     kernel,
     lattice_index,
     matmul,
+    rref,
     solve_echelon,
 )
 from .finitealg import FiniteAlgebra
@@ -41,7 +42,6 @@ class Order:
         self.dim = algebra.dim
         if lattice.ambient_dim != self.dim or lattice.rank != self.dim:
             raise NotFullRank("order basis must be square of full rank")
-        self.bmat = lattice.basis
         self._struct = None
         self._unit = None
         self._disc = None
@@ -60,33 +60,35 @@ class Order:
 
     def order_coords(self, ambient_coords):
         """Integral order-basis coordinates (ring elements), or None."""
-        return _integral(self.lattice.coordinates([ambient_coords])[0])
+        row = self.lattice.coordinates([ambient_coords])[0]
+        return [x.num for x in row] if all(
+            x.is_integral() for x in row) else None
 
-    def ambient_coords(self, order_coords):
-        ring = self.algebra.ring
-        row = Matrix(ring, [[Frac.of(ring, c) for c in order_coords]], self.dim)
-        return (row * self.bmat).rows[0]
+    @property
+    def bmat(self):
+        return self.lattice.basis
 
     def basis_elements(self):
         return [self.algebra.element(row) for row in self.bmat.rows]
 
     def structure_constants(self):
-        """c[i][j] = order coords of b_i * b_j, as ring elements: all n²
-        products in one back-substitution."""
+        """c[i][j] = order coords of b_i * b_j, as ring elements.
+
+        For the basis h/d and the algebra's constants A/e, h and A over R,
+        b_i·b_j = y_ij/(d²·e) with y_ij = Σ_kl h_ik·h_jl·A_kl, whose
+        coordinates c_ij solve c_ij·(d·e·h) = y_ij: all n² products over R
+        in one back-substitution.
+        """
         if self._struct is None:
-            n, mul, rows = self.dim, self.algebra.mul_coords, self.bmat.rows
-            coords = self.lattice.coordinates(
-                [mul(a, b) for a in rows for b in rows])
-            flat = []
-            for k, t in enumerate(coords):
-                c = _integral(t)
-                if c is None:
-                    raise NotIntegral(
-                        "order basis is not multiplicatively closed "
-                        "(b_%d * b_%d escapes)" % divmod(k, n)
-                    )
-                flat.append(c)
-            self._struct = [flat[i * n:(i + 1) * n] for i in range(n)]
+            ring, n, lat = self.algebra.ring, self.dim, self.lattice
+            big_a, e = Matrix._of(ring, [[c for row in t for c in row]
+                                         for t in self.algebra.table],
+                                  n * n).cleared()
+            ys = [y for left in matmul(ring, lat.h, big_a)  # rows Σ_k h_ik A_k
+                  for y in matmul(ring, lat.h, [left[l * n:(l + 1) * n]
+                                                for l in range(n)])]
+            self._struct = _closed_products(ring, lat.h, ys, ring.mul(lat.d, e),
+                                            "order basis")
         return self._struct
 
     def step_at(self, p):
@@ -106,19 +108,28 @@ class Order:
         return "Order(%r)" % self.lattice
 
 
-def _integral(row):
-    """The entries of a row of Fracs as ring elements, or None when one is
-    not integral."""
-    if not all(x.is_integral() for x in row):
-        return None
-    return [x.integral_value() for x in row]
+def _closed_products(ring, h, ys, den, what):
+    """[[c_ij]] for c_ij·(den·h) = y_ij, the y_ij in row-major order and h
+    in echelon form.  A basis is closed under multiplication exactly when
+    every c_ij is over R, that is when back-substitution over R succeeds;
+    else NotIntegral names the first b_i·b_j, in row-major order, that
+    escapes."""
+    n, h = len(h), [[ring.mul(den, x) for x in row] for row in h]
+    cs = solve_echelon(ring, h, ys)
+    if cs is None:
+        k = next(k for k, y in enumerate(ys)
+                 if solve_echelon(ring, h, [y]) is None)
+        raise NotIntegral("%s is not multiplicatively closed (b_%d * b_%d "
+                          "escapes)" % ((what,) + divmod(k, n)))
+    return [cs[i * n:(i + 1) * n] for i in range(n)]
 
 
 class LatticeIdeal:
     """A two-sided ideal I of an order Λ over a prime p of R: pΛ ⊆ I ⊆ Λ.
 
     I is pΛ plus the lifts of its residue rows, kept in Λ-coordinates; its
-    lattice in the algebra is built when first read.
+    lattice in the algebra, Hermite(W·H_Λ)/d_Λ for W its basis over R/p
+    and Λ = H_Λ/d_Λ, is built when first read.
     """
 
     __slots__ = ("order", "prime", "lifts", "_lattice")
@@ -133,10 +144,10 @@ class LatticeIdeal:
     def lattice(self):
         if self._lattice is None:
             order = self.order
-            rows = order.bmat.scaled(self.prime).rows + [
-                order.ambient_coords(r) for r in self.lifts]
-            self._lattice = Lattice.from_rows(order.algebra.ring, rows,
-                                              order.dim)
+            ring, lam, n = order.algebra.ring, order.lattice, order.dim
+            w = _basis_over_p(ring, self.prime, self.lifts, n)
+            self._lattice = Lattice(ring, n, hermite(
+                ring, matmul(ring, w, lam.h), n)[0], lam.d)
         return self._lattice
 
     def __eq__(self, other):
@@ -189,6 +200,21 @@ def _residue_maps(ring, p, n):
     return q, d, reduce, lift, powers
 
 
+def _basis_over_p(ring, p, rows, n):
+    """The Hermite form of pR^n + R·rows, from the reduced echelon form of
+    rows over R/p: each echelon row on its pivot column, p·e_j on every
+    other column j.  It is upper triangular with pivots 1 and p, and the
+    entries above a pivot p are remainders mod p, so it is in Hermite form
+    (Cohen, GTM 138, §2.4)."""
+    p = ring.canonical(p)
+    field = ResidueField(ring, p) if ring.characteristic else PrimeField(p)
+    out = [[p if a == b else ring.zero for b in range(n)] for a in range(n)]
+    red, pivots = rref(field, rows)
+    for row, j in zip(red, pivots):
+        out[j] = row
+    return out
+
+
 def residue_algebra(order, p):
     """(Λ/pΛ as an F_p-algebra, reduce, lift) for a prime p of R.
 
@@ -234,21 +260,23 @@ def idealizer(order, ideal):
     as pΛ ⊆ I, and v ∈ I has I-coordinates v·M/p.  If v ≡ v′ mod p²Λ then
     v·M/p − v′·M/p = p·(u·M) ≡ 0 mod p for some u over R.  So the
     conditions mod p come from W, M and Λ's structure constants, all mod
-    p², with one exact division by p at the end.
+    p², with one exact division by p at the end.  W is the Hermite form of
+    _basis_over_p, with rows e_j + r_j (r_j on the columns of pivot p) and
+    p·e_f, so M has rows p·e_j − r_j and e_f: p/W_jj on the diagonal, −W
+    off it.  The kernel's lifts give P, the basis of p·O_l(I), the same
+    way.
     """
-    p = ideal.prime
     ring, n = order.algebra.ring, order.dim
+    p = ring.canonical(ideal.prime)
     q, d, reduce, lift, powers = _residue_maps(ring, p, n)
     p2 = ring.mul(p, p)
 
     def mod_p2(row):
         return [ring.divmod(x, p2)[1] if x else x for x in row]
 
-    # I in Λ-coordinates: the HNF of pΛ + lifts is upper triangular
-    eye = [[p if a == b else ring.zero for b in range(n)] for a in range(n)]
-    h, _ = hnf(Matrix(ring, eye + list(ideal.lifts), n), transform=False)
-    w = [[x.num for x in row] for row in h.rows[:n]]
-    m = [mod_p2(row) for row in solve_echelon(ring, w, eye)]
+    w = _basis_over_p(ring, p, ideal.lifts, n)
+    m = [[ring.exact_div(p, x) if a == b else ring.neg(x)
+          for b, x in enumerate(row)] for a, row in enumerate(w)]
     flat = [mod_p2(c) for row in order.structure_constants() for c in row]
     sm = [mod_p2(row) for row in matmul(ring, flat, m)]  # rows c_ia·M
     cond = []
@@ -260,64 +288,48 @@ def idealizer(order, ideal):
     ker = kernel(PrimeField(q), cond)
     if not ker:
         return order
-    inv_p = Frac(ring, ring.one, p)
-    rows = order.bmat.rows + [
-        [x * inv_p for x in order.ambient_coords(lift(v))] for v in ker]
-    return _grown_order(order, p, Lattice.from_rows(ring, rows, n))
+    return _grown_order(order, p, _basis_over_p(ring, p, map(lift, ker), n))
 
 
-def _grown_order(order, p, lattice):
-    """The order Γ on lattice, for an order Λ with Λ ⊆ Γ ⊆ (1/p)Λ, its
-    structure constants taken from Λ's in ring arithmetic.
+def _grown_order(order, p, big_p):
+    """The order Γ = (1/p)·P·Λ, for p canonical and P over R of full rank
+    with Λ ⊆ Γ, its structure constants taken from Λ's in ring arithmetic.
 
-    P = p·(Γ's basis in Λ-coordinates) and S = (Λ's basis in
-    Γ-coordinates) are integral, with P·S = p·I.  From g_i = (1/p)Σ_a
-    P_ia λ_a and λ_k = Σ_l S_kl g_l,
+    For Λ = H_Λ/d_Λ, Γ's lattice is Hermite(P·H_Λ)/(p·d_Λ).  That pass
+    carries P along, so that afterwards P = p·(Γ's Hermite basis in
+    Λ-coordinates); P·H_Λ is upper triangular when P is, and then the
+    pass only reduces entries above the pivots.  For g_i = (1/p)Σ_a
+    P_ia λ_a, p²·g_i·g_j has Λ-coordinates
 
-        c^Γ_ij = p⁻²·(Σ_ab P_ia P_jb c^Λ_ab)·S.
+        y_ij = Σ_ab P_ia P_jb c^Λ_ab,  and  c^Γ_ij·(p·P) = y_ij:
 
-    The division by p² is exact exactly when Γ is closed under
-    multiplication, so a lattice that is not raises NotIntegral.  1 ∈ Λ
-    ⊆ Γ has Γ-coordinates u·S, for u its Λ-coordinates.  Both bases are
-    HNFs, hence upper triangular, and P and S come from back-substitutions
-    whose divisions are exact, as P and S are integral.  So is B_Γ·B_Λ⁻¹:
-    disc(Γ) = disc(Λ)·(det B_Γ / det B_Λ)², read off the pivots.  Γ and Λ
-    agree away from p, so Γ inherits Λ's verdicts "maximal" there.
+    one back-substitution against p·P, upper triangular as both bases
+    are, whose divisions are exact exactly when Γ is closed under
+    multiplication, so a lattice that is not raises NotIntegral.
+    1 ∈ Λ ⊆ Γ has Γ-coordinates z with z·P = p·u, for u its
+    Λ-coordinates.  disc(Γ) = disc(Λ)·(det P / p^n)², read off P's
+    pivots.  Γ and Λ agree away from p, so Γ inherits Λ's verdicts
+    "maximal" there.
     """
-    ring, n = order.algebra.ring, order.dim
-    h_lam, d_lam, _ = order.lattice._solver_data()
-    h_gam, d_gam, _ = lattice._solver_data()
-    # P·(d_Γ·H_Λ) = p·d_Λ·H_Γ, and P·S = p·I
-    scale = ring.mul(p, d_lam)
-    big_p = solve_echelon(
-        ring, [[ring.mul(d_gam, x) for x in row] for row in h_lam],
-        [[ring.mul(scale, x) for x in row] for row in h_gam])
-    s = solve_echelon(ring, big_p, [[p if a == b else ring.zero
-                                     for b in range(n)] for a in range(n)])
-    p2 = ring.mul(p, p)
-    # c^Λ_ab·S, then contracted with row i of P on a, row j of P on b
-    cs = matmul(ring, [c for row in order.structure_constants()
-                        for c in row], s)
-    left = matmul(ring, big_p, [[x for c in cs[a * n:(a + 1) * n] for x in c]
-                                 for a in range(n)])
-    new = []
-    for i in range(n):
-        qr = [[ring.divmod(x, p2) if x else (x, x) for x in pp]  # p²·c^Γ_ij
-              for pp in matmul(ring, big_p, [left[i][b * n:(b + 1) * n]
-                                             for b in range(n)])]
-        for j, row in enumerate(qr):
-            if any(r for _, r in row):
-                raise NotIntegral("grown lattice is not multiplicatively "
-                                  "closed (b_%d * b_%d escapes)" % (i, j))
-        new.append([[x for x, _ in row] for row in qr])
+    ring, n, lam = order.algebra.ring, order.dim, order.lattice
+    both = hermite(ring, [a + b for a, b in zip(matmul(ring, big_p, lam.h),
+                                                 big_p)], 2 * n)[0]
+    lattice = Lattice(ring, n, [r[:n] for r in both], ring.mul(p, lam.d))
+    big_p = [r[n:] for r in both]
+    # c^Λ_ab contracted with row i of P on a, then row j of P on b
+    left = matmul(ring, big_p, [[x for c in row for x in c]
+                                for row in order.structure_constants()])
+    ys = [y for row in left for y in matmul(
+        ring, big_p, [row[b * n:(b + 1) * n] for b in range(n)])]
     grown = Order(order.algebra, lattice, validate=False)
-    grown._struct = new
-    grown._unit = matmul(ring, [order.unit_coords()], s)[0]
+    grown._struct = _closed_products(ring, big_p, ys, p, "grown lattice")
+    grown._unit = solve_echelon(ring, big_p, [[ring.mul(p, x) for x in
+                                               order.unit_coords()]])[0]
     if order._disc is not None:
-        ratio = functools.reduce(operator.mul, [
-            lattice.basis.rows[k][k] / order.bmat.rows[k][k] for k in range(n)])
-        grown._disc = (ratio * ratio * Frac(ring, order._disc)).integral_value()
-    p = ring.canonical(p)
+        det = functools.reduce(ring.mul, [big_p[k][k] for k in range(n)])
+        grown._disc = ring.exact_div(
+            functools.reduce(ring.mul, [det, det, order._disc]),
+            functools.reduce(ring.mul, [p] * (2 * n)))
     grown._steps = {q: step for q, step in order._steps.items()
                     if q != p and step[0] is None}
     return grown
@@ -361,7 +373,9 @@ def discriminant(order):
 def _radical_and_maximal(order, p):
     """(J, maximal, count): the p-radical of Λ, and functions that list and
     count the maximal two-sided ideals over p, from one residue algebra
-    and its radical; count holds no reference to Λ."""
+    and its radical; count holds no reference to Λ.  The count is that of
+    the simple factors of Λ/J, the F_p-dimension of the Frobenius-fixed
+    part of its center: the center is ∏ F_(p^f), fixed part ∏ F_p."""
     res, _, lift = residue_algebra(order, p)
     rad = res.radical_basis()
 
@@ -376,7 +390,7 @@ def _radical_and_maximal(order, p):
         return ideals
 
     return (_ideal_over_p(order, p, lift, rad), maximal,
-            lambda: len(res.quotient(rad)[0].primitive_central_idempotents()))
+            lambda: len(res.quotient(rad)[0].frobenius_fixed_center()))
 
 
 def _p_step_ideals(order, p):

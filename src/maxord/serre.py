@@ -107,16 +107,6 @@ class ModulePresentation:
                  for x in mul(self.alpha[t][u].coords, b)]
                 for t in range(self.r) for b in basis_rows]
 
-    def relation_matrix(self):
-        """The (r·n)×(s·n) matrix of α⊗(order basis) over the ground ring:
-        row (t, a) is the order-basis expansion of b_a·α[t][·]."""
-        o = self.order
-        n = o.dim
-        rows = [[c for u in range(self.s)
-                 for c in o.order_coords(row[u * n:(u + 1) * n])]
-                for row in self.image_rows(o.bmat.rows)]
-        return Matrix(o.algebra.ring, rows, self.s * n)
-
 
 class PeriodLattice:
     """A lattice with a left action of the order, one matrix per order
@@ -297,11 +287,16 @@ def tensor_lattice(pres, t):
     out_lat = Lattice.standard(ring, q)
     action = None
     if o.algebra.is_commutative() and q > 0:
+        # the order acts on T^s block-diagonally, by the action m_i on T
+        # in T-basis coordinates: Σ_u section_u·m_i·proj_u over the blocks
+        blocks = [range(u * rho, (u + 1) * rho) for u in range(pres.s)]
+        sec = [section.submatrix(range(q), b) for b in blocks]
+        proj = [proj_cols.submatrix(b, range(q)) for b in blocks]
         action = []
         for i in range(o.dim):
-            # order action in T-basis coordinates, block-diagonal on T^s
-            big_t = _block_diag(ring, _in_basis(t, t.action[i]), pres.s)
-            action.append(section * big_t * proj_cols)
+            m = _in_basis(t, t.action[i])
+            terms = [a * m * b for a, b in zip(sec, proj)]
+            action.append(sum(terms[1:], terms[0]))
     out = PeriodLattice(o, out_lat, action, prime=t.prime, validate=False)
     out.projection = proj_cols
     out.section = section
@@ -316,13 +311,6 @@ def _elementary_divisors(ring, s_mat):
             (s_mat.rows[i][i] for i in range(min(s_mat.nrows, s_mat.ncols)))
             if d]
     return len(diag), [d for d in diag if not ring.is_unit(d)]
-
-
-def _block_diag(ring, m, s):
-    """The block-diagonal matrix of s copies of m."""
-    k = m.ncols
-    return Matrix(ring, [[0] * (u * k) + row + [0] * ((s - 1 - u) * k)
-                         for u in range(s) for row in m.rows], s * k)
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +364,7 @@ def check_naturality(pres1, pres2, phi, t):
     n = o.dim
     # descent: rows of α1·φ must lie in the O-submodule generated by α2 rows
     gen_rows = pres2.image_rows(o.bmat.rows)
-    gen_lat = Lattice.from_rows(ring, gen_rows, pres2.s * alg.dim) \
-        if gen_rows else Lattice.zero(ring, pres2.s * alg.dim)
+    gen_lat = Lattice.from_rows(ring, gen_rows, pres2.s * alg.dim)
     for ti in range(pres1.r):
         for a in range(n):
             ba = o.bmat.rows[a]

@@ -30,8 +30,10 @@ def test_tracer_finds_every_target():
 
 
 def test_tracer_hooks_read_a_maximal_order_run(tmp_path, capsys):
-    # the hnf and idealizer hooks read arguments and results of the wrapped
-    # functions; a changed signature shows up in hook_errors
+    # the idealizer hook reads arguments and results of the wrapped
+    # function; a changed signature shows up in hook_errors.  Orders and
+    # their lattices take Hermite forms on rows of ring elements, which
+    # the hnf hook does not see; the serre-lattice run below reads it
     path = tmp_path / "quadratic.json"
     path.write_text(json.dumps({
         "algebra": {"poly_quotient": {"modulus": "x^2-5"}},
@@ -44,15 +46,14 @@ def test_tracer_hooks_read_a_maximal_order_run(tmp_path, capsys):
         tracer.uninstall()
     assert '"index": "2"' in capsys.readouterr().out
     assert not tracer.hook_errors
-    assert tracer.counts["exactlin.hnf.calls"] > 0
     assert tracer.counts["orders.idealizer.calls"] > 0
     # coordinates in an order come from back-substitution, not an inverse
     assert tracer.counts["exactlin.inverse.calls"] == 0
 
 
 def test_tracer_hooks_read_a_serre_lattice_run(tmp_path, capsys):
-    # snf calls hnf, whose hook reads the matrix it is given and the first
-    # matrix it returns
+    # tensor_lattice calls hnf on the Smith transform, and the hnf hook
+    # reads the matrix it is given and the first matrix it returns
     from test_cli import SERRE_CLASS_DOC, SERRE_LATTICE_DOC
 
     path = tmp_path / "lattice.json"
@@ -66,6 +67,7 @@ def test_tracer_hooks_read_a_serre_lattice_run(tmp_path, capsys):
     capsys.readouterr()
     assert not tracer.hook_errors
     assert tracer.counts["exactlin.snf.calls"] > 0
+    assert tracer.counts["exactlin.hnf.calls"] > 0
     assert tracer.incl["exactlin.snf"] > 0
     # and so do coordinates in a period lattice and the Smith section
     assert tracer.counts["exactlin.inverse.calls"] == 0

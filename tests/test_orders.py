@@ -287,11 +287,14 @@ def test_grown_lattice_that_is_not_closed_raises():
     lat = Lattice.from_rows(ZZ, [[1, 0], [0, HALF]], 2)
     with pytest.raises(NotIntegral):
         Order(alg, lat)
+    # _grown_order takes P = 2·(the basis in Λ-coordinates)
     with pytest.raises(NotIntegral):
-        orders._grown_order(order, 2, lat)
+        orders._grown_order(order, 2, [[2, 0], [0, 1]])
     # Z + Z·(1 + x)/2 is the maximal order, and is grown without error
     lat = Lattice.from_rows(ZZ, [[1, 0], [HALF, HALF]], 2)
-    assert_inherits_structure(orders._grown_order(order, 2, lat))
+    grown = orders._grown_order(order, 2, [[2, 0], [1, 1]])
+    assert grown.lattice == lat
+    assert_inherits_structure(grown)
 
 
 def right_mul_maps(alg, lat):

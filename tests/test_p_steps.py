@@ -20,6 +20,7 @@ from maxord.orders import (
     idealizer,
     is_maximal_at_p,
     maximal_order,
+    p_maximal_order,
     residue_algebra,
 )
 from maxord.rings import ZZ, Frac, pnorm, poly_ring, ptrim
@@ -60,14 +61,28 @@ def lincomb(ring, coeffs, vecs):
     return acc
 
 
-def idealizer_over_r(order, ideal):
-    """The lattice of O_l(I): the I-coordinates of each b_i·w_k solved
-    over R, and each scalar multiple reduced mod p on its own."""
+def basis_by_hnf(order, ideal):
+    """I's basis in Λ-coordinates, the first n rows of hnf([p·I; lifts])."""
     p, ring, n = ideal.prime, order.algebra.ring, order.dim
-    q, scalars, reduce, lift = scalar_maps(ring, p, n)
     eye = [[p if a == b else ring.zero for b in range(n)] for a in range(n)]
     h, _ = hnf(Matrix(ring, eye + list(ideal.lifts), n), transform=False)
-    w = [[x.num for x in row] for row in h.rows[:n]]
+    return [[x.num for x in row] for row in h.rows[:n]]
+
+
+def idealizer_over_r(order, ideal):
+    """The lattice of O_l(I), by the ambient route from the kernel lifts
+    of kernel_lifts_over_r."""
+    return ambient_route(order, ideal.prime,
+                         kernel_lifts_over_r(order, ideal))
+
+
+def kernel_lifts_over_r(order, ideal):
+    """Lifts of the y ∈ Λ/pΛ with yI ⊆ pI: the I-coordinates of each
+    b_i·w_k solved over R, and each scalar multiple reduced mod p on its
+    own."""
+    p, ring, n = ideal.prime, order.algebra.ring, order.dim
+    q, scalars, reduce, lift = scalar_maps(ring, p, n)
+    w = basis_by_hnf(order, ideal)
     struct = order.structure_constants()
     cond = []
     for i in range(n):
@@ -76,10 +91,15 @@ def idealizer_over_r(order, ideal):
         for s in scalars:
             cond.append([x for t in images
                          for x in reduce([ring.mul(s, c) for c in t])])
-    inv_p = Frac(ring, ring.one, p)
-    return Lattice.from_rows(ring, order.bmat.rows + [
-        [x * inv_p for x in order.ambient_coords(lift(v))]
-        for v in kernel(PrimeField(q), cond)], n)
+    return [lift(v) for v in kernel(PrimeField(q), cond)]
+
+
+def ambient_route(order, p, lifts):
+    """The lattice of Λ + (1/p)·(lifts, in Λ-coordinates), from the
+    2n rows of Λ's basis and the lifts' ambient coordinates over Frac(R)."""
+    ring, n, basis = order.algebra.ring, order.dim, order.bmat
+    grown = (Matrix(ring, lifts, n) * basis).scaled(Frac(ring, ring.one, p))
+    return Lattice.from_rows(ring, basis.rows + grown.rows, n)
 
 
 def residue_table_by_products(order, p):
@@ -157,6 +177,72 @@ def test_idealizer_matches_a_solve_over_r():
     assert checked >= 120 and grown >= 40
 
 
+def structure_constants_over_frac(order):
+    """Order coordinates of the b_i·b_j, from products over Frac(R) read
+    by Lattice.coordinates."""
+    rows, mul, n = order.bmat.rows, order.algebra.mul_coords, order.dim
+    flat = [[x.integral_value() for x in t] for t in order.lattice.coordinates(
+        [mul(a, b) for a in rows for b in rows])]
+    return [flat[i * n:(i + 1) * n] for i in range(n)]
+
+
+def test_p_step_bases_match_the_fraction_route():
+    """On every ideal checked along each chain: the basis over R/p is the
+    Hermite form of [p·I; lifts]; the order grown from the kernel lifts
+    (P from their rref over R/p) has the lattice, with its hash, of the
+    2n-row Lattice.from_rows over Frac(R); and structure constants over
+    R, of each order validated afresh and of each grown one, are those of
+    the products over Frac(R)."""
+    rng = random.Random(9)
+    grown = residue_fields = 0
+    for order, p in seeded_cases():
+        ring, n = order.algebra.ring, order.dim
+        while order is not None:
+            want = structure_constants_over_frac(order)
+            assert order.structure_constants() == want, p
+            fresh = Order(order.algebra, order.lattice)
+            assert fresh.structure_constants() == want, p
+            for ideal in ideals_to_check(order, p, rng):
+                assert orders._basis_over_p(ring, p, ideal.lifts, n) == \
+                    basis_by_hnf(order, ideal), p
+                lifts = kernel_lifts_over_r(order, ideal)
+                if not lifts:
+                    continue
+                big_p = orders._basis_over_p(ring, p, lifts, n)
+                lattice = orders._grown_order(order, p, big_p).lattice
+                ref = ambient_route(order, p, lifts)
+                assert lattice == ref and hash(lattice) == hash(ref), p
+                assert idealizer(order, ideal).lattice == ref, p
+                grown += 1
+                residue_fields += isinstance(p, tuple) and len(p) > 2
+            order = order.step_at(p)[0]
+    assert grown >= 45 and residue_fields >= 12
+
+
+def test_p_steps_build_no_fractions(monkeypatch):
+    """Once an order's structure constants (and its discriminant, a Gram
+    determinant over Frac(R)) are known, p-maximalization builds no Frac:
+    ideal bases, idealizer conditions, grown lattices, their structure
+    constants and discriminants are all over R or R/p.  Seeded orders
+    over Z and F_5[t], the Lipschitz and an Eichler order among them."""
+    cases = [(o, p) for o, p in seeded_cases() if o.algebra.ring in (ZZ, F5T)]
+    for order, _ in cases:
+        order.structure_constants()
+        discriminant(order)
+    made = []
+    init = Frac.__init__
+    monkeypatch.setattr(Frac, "__init__", lambda self, *args, **kwargs: (
+        made.append(args), init(self, *args, **kwargs))[1])
+    steps = 0
+    for order, p in cases:
+        out = p_maximal_order(order, p)
+        steps += out.lattice != order.lattice
+    monkeypatch.undo()
+    assert not made
+    assert steps == len(cases)
+    assert any(not o.algebra.is_commutative() for o, _ in cases)
+
+
 @pytest.mark.parametrize("ring", [ZZ, F3T, F5T], ids=["Z", "F3t", "F5t"])
 def test_residue_tables_match_products(ring):
     """Each table entry t^(e+f)·c_ij, formed from c_ij mod p by
@@ -232,16 +318,16 @@ def test_grown_discriminants_match_gram_determinants():
 
 def test_maximal_ideals_are_counted_once_when_read(monkeypatch):
     """A commutative p-step counts the maximal ideals over p only when a
-    certificate reads the count, and at most once per order and prime."""
+    certificate reads the count, and at most once per order and prime; the
+    count is the dimension of the Frobenius-fixed center of Λ/J."""
     calls = []
-    count = FiniteAlgebra.primitive_central_idempotents
+    count = FiniteAlgebra.frobenius_fixed_center
 
     def counted(self):
         calls.append(self)
         return count(self)
 
-    monkeypatch.setattr(FiniteAlgebra, "primitive_central_idempotents",
-                        counted)
+    monkeypatch.setattr(FiniteAlgebra, "frobenius_fixed_center", counted)
     start = equation_order(ZZ, [-135, 0, 1])
     out = maximal_order(start)
     assert not calls

@@ -31,6 +31,7 @@ from maxord.serre import (
     tensor_isogeny_class,
     tensor_lattice,
 )
+from test_acceptance import relation_matrix
 from test_exactlin import small_element
 
 HALF = Frac(ZZ, 1, 2)
@@ -417,7 +418,7 @@ class TestRandomizedProperties:
         found = 0
         while found < 10:
             pres = self.random_presentation(o, rng, 2, 2)
-            rel = pres.relation_matrix()
+            rel = relation_matrix(pres)
             if rel.det().is_zero():
                 continue
             found += 1
