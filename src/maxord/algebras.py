@@ -16,9 +16,8 @@ from .errors import (
     NeedsSuppliedIdempotents,
     NotSemisimple,
 )
-from .exactlin import (FractionField, Matrix, kernel, power_relation, rref,
-                       solve)
-from .rings import Frac, frac0, frac1, rational_factors
+from .exactlin import FractionField, Matrix, kernel, power_relation, rref
+from .rings import Frac, frac0, frac1
 
 
 class Algebra:
@@ -177,6 +176,7 @@ class Algebra:
             raise NeedsSuppliedIdempotents(
                 "central idempotents must be supplied in characteristic p"
             )
+        from .decompose import rational_factors
         zbasis = self.center()
         dim_z = len(zbasis)
         if dim_z == 1:
@@ -270,42 +270,6 @@ class AlgebraElement:
             if c
         ]
         return " + ".join(terms) if terms else "0"
-
-
-class Decomposition:
-    """A = prod A_i realized by central orthogonal idempotents."""
-
-    def __init__(self, parent, idempotents, factors, embeddings):
-        self.parent = parent
-        self.idempotents = idempotents
-        self.factors = factors
-        self.embeddings = embeddings  # per factor: d_i x dim matrix of coords
-
-
-def decompose(alg, idems):
-    """Split the algebra along a central orthogonal idempotent system."""
-    alg.check_idempotent_system(idems)
-    ring = alg.ring
-    factors = []
-    embeddings = []
-    total = 0
-    for e in idems:
-        basis_rows, _ = rref(alg.field,
-                             [(e * b * e).coords for b in alg.basis()])
-        d = len(basis_rows)
-        total += d
-        prods = [alg.mul_coords(x, y) for x in basis_rows for y in basis_rows]
-        sol = solve(alg.field, basis_rows, prods + [e.coords])
-        if sol is None:
-            raise BadIdempotents("idempotent block is not closed")
-        table = [sol[i * d:(i + 1) * d] for i in range(d)]
-        factors.append(Algebra(ring, table, sol[-1],
-                               trusted_semisimple=alg.trusted_semisimple,
-                               validate=False))
-        embeddings.append(Matrix(ring, basis_rows, alg.dim))
-    if total != alg.dim:
-        raise BadIdempotents("blocks do not fill the algebra")
-    return Decomposition(alg, list(idems), factors, embeddings)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from .serialize import (
     parse_presentation,
     parse_primes,
 )
-from .serre import minimal_isogeny, tensor_isogeny_class, tensor_lattice
 
 
 def _load(path, parse):
@@ -93,7 +92,7 @@ def cmd_decompose(args):
             alg.element([parse_frac(alg.ring, c) for c in row]) for row in doc])
     else:
         idems = alg.central_idempotents(seed=args.seed)
-    from .algebras import decompose
+    from .decompose import decompose
     dec = decompose(alg, idems)
     _emit({
         "idempotents": [[str(c) for c in e.coords] for e in dec.idempotents],
@@ -177,6 +176,8 @@ def _order_and_presentation(doc):
 
 
 def cmd_serre_class(args):
+    from .serre import tensor_isogeny_class
+
     def parse(doc):
         order, pres = _order_and_presentation(doc)
         emb = parse_at(doc, "embedding",
@@ -194,6 +195,8 @@ def cmd_serre_class(args):
 
 
 def cmd_serre_lattice(args):
+    from .serre import tensor_lattice
+
     def parse(doc):
         order, pres = _order_and_presentation(doc)
         return pres, parse_at(
@@ -210,6 +213,8 @@ def cmd_serre_lattice(args):
 
 
 def cmd_minimal_isogeny(args):
+    from .serre import minimal_isogeny
+
     def parse(doc):
         order = parse_at(doc, "order", parse_order)
         o_prime = parse_at(doc, "orderPrime",

@@ -69,10 +69,6 @@ class NotSemisimple(MaxordError):
     code = "NotSemisimple"
 
 
-class DimensionTooLarge(MaxordError):
-    code = "DimensionTooLarge"
-
-
 class ZeroElement(MaxordError):
     code = "ZeroElement"
 

@@ -639,12 +639,6 @@ class Lattice:
                                          for r in w])
         return y is not None and all(ring.divides(e, x) for r in y for x in r)
 
-    def add(self, other):
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return Lattice.from_rows(
-            self.ring, self.basis.rows + other.basis.rows, self.ambient_dim)
-
     def scaled(self, c):
         return Lattice.from_rows(self.ring, self.basis.scaled(c), self.ambient_dim)
 

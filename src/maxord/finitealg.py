@@ -5,10 +5,10 @@ convention as elsewhere in the package; the linear algebra is the shared
 kernel of ``exactlin`` over ``PrimeField``.
 """
 
-from .errors import DimensionTooLarge, InternalError
-from .exactlin import (PrimeField, charpoly, kernel, power_relation,
+from .errors import InternalError
+from .exactlin import (PrimeField, charpoly, kernel, matmul, power_relation,
                        quotient_space, rref, solve)
-from .rings import poly_ring
+from .rings import ZZ, poly_ring
 
 
 def charpoly_mod(mat, p):
@@ -48,11 +48,6 @@ class FiniteAlgebra:
                         out[k] = (out[k] + f * c) % p
         return out
 
-    def left_mul_matrix(self, a):
-        """Rows i: coords of a * b_i; coords(a*x) = coords(x) * M."""
-        basis = self.basis()
-        return [self.mul(a, basis[i]) for i in range(self.dim)]
-
     def basis(self):
         out = []
         for i in range(self.dim):
@@ -60,9 +55,6 @@ class FiniteAlgebra:
             v[i] = 1
             out.append(v)
         return out
-
-    def charpoly(self, a):
-        return charpoly_mod(self.left_mul_matrix(a), self.p)
 
     # -- radical (characteristic-p safe) --------------------------------------
 
@@ -97,33 +89,31 @@ class FiniteAlgebra:
         The tower is cut out by the characteristic-polynomial coefficient
         maps g_i(x) = [lambda^(n - p^i)] charpoly(L_x), which are F_p-linear
         on each successive subspace; the final subspace is the radical.  The
-        first, g_0 = -trace, is read off the trace form.
+        first, g_0 = -trace, is read off the trace form; L_z has the rows
+        z·b_k.
         """
-        p, n = self.p, self.dim
-        current = self.basis()  # rows spanning R_i
+        p, n, basis = self.p, self.dim, self.basis()
+        current = basis  # rows spanning R_i
         power = 1  # p^i
         while current:
             # g_i(x*y) for x, y in current: x indexes rows, y columns, and
             # R_{i+1} is the kernel over the x-coefficients
+            prods = [[self.mul(x, y) for y in current] for x in current]
             if power == 1:
                 tau = self.trace_form
-                cond = [[-sum(c * t for c, t in zip(self.mul(x, y), tau)) % p
-                         for y in current] for x in current]
+                cond = [[-sum(c * t for c, t in zip(z, tau)) % p for z in row]
+                        for row in prods]
             else:
-                cond = [[self.charpoly(self.mul(x, y))[n - power]
-                         for y in current] for x in current]
+                cond = [[charpoly_mod([self.mul(z, b) for b in basis],
+                                      p)[n - power] for z in row]
+                        for row in prods]
+            # rref reduces the product over Z mod p
             current = rref(self.field,
-                           self._combine(kernel(self.field, cond), current))[0]
+                           matmul(ZZ, kernel(self.field, cond), current))[0]
             if power * p > n:
                 return current
             power *= p
         return []
-
-    def _combine(self, coeff_rows, rows):
-        """The rows of coeff_rows * rows over F_p."""
-        p, cols = self.p, list(zip(*rows))
-        return [[sum(c * b for c, b in zip(cr, col)) % p for col in cols]
-                for cr in coeff_rows]
 
     # -- quotients ------------------------------------------------------------
 
@@ -160,7 +150,7 @@ class FiniteAlgebra:
         rows = solve(self.field, zb, diffs)
         if rows is None:
             raise InternalError("center is not closed under x -> x^p")
-        return rref(self.field, self._combine(kernel(self.field, rows), zb))[0]
+        return rref(self.field, matmul(ZZ, kernel(self.field, rows), zb))[0]
 
     def _elt_pow(self, z, e):
         acc = list(self.one_coords)
@@ -216,50 +206,3 @@ class FiniteAlgebra:
             raise InternalError("idempotents do not sum to 1")
         idems.sort()
         return idems
-
-    # -- two-sided ideals ------------------------------------------------------
-
-    def two_sided_ideal_generated(self, x):
-        """Span basis of the two-sided ideal generated by x (with 1 in A)."""
-        basis = self.basis()
-        gens = [self.mul(self.mul(bi, x), bj) for bi in basis for bj in basis]
-        return rref(self.field, gens)[0]
-
-    def all_two_sided_ideals(self, max_elements=200000):
-        """Every two-sided ideal, as tuples of rref basis rows.
-
-        Enumerates cyclic ideals over all p^dim elements, then closes the
-        collection under sums.  Guarded against combinatorial blowup.
-        """
-        p, n = self.p, self.dim
-        if n > 16:
-            raise DimensionTooLarge("residue algebra dimension %d > 16" % n)
-        if p ** n > max_elements:
-            raise DimensionTooLarge(
-                "residue algebra has %d elements" % (p ** n)
-            )
-        seen = set()
-        seen.add(())  # zero ideal
-        vec = [0] * n
-        for count in range(p ** n):
-            rem = count
-            for t in range(n):
-                vec[t] = rem % p
-                rem //= p
-            if not any(vec):
-                continue
-            ideal = self.two_sided_ideal_generated(vec)
-            seen.add(tuple(tuple(r) for r in ideal))
-        # close under sums
-        changed = True
-        while changed:
-            changed = False
-            items = list(seen)
-            for a in items:
-                for b in items:
-                    s = rref(self.field, a + b)[0]
-                    key = tuple(tuple(r) for r in s)
-                    if key not in seen:
-                        seen.add(key)
-                        changed = True
-        return sorted(seen)

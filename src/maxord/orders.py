@@ -1,6 +1,5 @@
 """R-orders in finite-dimensional algebras: radicals, idealizers,
-p-maximalization, maximality certificates, ideal enumeration, and
-endomorphism orders."""
+p-maximalization, maximality certificates, and endomorphism orders."""
 
 import functools
 
@@ -21,7 +20,6 @@ from .exactlin import (
     ResidueField,
     hermite,
     kernel,
-    lattice_index,
     matmul,
     rref,
     solve_echelon,
@@ -555,17 +553,3 @@ def endomorphism_order(delta, m, r=None):
                     rows.append(img)
         maps.append(Matrix(ring, rows, r * d))
     return _stabilizer_order(model, m, maps)
-
-
-# ---------------------------------------------------------------------------
-# ideal enumeration
-
-
-def two_sided_ideals_over_p(order, p, max_elements=200000):
-    """All two-sided ideals I with pΛ ⊆ I ⊆ Λ."""
-    res, _, lift = residue_algebra(order, p)
-    out = [_ideal_over_p(order, p, lift, [list(r) for r in rows])
-           for rows in res.all_two_sided_ideals(max_elements=max_elements)]
-    out.sort(key=lambda i: str(lattice_index(i.lattice, order.lattice)))
-    return out
-

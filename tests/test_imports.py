@@ -46,3 +46,16 @@ def test_private_definitions_are_used(path):
               for name, line in sorted(defined.items()) if name not in used]
     assert not unused, "unused private definitions in %s: %s" % (
         path.name, ", ".join(unused))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_private_imports(path):
+    """No module imports an _-prefixed name from another: a name shared
+    between modules is public."""
+    private = ["%s (line %d)" % (alias.name, node.lineno)
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom)
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private, "private names imported in %s: %s" % (
+        path.name, ", ".join(private))

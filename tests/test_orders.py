@@ -5,13 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from maxord.algebras import (
     Algebra,
-    decompose,
     matrix_algebra,
     poly_quotient_algebra,
     product_algebra,
     quaternion_algebra,
 )
 from maxord import orders
+from maxord.decompose import decompose
 from maxord.errors import NotFullRank, NotIntegral, NotPrime
 from maxord.exactlin import (FractionField, Lattice, Matrix, charpoly,
                               lattice_index, solve)
@@ -26,9 +26,9 @@ from maxord.orders import (
     p_maximal_order,
     radical_mod_p,
     residue_algebra,
-    two_sided_ideals_over_p,
 )
 from maxord.rings import ZZ, Frac, poly_ring
+from ideal_oracle import two_sided_ideals_over_p
 from test_acceptance import (
     brute_force_maximal_order,
     lattice_product,
@@ -79,7 +79,8 @@ def order_closure(alg, gens, max_steps=64):
     lat = Lattice.from_rows(
         alg.ring, [alg.one_coords] + [g.coords for g in gens], alg.dim)
     for _ in range(max_steps):
-        nxt = lat.add(lattice_product(alg, lat, lat))
+        nxt = Lattice.from_rows(alg.ring, lat.basis.rows + lattice_product(
+            alg, lat, lat).basis.rows, alg.dim)
         if nxt == lat:
             if lat.rank != alg.dim:
                 raise NotFullRank("generators span a proper subalgebra")

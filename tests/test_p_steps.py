@@ -24,6 +24,7 @@ from maxord.orders import (
     residue_algebra,
 )
 from maxord.rings import ZZ, Frac, pnorm, poly_ring, ptrim
+from ideal_oracle import two_sided_ideal_generated
 from test_certificates import equation_order, f5t_kummer_order
 
 F3T, F5T = poly_ring(3), poly_ring(5)
@@ -154,7 +155,7 @@ def ideals_to_check(order, p, rng):
     for _ in range(2):
         x = [rng.randrange(res.p) for _ in range(res.dim)]
         out.append(orders._ideal_over_p(
-            order, p, lift, res.two_sided_ideal_generated(x)))
+            order, p, lift, two_sided_ideal_generated(res, x)))
     return out
 
 

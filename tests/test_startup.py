@@ -1,7 +1,8 @@
 """sympy is loaded only for integers of 2^32 and above, which trial
 division cannot factor.  Importing the CLI, and running it on documents
-over Z and F_p[t], centers that split over Q included, must not load it;
-each check runs in a fresh interpreter."""
+over Z and F_p[t], centers that split over Q included, must not load it.
+A command loads maxord.serre or maxord.decompose only when it runs them.
+Each check runs in a fresh interpreter."""
 
 import ast
 import json
@@ -11,6 +12,8 @@ import subprocess
 import sys
 
 import pytest
+
+from test_cli import SERRE_LATTICE_DOC
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -36,8 +39,8 @@ F2T_INSEPARABLE = {
 }
 
 
-def sympy_loaded(tmp_path, argv=None, doc=None):
-    """Whether sympy is in sys.modules after importing maxord.cli and, if
+def loaded(tmp_path, module, argv=None, doc=None):
+    """Whether module is in sys.modules after importing maxord.cli and, if
     argv is given, running main(argv) on doc."""
     script = ["import sys", "import maxord.cli"]
     if argv is not None:
@@ -46,7 +49,7 @@ def sympy_loaded(tmp_path, argv=None, doc=None):
         argv = [argv[0], str(path), *argv[1:]]
         script.append("code = maxord.cli.main(%r)" % (argv,))
         script.append("assert code in (0, 2), code")
-    script.append("print('sympy' in sys.modules)")
+    script.append("print(%r in sys.modules)" % module)
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", "\n".join(script)],
                           env=env, capture_output=True, text=True,
@@ -56,7 +59,7 @@ def sympy_loaded(tmp_path, argv=None, doc=None):
 
 
 def test_import_does_not_load_sympy(tmp_path):
-    assert not sympy_loaded(tmp_path)
+    assert not loaded(tmp_path, "sympy")
 
 
 @pytest.mark.parametrize("argv, doc", [
@@ -67,7 +70,7 @@ def test_import_does_not_load_sympy(tmp_path):
     (["maximal-order", "--primes", "t,t^3+t+1"], F2T_INSEPARABLE),
 ])
 def test_commands_over_z_and_fpt_do_not_load_sympy(tmp_path, argv, doc):
-    assert not sympy_loaded(tmp_path, argv, doc)
+    assert not loaded(tmp_path, "sympy", argv, doc)
 
 
 @pytest.mark.parametrize("argv, modulus", [
@@ -75,12 +78,36 @@ def test_commands_over_z_and_fpt_do_not_load_sympy(tmp_path, argv, doc):
     (["decompose"], "x^3-x^2-2x+2"),  # (x - 1)(x^2 - 2)
 ])
 def test_splitting_center_does_not_load_sympy(tmp_path, argv, modulus):
-    # a center that is not a field is split by factoring over Q
+    # only decompose splits a center that is not a field, by factoring
+    # over Q; maximal-order splits no center and factors nothing over Q
     algebra = {"poly_quotient": {"modulus": modulus}}
     doc = algebra
     if argv == ["maximal-order"]:
         doc = {"algebra": algebra, "basis": [["1", "0"], ["0", "1"]]}
-    assert not sympy_loaded(tmp_path, argv, doc)
+    assert not loaded(tmp_path, "sympy", argv, doc)
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["disc"], HURWITZ),
+    (["certify"], HURWITZ),
+    (["maximal-order"], LIPSCHITZ),
+])
+@pytest.mark.parametrize("module", ["maxord.serre", "maxord.decompose",
+                                    "maxord.selftest"])
+def test_order_commands_load_only_what_they_run(tmp_path, argv, doc, module):
+    assert not loaded(tmp_path, module, argv, doc)
+
+
+def test_decompose_loads_decompose_but_not_serre(tmp_path):
+    doc = {"poly_quotient": {"modulus": "x^3-x^2-2x+2"}}
+    assert loaded(tmp_path, "maxord.decompose", ["decompose"], doc)
+    assert not loaded(tmp_path, "maxord.serre", ["decompose"], doc)
+
+
+def test_serre_lattice_loads_serre(tmp_path):
+    # the control of the checks above
+    assert loaded(tmp_path, "maxord.serre", ["serre-lattice"],
+                  SERRE_LATTICE_DOC)
 
 
 def test_large_prime_discriminant_loads_sympy(tmp_path):
@@ -88,7 +115,7 @@ def test_large_prime_discriminant_loads_sympy(tmp_path):
     # 2^32, which trial division cannot settle
     doc = {"algebra": {"poly_quotient": {"modulus": "x^2-8589934609"}},
            "basis": [["1", "0"], ["0", "1"]]}
-    assert sympy_loaded(tmp_path, ["maximal-order"], doc)
+    assert loaded(tmp_path, "sympy", ["maximal-order"], doc)
 
 
 def test_sympy_imported_only_for_large_integers():
@@ -117,4 +144,4 @@ def test_quadratic_field_does_not_load_sympy(tmp_path):
     # needs no factorization over Q
     doc = {"algebra": {"poly_quotient": {"modulus": "x^2-5"}},
            "basis": [["1", "0"], ["0", "1"]]}
-    assert not sympy_loaded(tmp_path, ["maximal-order"], doc)
+    assert not loaded(tmp_path, "sympy", ["maximal-order"], doc)
