@@ -6,6 +6,7 @@ location} record.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -264,6 +265,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def build_parser():
     p = argparse.ArgumentParser(
         prog="maxord",

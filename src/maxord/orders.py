@@ -43,7 +43,7 @@ class Order:
         self._struct = None
         self._unit = None
         self._disc = None
-        self._steps = {}
+        self._steps, self._mod_p2 = {}, {}  # per prime p
         if validate:
             self.structure_constants()
             if self.unit_coords() is None:
@@ -275,8 +275,10 @@ def idealizer(order, ideal):
     w = _basis_over_p(ring, p, ideal.lifts, n)
     m = [[ring.exact_div(p, x) if a == b else ring.neg(x)
           for b, x in enumerate(row)] for a, row in enumerate(w)]
-    flat = [mod_p2(c) for row in order.structure_constants() for c in row]
-    sm = [mod_p2(row) for row in matmul(ring, flat, m)]  # rows c_ia·M
+    if p not in order._mod_p2:  # Λ's constants, for every ideal over p
+        order._mod_p2[p] = [mod_p2(c) for row in order.structure_constants()
+                            for c in row]
+    sm = [mod_p2(r) for r in matmul(ring, order._mod_p2[p], m)]  # c_ia·M
     cond = []
     for i in range(n):
         # I-coordinates mod p of the b_i·w_k, W·(c_i·M)/p, times each t^e

@@ -290,6 +290,12 @@ class IntegerRing(GroundRing):
             q, r = q + 1, r - b
         return q, r
 
+    def exact_div(self, a, b):
+        q, r = divmod(a, b)
+        if r:
+            raise ZeroDivisionError("non-exact division")
+        return q
+
     def xgcd(self, a, b):
         """Return (g, x, y) with g = x*a + y*b and g >= 0."""
         x0, x1, y0, y1 = 1, 0, 0, 1

@@ -15,7 +15,7 @@ from .errors import (
     NotContained,
     NotIntegral,
 )
-from .exactlin import Lattice, Matrix, hnf, lattice_index, matmul, snf
+from .exactlin import Lattice, Matrix, hnf, matmul, snf
 from .algebras import matrix_over_algebra, product_algebra
 from .rings import Frac, frac0
 
@@ -256,6 +256,7 @@ def tensor_lattice(pres, t):
     The output lattice lives in the free quotient T^s/⟨image of α⊗id⟩ and
     is expressed in the coordinates cut out by the SNF transition matrix;
     the descended order action is recorded when the order is commutative.
+    Rank and divisors need the Smith form alone; see _TensorLattice.
     """
     o = pres.order
     if t.order is not o:
@@ -267,40 +268,53 @@ def tensor_lattice(pres, t):
     phi = Matrix(ring, _block_rows(t, pres.alpha), pres.s * rho)
     if not phi.is_integral():
         raise ActionMismatch("presentation does not preserve the lattice")
-    s_mat, v_mat = snf(phi)
-    rank, divisors = _elementary_divisors(ring, s_mat)
-    q = pres.s * rho - rank
-    # coordinates on the free quotient: last q coords of x·V.  Those
-    # columns of V are a basis of the kernel of phi; its Hermite basis
-    # keeps the entries of the descended action small
-    cols = v_mat.transpose().rows
-    cols[rank:] = Lattice.from_rows(ring, cols[rank:], pres.s * rho).basis.rows
-    v_mat = Matrix._of(ring, cols, pres.s * rho).transpose()
-    proj_cols = v_mat.submatrix(range(pres.s * rho),
-                                range(rank, pres.s * rho))
-    # v is unimodular, so its Hermite form is I and the transform is v⁻¹
-    h, v_inv = hnf(v_mat)
-    if h != Matrix.identity(ring, pres.s * rho):
-        raise InternalError("Smith transform is not unimodular")
-    section = v_inv.submatrix(range(rank, pres.s * rho),
-                              range(pres.s * rho))
-    out_lat = Lattice.standard(ring, q)
-    action = None
-    if o.algebra.is_commutative() and q > 0:
-        # the order acts on T^s block-diagonally, by the action m_i on T
-        # in T-basis coordinates: Σ_u section_u·m_i·proj_u over the blocks
-        blocks = [range(u * rho, (u + 1) * rho) for u in range(pres.s)]
-        sec = [section.submatrix(range(q), b) for b in blocks]
-        proj = [proj_cols.submatrix(b, range(q)) for b in blocks]
-        action = []
-        for i in range(o.dim):
-            m = _in_basis(t, t.action[i])
-            terms = [a * m * b for a, b in zip(sec, proj)]
-            action.append(sum(terms[1:], terms[0]))
-    out = PeriodLattice(o, out_lat, action, prime=t.prime, validate=False)
-    out.projection = proj_cols
-    out.section = section
-    return out, divisors
+    rank, divisors = _elementary_divisors(ring, snf(phi, transform=False)[0])
+    return _TensorLattice(t, phi, rank), divisors
+
+
+class _TensorLattice(PeriodLattice):
+    """The period lattice of tensor_lattice.  Its projection, section and
+    action are built when first read, then kept as plain attributes."""
+
+    def __init__(self, t, phi, rank):
+        self.order, self.prime, self._made = t.order, t.prime, (t, phi, rank)
+        self.lattice = Lattice.standard(phi.ring, phi.ncols - rank)
+
+    def __getattr__(self, name):
+        if name not in ("section", "projection", "action"):
+            raise AttributeError(name)
+        t, phi, rank = self._made
+        ring, n, q, rho = phi.ring, phi.ncols, phi.ncols - rank, t.lattice.rank
+        if name == "action":
+            action = None
+            if self.order.algebra.is_commutative() and q > 0:
+                # the order acts on T^s block-diagonally, by the action m_i
+                # on T in T-basis coordinates: Σ_u section_u·m_i·proj_u
+                blocks = [range(u, u + rho) for u in range(0, n, rho)]
+                sec = [self.section.submatrix(range(q), b) for b in blocks]
+                proj = [self.projection.submatrix(b, range(q)) for b in blocks]
+                action = []
+                for m in (_in_basis(t, x) for x in t.action):
+                    terms = [a * m * b for a, b in zip(sec, proj)]
+                    action.append(sum(terms[1:], terms[0]))
+            self.action = action
+            return action
+        # coordinates on the free quotient: last q coords of x·V.  Those
+        # columns of V are a basis of the kernel of phi; its Hermite basis
+        # keeps the entries of the descended action small
+        cols = snf(phi)[1].transpose().rows
+        cols[rank:] = Lattice.from_rows(ring, cols[rank:], n).basis.rows
+        v_mat = Matrix._of(ring, cols, n).transpose()
+        # v is unimodular, so its Hermite form is I and the transform is v⁻¹
+        h, v_inv = hnf(v_mat)
+        if h != Matrix.identity(ring, n):
+            raise InternalError("Smith transform is not unimodular")
+        # with one of the two assigned, a read of the other keeps it
+        vars(self).setdefault("projection",
+                              v_mat.submatrix(range(n), range(rank, n)))
+        vars(self).setdefault("section",
+                              v_inv.submatrix(range(rank, n), range(n)))
+        return vars(self)[name]
 
 
 def _elementary_divisors(ring, s_mat):
@@ -332,15 +346,15 @@ def minimal_isogeny(o, o_prime, lattices):
         cur = Lattice.from_rows(
             ring, [r for b in prime_basis for r in
                    (t.lattice.basis * t.act(b)).rows], t.lattice.ambient_dim)
-        # elementary divisors of cur/t.lattice
+        # elementary divisors of cur/t.lattice, unit-normalized: their
+        # product is the index [cur : t.lattice]
         cmat = Matrix(ring, cur.coordinates(t.lattice.basis.rows), cur.rank)
         if not cmat.is_integral():
             raise NotContained("saturated lattice does not contain the input")
         _, divs = _elementary_divisors(ring, snf(cmat, transform=False)[0])
         per.append({"prime": t.prime, "elementaryDivisors": divs})
-        degree = ring.canonical(
-            ring.mul(degree, lattice_index(t.lattice, cur))
-        )
+        for d in divs:
+            degree = ring.mul(degree, d)
     return IsogenyDescriptor(per, degree)
 
 

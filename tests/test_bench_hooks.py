@@ -36,7 +36,7 @@ def test_tracer_hooks_read_a_maximal_order_run(tmp_path, capsys):
     # the idealizer hook reads arguments and results of the wrapped
     # function; a changed signature shows up in hook_errors.  Orders and
     # their lattices take Hermite forms on rows of ring elements, which
-    # the hnf hook does not see; the serre-lattice run below reads it
+    # the hnf hook does not see; the serre-lattice test below reads it
     path = tmp_path / "quadratic.json"
     path.write_text(json.dumps({
         "algebra": {"poly_quotient": {"modulus": "x^2-5"}},
@@ -55,22 +55,32 @@ def test_tracer_hooks_read_a_maximal_order_run(tmp_path, capsys):
 
 
 def test_tracer_hooks_read_a_serre_lattice_run(tmp_path, capsys):
-    # tensor_lattice calls hnf on the Smith transform, and the hnf hook
-    # reads the matrix it is given and the first matrix it returns
-    from test_cli import SERRE_CLASS_DOC, SERRE_LATTICE_DOC
+    # the CLI run takes one Smith form without transforms and no Hermite
+    # form of a Matrix.  Reading the section of a tensor_lattice result
+    # inverts the Smith transform by hnf, and the hnf hook reads the
+    # matrix it is given and the first matrix it returns
+    from maxord.serialize import (parse_order, parse_period_lattice,
+                                  parse_presentation)
 
     path = tmp_path / "lattice.json"
     path.write_text(json.dumps(SERRE_LATTICE_DOC))
+    order = parse_order(SERRE_LATTICE_DOC["order"])
+    pres = parse_presentation(SERRE_LATTICE_DOC, order=order)
+    t = parse_period_lattice(SERRE_LATTICE_DOC["lattice"], order)
     tracer = make_tracer()
     try:
         assert tracer.install() == []
         assert maxord.cli.main(["serre-lattice", str(path)]) == 0
+        assert tracer.counts["exactlin.hnf.calls"] == 0
+        out, _ = maxord.serre.tensor_lattice(pres, t)
+        assert out.section is not None
     finally:
         tracer.uninstall()
     capsys.readouterr()
     assert not tracer.hook_errors
     assert tracer.counts["exactlin.snf.calls"] > 0
-    assert tracer.counts["exactlin.hnf.calls"] > 0
+    assert tracer.counts["exactlin.hnf.calls"] == 1
+    assert tracer.max_bits > 0
     assert tracer.incl["exactlin.snf"] > 0
     # and so do coordinates in a period lattice and the Smith section
     assert tracer.counts["exactlin.inverse.calls"] == 0

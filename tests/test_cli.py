@@ -1,7 +1,9 @@
+import argparse
 import json
 
 import pytest
 
+from maxord import cli
 from maxord.cli import main
 
 GAUSSIAN_ORDER = {
@@ -414,3 +416,23 @@ class TestOutputHandling:
                                        "disc", "--format", "text")
         assert code == 0
         assert "discriminant" in out and "-4" in out
+
+    def test_main_builds_one_parser(self, tmp_path, capsys, monkeypatch):
+        # built on the first call and reused: the second call, without
+        # --format, still prints JSON, as parse_args leaves it unchanged
+        built, real = [], argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli.build_parser.cache_clear()
+        try:
+            outs = [run_cli_capture(tmp_path, capsys, GAUSSIAN_ORDER, "disc",
+                                    *flags)[1]
+                    for flags in (("--format", "text"), ())]
+        finally:
+            cli.build_parser.cache_clear()
+        assert len(built) == 1
+        assert outs == ["discriminant: -4\n", '{"discriminant": "-4"}\n']

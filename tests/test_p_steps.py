@@ -362,3 +362,35 @@ def test_steps_hold_no_order_they_came_from():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_constants_are_reduced_once_per_order_and_prime(monkeypatch):
+    """A noncommutative p-step reduces Λ's structure constants mod p² once,
+    for the radical's idealizer and each maximal ideal's: on the Eichler
+    order of level 3 at 3, which grows at a maximal ideal, and on the
+    Hurwitz order at 2, which is maximal there."""
+    calls = []
+    real = orders.idealizer
+
+    def counted(order, ideal):
+        calls.append(order)
+        return real(order, ideal)
+
+    class Stores(dict):
+        def __setitem__(self, key, value):
+            stores.append(key)
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(orders, "idealizer", counted)
+    eichler = Order(matrix_algebra(ZZ, 2), Lattice.from_rows(
+        ZZ, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 3, 0], [0, 0, 0, 1]], 4))
+    hurwitz = maximal_order(
+        Order(quaternion_algebra(ZZ, -1, -1), Lattice.standard(ZZ, 4)))
+    for order, p, grows in ((eichler, 3, True), (hurwitz, 2, False)):
+        calls.clear()
+        stores = []
+        order._mod_p2 = Stores()
+        grown, facts = orders.p_step(order, p)
+        assert (grown is not None) == grows
+        assert facts["idealizerFixed"]
+        assert len(calls) == 2 and stores == [p]

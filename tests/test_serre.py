@@ -1,5 +1,6 @@
 import collections
 import fractions
+import json
 import random
 
 import pytest
@@ -16,7 +17,10 @@ from maxord.errors import (
     NotContained,
     NotIntegral,
 )
-from maxord.exactlin import Lattice, Matrix
+from maxord import exactlin
+from maxord.algebras import matrix_algebra
+from maxord.cli import main
+from maxord.exactlin import Lattice, Matrix, lattice_index, snf
 from maxord.orders import Order, maximal_order
 from maxord.rings import ZZ, Frac, poly_ring
 from maxord import serre
@@ -31,8 +35,15 @@ from maxord.serre import (
     tensor_isogeny_class,
     tensor_lattice,
 )
-from test_acceptance import relation_matrix
+from test_acceptance import (
+    _functor_fixture_gaussian,
+    _functor_fixture_upper_triangular,
+    _functor_fixture_z,
+    random_presentation,
+    relation_matrix,
+)
 from test_exactlin import small_element
+from test_fuzz import CASES
 
 HALF = Frac(ZZ, 1, 2)
 F3T = poly_ring(3)
@@ -327,6 +338,43 @@ class TestMinimalIsogeny:
         with pytest.raises(NotContained):
             minimal_isogeny(self.o_prime, self.o, [t])
 
+    def test_degree_is_the_product_of_indices(self):
+        """The degree, read off the elementary divisors, is ∏ [O'·T : T],
+        with O'·T grown by saturation until O'-stable, on conductor orders
+        Z + f·O' of quadratic orders and of Mat_2(Z), for T the order
+        itself and O·v for seeded v."""
+        rng = random.Random(23)
+        cases = []
+        for d in (-1, -3, 5, -7):
+            top = maximal_order(quadratic_order(d))
+            cases += [(top, f) for f in (2, 3, 6)]
+        cases += [(Order(matrix_algebra(ZZ, 2), Lattice.standard(ZZ, 4)), f)
+                  for f in (2, 3)]
+        for top, f in cases:
+            alg, n = top.algebra, top.dim
+            o = Order(alg, Lattice.from_rows(ZZ, [alg.one_coords] + [
+                [x * f for x in row] for row in top.bmat.rows], n))
+            action = [alg.left_mul_matrix(b) for b in o.basis_elements()]
+            lattices = [PeriodLattice(o, o.lattice, action)]
+            while len(lattices) < 3:
+                v = Matrix(ZZ, [[rng.randint(-3, 3) for _ in range(n)]], n)
+                span = Lattice.from_rows(
+                    ZZ, [(v * m).rows[0] for m in action], n)
+                if span.rank == n:
+                    lattices.append(PeriodLattice(o, span, action))
+            expected = 1
+            for t in lattices:
+                cur = t.lattice
+                while True:
+                    nxt = Lattice.from_rows(ZZ, list(cur.basis.rows) + [
+                        r for b in top.basis_elements()
+                        for r in (cur.basis * t.act(b)).rows], n)
+                    if nxt == cur:
+                        break
+                    cur = nxt
+                expected *= lattice_index(t.lattice, cur)
+            assert minimal_isogeny(o, top, lattices).degree == expected
+
 
 class TestNaturality:
     def setup_method(self):
@@ -382,6 +430,95 @@ class TestNaturality:
         monkeypatch.setattr(serre, "tensor_lattice", skewed)
         assert not check_naturality(pres, pres, phi, self.t)
         assert len(calls) == 2
+
+
+def eager_maps(pres, t):
+    """(projection, section, action) of tensor_lattice(pres, t), built in
+    one pass: the Smith transform v of the relation matrix in T-basis
+    coordinates, the Hermite basis of its kernel columns, v⁻¹ as a
+    rational inverse, and the action section·diag(m, ..., m)·projection
+    for m the action on T in T-basis coordinates."""
+    o, ring = pres.order, pres.order.algebra.ring
+    b = t.lattice.basis
+    binv, rho = b.inverse(), t.lattice.rank
+    n = pres.s * rho
+    rows = [[x for u in range(pres.s)
+             for x in (b * t.act(pres.alpha[i][u]) * binv).rows[a]]
+            for i in range(pres.r) for a in range(rho)]
+    s_mat, v = snf(Matrix(ring, rows, n))
+    rank = sum(1 for k in range(min(s_mat.nrows, n)) if s_mat.rows[k][k])
+    cols = v.transpose().rows
+    cols[rank:] = Lattice.from_rows(ring, cols[rank:], n).basis.rows
+    v = Matrix(ring, cols, n).transpose()
+    proj = v.submatrix(range(n), range(rank, n))
+    section = v.inverse().submatrix(range(rank, n), range(n))
+    if not o.algebra.is_commutative() or rank == n:
+        return proj, section, None
+    action = []
+    for m in t.action:
+        m = b * m * binv
+        diag = [[m.rows[a % rho][c % rho] if a // rho == c // rho else 0
+                 for c in range(n)] for a in range(n)]
+        action.append(section * Matrix(ring, diag, n) * proj)
+    return proj, section, action
+
+
+def test_maps_built_on_read_match_an_eager_build():
+    """section, projection and action, read in any order after
+    tensor_lattice returns, equal the eager build, on seeded presentations
+    over Z, Z[i], the Eisenstein order at a prime lattice and the
+    upper-triangular order; a map assigned before the other is read
+    stays."""
+    rng = random.Random(19)
+    eisenstein = quadratic_order(-3)
+    fixtures = [(f[0], f[1]) for f in (_functor_fixture_z(),
+                                       _functor_fixture_gaussian(),
+                                       _functor_fixture_upper_triangular())]
+    fixtures.append((eisenstein, standard_period_lattice(eisenstein, 2)))
+    names = ("projection", "section", "action")
+    acted = 0
+    for k in range(60):
+        o, t = fixtures[k % len(fixtures)]
+        pres = random_presentation(rng, o, rng.randint(0, 2),
+                                   rng.randint(1, 2))
+        out, _ = tensor_lattice(pres, t)
+        expected = dict(zip(names, eager_maps(pres, t)))
+        first = names[k % 3]
+        assert getattr(out, first) == expected[first]
+        assert [getattr(out, x) for x in names] == list(expected.values())
+        acted += out.action is not None
+    assert acted >= 20
+    pres = random_presentation(rng, eisenstein, 1, 2)
+    out, _ = tensor_lattice(pres, fixtures[-1][1])
+    out.section = None
+    assert out.projection == eager_maps(pres, fixtures[-1][1])[0]
+    assert out.section is None
+
+
+def test_serre_lattice_commands_take_no_transforms(tmp_path, monkeypatch,
+                                                   capsys):
+    """maxord serre-lattice on the benchmark documents takes the Smith
+    form without transforms and no Hermite form of a Matrix."""
+    hnf_calls, snf_calls = [], []
+    real_snf = exactlin.snf
+
+    def counted_snf(m, transform=True):
+        snf_calls.append(transform)
+        return real_snf(m, transform)
+
+    for module in (exactlin, serre):
+        monkeypatch.setattr(module, "hnf",
+                            lambda *args, **kw: hnf_calls.append(args))
+        monkeypatch.setattr(module, "snf", counted_snf)
+    codes = []
+    for case in (c for c in CASES if c.command == "serre-lattice"):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(case.doc))
+        codes.append(main(case.argv(str(path))))
+    capsys.readouterr()
+    assert codes.count(0) >= 2
+    assert not hnf_calls
+    assert snf_calls and not any(snf_calls)
 
 
 class TestRandomizedProperties:
