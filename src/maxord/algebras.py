@@ -16,7 +16,7 @@ from .errors import (
     NeedsSuppliedIdempotents,
     NotSemisimple,
 )
-from .exactlin import FractionField, Matrix, kernel, power_relation, rref
+from .exactlin import FractionField, kernel, power_relation, rref
 from .rings import Frac, frac0, frac1
 
 
@@ -102,12 +102,6 @@ class Algebra:
         return out
 
     # -- representations ------------------------------------------------------
-
-    def left_mul_matrix(self, a):
-        """Matrix M with coords(a*x) = coords(x) * M."""
-        rows = [self.mul_coords(a.coords, self.basis_element(i).coords)
-                for i in range(self.dim)]
-        return Matrix(self.ring, rows, self.dim)
 
     def min_poly(self, a):
         """Monic minimal polynomial coefficients, lowest degree first."""

@@ -221,7 +221,8 @@ def cmd_minimal_isogeny(args):
         o_prime = parse_at(doc, "orderPrime",
                            lambda o: parse_order(o, algebra=order.algebra))
         lattices = parse_at(doc, "lattices", lambda ts: [
-            parse_period_lattice(t, order) for t in ts])
+            parse_at(ts, i, lambda t: parse_period_lattice(t, order))
+            for i in range(len(ts))])
         return order, o_prime, lattices
 
     order, o_prime, lattices = _load(args.input, parse)
@@ -231,8 +232,7 @@ def cmd_minimal_isogeny(args):
         "degree": ring.to_str(desc.degree),
         "kernels": [
             {
-                "prime": p["prime"] if isinstance(p["prime"], str)
-                else ring.to_str(p["prime"]),
+                "prime": p["prime"],
                 "elementary_divisors": [
                     ring.to_str(d) for d in p["elementaryDivisors"]
                 ],

@@ -340,13 +340,9 @@ class Matrix:
 
     # -- integrality ----------------------------------------------------------
 
-    def is_integral(self):
-        one = self.ring.one
-        return all(x.den == one for row in self.rows for x in row)
-
     def to_ring_rows(self):
         """The entries as ring elements; the matrix must be integral."""
-        if not self.is_integral():
+        if not all(x.is_integral() for row in self.rows for x in row):
             raise InputNotIntegral("matrix has a non-integral entry")
         return [[x.num for x in row] for row in self.rows]
 

@@ -66,9 +66,6 @@ class Order:
     def bmat(self):
         return self.lattice.basis
 
-    def basis_elements(self):
-        return [self.algebra.element(row) for row in self.bmat.rows]
-
     def structure_constants(self):
         """c[i][j] = order coords of b_i * b_j, as ring elements.
 

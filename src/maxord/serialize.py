@@ -283,6 +283,16 @@ def parse_period_lattice(obj, order):
     ring = order.algebra.ring
     basis = parse_at(obj, "basis", lambda rows: parse_matrix(ring, rows))
     lat = Lattice.from_rows(ring, basis, basis.ncols)
+
+    def square(rows):
+        m = parse_matrix(ring, rows, basis.ncols)
+        if m.nrows != m.ncols:
+            raise ParseError("action matrix must be %d×%d" % (m.ncols, m.ncols))
+        return m
+
     action = parse_at(obj, "action", lambda mats: [
-        parse_matrix(ring, a, basis.ncols) for a in mats])
-    return PeriodLattice(order, lat, action, prime=obj.get("prime", "generic"))
+        parse_at(mats, k, square) for k in range(len(mats))])
+    prime = obj.get("prime", "generic")
+    if not isinstance(prime, str):
+        raise ParseError("expected a string, got %r" % (prime,), "/prime")
+    return PeriodLattice(order, lat, action, prime=prime)

@@ -15,9 +15,9 @@ from .errors import (
     NotContained,
     NotIntegral,
 )
-from .exactlin import Lattice, Matrix, hnf, matmul, snf
+from .exactlin import Lattice, Matrix, hnf, matmul, snf, solve_echelon
 from .algebras import matrix_over_algebra, product_algebra
-from .rings import Frac, frac0
+from .rings import Frac
 
 
 class IsogenyFactor:
@@ -79,7 +79,8 @@ class ModulePresentation:
 
     Right-module maps are left multiplications: α sends the column vector
     x ∈ O^r to the column vector with entries (α·x)_u = Σ_t α[t][u]·x_t,
-    so the image is R-spanned by the vectors (α[t][u]·b_a)_u.
+    so the image is R-spanned by the vectors (α[t][u]·b_a)_u.  coords
+    holds the entries in order coordinates over R, in row-major order.
     """
 
     def __init__(self, order, alpha, s=None):
@@ -92,12 +93,13 @@ class ModulePresentation:
             raise ValueError("free presentation needs an explicit target rank")
         else:
             self.s = s
-        for row in alpha:
-            if len(row) != self.s:
-                raise ValueError("ragged presentation matrix")
-            for a in row:
-                if order.order_coords(a.coords) is None:
-                    raise NotIntegral("presentation entry outside the order")
+        if any(len(row) != self.s for row in alpha):
+            raise ValueError("ragged presentation matrix")
+        coords = order.lattice.coordinates([a.coords for row in alpha
+                                            for a in row])
+        if not all(x.is_integral() for c in coords for x in c):
+            raise NotIntegral("presentation entry outside the order")
+        self.coords = [[x.num for x in c] for c in coords]
 
     def image_rows(self, basis_rows):
         """Ambient coordinates of the relations α(b·e_t) in A^s: row (t, b)
@@ -109,20 +111,26 @@ class ModulePresentation:
 
 
 class PeriodLattice:
-    """A lattice with a left action of the order, one matrix per order
-    basis element: coords(b_i·v) = coords(v)·action[i]."""
+    """A lattice T with a left action of the order, one matrix per order
+    basis element: coords(b_i·v) = coords(v)·action[i] in ambient
+    coordinates, and basis_action[i] = B·action[i]·B⁻¹, rows over R, on
+    T-basis coordinates, for B the basis of T."""
 
-    def __init__(self, order, lattice, action, prime="generic", validate=True):
+    def __init__(self, order, lattice, action, prime="generic"):
         self.order = order
         self.lattice = lattice
         self.action = action  # list of Matrix, or None (no action recorded)
         self.prime = prime
-        if validate and action is not None:
-            self._validate()
+        if action is not None:
+            self.basis_action = self._validate()
 
     def _validate(self):
-        """The product relations and the unit on D·action over R, for one
-        common denominator D, over the nonzero constants only; stability."""
+        """Checks the action and returns basis_action.  The product
+        relations and the unit are checked on D·action over R, for one
+        common denominator D, over the nonzero constants only.  For T = h/d
+        and Y·h = h·(D·action[i]), T is stable under b_i exactly when Y is
+        over R with D | Y, and then Y/D is the action on T-basis
+        coordinates: one back-substitution for all i."""
         o = self.order
         n, ring, dim = o.dim, o.algebra.ring, self.lattice.ambient_dim
         if len(self.action) != n:
@@ -143,40 +151,40 @@ class PeriodLattice:
         if combos[-1] != [den if a == b else ring.zero
                           for a in range(dim) for b in range(dim)]:
             raise ActionMismatch("unit does not act as the identity")
-        for i in range(n):
-            if not self.lattice.contains_rows(
-                    (self.lattice.basis * self.action[i]).rows):
-                raise ActionMismatch("lattice is not stable under b_%d" % i)
+        h, rank = self.lattice.h, self.lattice.rank
 
-    def act(self, element):
-        """Action matrix of an arbitrary algebra element (rational coords
-        in the order basis are allowed): Σ_k c_k·action[k]."""
-        ring, dim = self.order.algebra.ring, self.lattice.ambient_dim
-        coords = self.order.lattice.coordinates([element.coords])
-        flat = (Matrix._of(ring, coords, len(self.action)) * Matrix._of(
-            ring, [[x for r in m.rows for x in r] for m in self.action],
-            dim * dim)).rows[0]
-        return Matrix._of(ring, [flat[a * dim:(a + 1) * dim]
-                                 for a in range(dim)], dim)
+        def on_basis(ms):
+            ys = solve_echelon(ring, h, [y for m in ms
+                                         for y in matmul(ring, h, m)])
+            if ys is not None and all(ring.divides(den, y)
+                                      for row in ys for y in row):
+                return [[ring.exact_div(y, den) for y in row] for row in ys]
+
+        ys = on_basis(mats)
+        if ys is None:
+            i = next(i for i, m in enumerate(mats) if on_basis([m]) is None)
+            raise ActionMismatch("lattice is not stable under b_%d" % i)
+        return [ys[i * rank:(i + 1) * rank] for i in range(n)]
+
+    def act(self, coords):
+        """Σ_k c_k·basis_action[k], the action on T-basis coordinates, as
+        one Matrix per row c of order coordinates (fractions allowed)."""
+        ring, rho = self.order.algebra.ring, self.lattice.rank
+        w, e = Matrix(ring, coords, self.order.dim).cleared()
+        flat = matmul(ring, w, [sum(m, []) for m in self.basis_action])
+        return [Matrix._of(ring, [[Frac(ring, x, e) for x in row[a:a + rho]]
+                                  for a in range(0, rho * rho, rho)], rho)
+                for row in flat]
 
 
-def _in_basis(t, m):
-    """B·m·B⁻¹, for B the basis of the full-rank lattice of t: the map m
-    on ambient coordinates, read in lattice coordinates."""
-    lat = t.lattice
-    return Matrix._of(lat.ring, lat.coordinates((lat.basis * m).rows),
-                      lat.rank)
-
-
-def _block_rows(t, elements):
-    """Rows of the block matrix (B·act(x)·B⁻¹) over a matrix of algebra
-    elements x, for B the basis of the lattice of t."""
-    rows = []
-    for row in elements:
-        blocks = [_in_basis(t, t.act(x)).rows for x in row]
-        rows.extend([x for b in blocks for x in b[a]]
-                    for a in range(t.lattice.rank))
-    return rows
+def _block_rows(t, coords, s):
+    """Rows of the block matrix over an r×s matrix of order elements, given
+    by their order coordinates in row-major order: block (i, u) is the
+    action of entry (i, u) on T-basis coordinates."""
+    blocks = t.act(coords)
+    return [[x for m in blocks[i:i + s] for x in m.rows[a]]
+            for i in range(0, len(blocks), s or 1)
+            for a in range(t.lattice.rank)]
 
 
 class IsogenyDescriptor:
@@ -204,25 +212,21 @@ def tensor_isogeny_class(pres, itype, embedding):
     E, ranges = itype.model()
     emb = [E.element(row) for row in embedding.rows]
     struct = o.structure_constants()
-    acc = E.zero()
-    for c, e in zip(o.unit_coords(), emb):
-        acc = acc + e.scaled(Frac.of(ring, c))
-    if acc.coords != E.one_coords:
+
+    def image(cs):  # of the order element with coordinates cs
+        return sum((e.scaled(Frac.of(ring, c)) for c, e in zip(cs, emb) if c),
+                   E.zero()).coords
+
+    if image(o.unit_coords()) != E.one_coords:
         raise EmbeddingNotAlgebraMap("unit is not sent to 1")
     for i in range(n):
         for j in range(n):
-            lhs = emb[i] * emb[j]
-            rhs = E.zero()
-            for c, e in zip(struct[i][j], emb):
-                if c:
-                    rhs = rhs + e.scaled(Frac.of(ring, c))
-            if lhs.coords != rhs.coords:
+            if (emb[i] * emb[j]).coords != image(struct[i][j]):
                 raise EmbeddingNotAlgebraMap(
                     "multiplicativity fails on basis pair (%d, %d)" % (i, j)
                 )
     s = pres.s
-    flat = [a.coords for row in pres.alpha for a in row]
-    images = (Matrix(ring, o.lattice.coordinates(flat), n) * embedding).rows
+    images = (Matrix(ring, pres.coords, n) * embedding).rows
     mults = []
     for f, block in zip(itype.factors, ranges):
         if f.mult == 0:
@@ -265,36 +269,39 @@ def tensor_lattice(pres, t):
     rho = t.lattice.rank
     if rho != t.lattice.ambient_dim:
         raise ActionMismatch("period lattice must be full rank")
-    phi = Matrix(ring, _block_rows(t, pres.alpha), pres.s * rho)
-    if not phi.is_integral():
-        raise ActionMismatch("presentation does not preserve the lattice")
+    phi = Matrix._of(ring, _block_rows(t, pres.coords, pres.s), pres.s * rho)
     rank, divisors = _elementary_divisors(ring, snf(phi, transform=False)[0])
     return _TensorLattice(t, phi, rank), divisors
 
 
 class _TensorLattice(PeriodLattice):
-    """The period lattice of tensor_lattice.  Its projection, section and
-    action are built when first read, then kept as plain attributes."""
+    """The period lattice of tensor_lattice.  Its projection, section,
+    action and basis_action are built when first read, then kept as plain
+    attributes."""
 
     def __init__(self, t, phi, rank):
         self.order, self.prime, self._made = t.order, t.prime, (t, phi, rank)
         self.lattice = Lattice.standard(phi.ring, phi.ncols - rank)
 
     def __getattr__(self, name):
-        if name not in ("section", "projection", "action"):
+        if name not in ("section", "projection", "action", "basis_action"):
             raise AttributeError(name)
         t, phi, rank = self._made
         ring, n, q, rho = phi.ring, phi.ncols, phi.ncols - rank, t.lattice.rank
+        if name == "basis_action":  # the lattice is standard
+            self.basis_action = None if self.action is None else [
+                m.to_ring_rows() for m in self.action]
+            return self.basis_action
         if name == "action":
             action = None
             if self.order.algebra.is_commutative() and q > 0:
-                # the order acts on T^s block-diagonally, by the action m_i
-                # on T in T-basis coordinates: Σ_u section_u·m_i·proj_u
+                # the order acts on T^s block-diagonally, by basis_action[i]
+                # on each T: Σ_u section_u·basis_action[i]·proj_u
                 blocks = [range(u, u + rho) for u in range(0, n, rho)]
                 sec = [self.section.submatrix(range(q), b) for b in blocks]
                 proj = [self.projection.submatrix(b, range(q)) for b in blocks]
                 action = []
-                for m in (_in_basis(t, x) for x in t.action):
+                for m in (Matrix(ring, m, rho) for m in t.basis_action):
                     terms = [a * m * b for a, b in zip(sec, proj)]
                     action.append(sum(terms[1:], terms[0]))
             self.action = action
@@ -337,20 +344,19 @@ def minimal_isogeny(o, o_prime, lattices):
     if not o_prime.lattice.contains_lattice(o.lattice):
         raise NotContained("the second order does not contain the first")
     ring = o.algebra.ring
-    per = []
-    degree = ring.one
-    prime_basis = o_prime.basis_elements()
+    per, degree = [], ring.one
     for t in lattices:
-        # O'·T = Σ b·T is O'-stable, as O' is closed under products, and
-        # holds T, as 1 lies in O'
-        cur = Lattice.from_rows(
-            ring, [r for b in prime_basis for r in
-                   (t.lattice.basis * t.act(b)).rows], t.lattice.ambient_dim)
-        # elementary divisors of cur/t.lattice, unit-normalized: their
-        # product is the index [cur : t.lattice]
-        cmat = Matrix(ring, cur.coordinates(t.lattice.basis.rows), cur.rank)
-        if not cmat.is_integral():
-            raise NotContained("saturated lattice does not contain the input")
+        # on T-basis coordinates, T = R^ρ and O'·T = Σ b·T, which is
+        # O'-stable, as O' is closed under products, and holds R^ρ, as 1
+        # lies in O' and acts as I
+        rho = t.lattice.rank
+        coords = t.order.lattice.coordinates(o_prime.bmat.rows)
+        cur = Lattice.from_rows(ring, [r for m in t.act(coords)
+                                       for r in m.rows], rho)
+        # elementary divisors of cur/R^ρ, unit-normalized: their product is
+        # the index [cur : R^ρ]
+        cmat = Matrix._of(ring, cur.coordinates(
+            Matrix.identity(ring, rho).rows), rho)
         _, divs = _elementary_divisors(ring, snf(cmat, transform=False)[0])
         per.append({"prime": t.prime, "elementaryDivisors": divs})
         for d in divs:
@@ -375,31 +381,24 @@ def check_naturality(pres1, pres2, phi, t):
         raise ActionMismatch("presentations and lattice must share an order")
     alg = o.algebra
     ring = alg.ring
-    n = o.dim
-    # descent: rows of α1·φ must lie in the O-submodule generated by α2 rows
-    gen_rows = pres2.image_rows(o.bmat.rows)
-    gen_lat = Lattice.from_rows(ring, gen_rows, pres2.s * alg.dim)
-    for ti in range(pres1.r):
-        for a in range(n):
-            ba = o.bmat.rows[a]
-            img = []
-            for u2 in range(pres2.s):
-                acc = [frac0(ring)] * alg.dim
-                for u1 in range(pres1.s):
-                    prod = alg.mul_coords(
-                        phi[u1][u2].coords,
-                        alg.mul_coords(pres1.alpha[ti][u1].coords, ba),
-                    )
-                    acc = [x + y for x, y in zip(acc, prod)]
-                img.extend(acc)
-            if not gen_lat.contains_vector(img):
-                raise NotAModuleMap(
-                    "φ does not send the relations of M₁ into those of M₂"
-                )
+    # descent: the relations of M₁ pushed through φ, the rows (β[t][u]·b)_u
+    # for β[t][u] = Σ_v φ[v][u]·α1[t][v], must lie in the O-submodule
+    # generated by α2's rows
+    beta = [[sum((phi[v][u] * row[v] for v in range(pres1.s)), alg.zero())
+             for u in range(pres2.s)] for row in pres1.alpha]
+    imgs = [[x for a in row for x in alg.mul_coords(a.coords, b)]
+            for row in beta for b in o.bmat.rows]
+    gen_lat = Lattice.from_rows(ring, pres2.image_rows(o.bmat.rows),
+                                pres2.s * alg.dim)
+    if not gen_lat.contains_rows(imgs):
+        raise NotAModuleMap(
+            "φ does not send the relations of M₁ into those of M₂")
     # lattice level
     out1, _ = tensor_lattice(pres1, t)
     out2, _ = tensor_lattice(pres2, t)
-    phi_mat = Matrix(ring, _block_rows(t, phi), pres2.s * t.lattice.rank)
+    coords = o.lattice.coordinates([x.coords for row in phi for x in row])
+    phi_mat = Matrix._of(ring, _block_rows(t, coords, pres2.s),
+                         pres2.s * t.lattice.rank)
     # the induced map on free quotients, defined via the section of side 1;
     # the square ξ₂∘(φ⊗1) = T(φ)∘ξ₁ commutes iff this agrees with pushing
     # every generator of T^{s1} through φ⊗1 and projecting on side 2 (this

@@ -23,6 +23,12 @@ def F(n, d=1):
     return Frac(ZZ, n, d)
 
 
+def left_mul_matrix(alg, a):
+    """The matrix M with coords(a·x) = coords(x)·M."""
+    return Matrix(alg.ring, [alg.mul_coords(a.coords, b.coords)
+                             for b in alg.basis()], alg.dim)
+
+
 class TestConstruction:
     def test_matrix_algebra_units(self):
         m2 = matrix_algebra(ZZ, 2)
@@ -81,7 +87,7 @@ class TestStructure:
         x = a.basis_element(1)
         mp = a.min_poly(x)
         assert [str(c) for c in mp] == ["-2", "0", "1"]
-        cp = charpoly(FractionField(ZZ), a.left_mul_matrix(x).rows)
+        cp = charpoly(FractionField(ZZ), left_mul_matrix(a, x).rows)
         assert [str(c) for c in cp] == ["-2", "0", "1"]
 
     def test_trace(self):

@@ -70,6 +70,39 @@ SERRE_LATTICE_DOC = {
 }
 
 
+MINIMAL_ISOGENY_DOC = {
+    "order": EISENSTEIN_EQUATION_ORDER,
+    "orderPrime": {"basis": [["1", "0"], ["1/2", "1/2"]]},
+    "type": {"factors": [
+        {"label": "E", "dim": 1, "endo": "Q", "mult": 1}]},
+    "lattices": [{
+        "basis": [["1", "0"], ["0", "1"]],
+        "action": [[["1", "0"], ["0", "1"]],
+                   [["0", "1"], ["-3", "0"]]],
+        "prime": "2",
+    }],
+}
+
+# F_3[t][t·x] inside F_3[t][x], x² = -t, acting on itself
+F3T_MINIMAL_ISOGENY_DOC = {
+    "order": {"algebra": {"ground": {"poly": {"p": 3, "var": "t"}},
+                          "poly_quotient": {"modulus": "x^2+t"},
+                          "trusted_semisimple": True},
+              "basis": [["1", "0"], ["0", "t"]]},
+    "orderPrime": {"basis": [["1", "0"], ["0", "1"]]},
+    "lattices": [{
+        "basis": [["1", "0"], ["0", "t"]],
+        "action": [[["1", "0"], ["0", "1"]],
+                   [["0", "t"], ["-t^2", "0"]]],
+        "prime": "t",
+    }],
+}
+
+
+def with_prime(doc, prime):
+    return dict(doc, lattices=[dict(doc["lattices"][0], prime=prime)])
+
+
 def run_cli(tmp_path, doc, *argv):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
@@ -163,6 +196,17 @@ def without(doc, key):
     ("serre-class", dict(SERRE_CLASS_DOC, type={"factors": [
         {"label": "E", "dim": 1, "endo": "Q", "mult": 9}]}),
      "/type/factors"),
+    # a prime label is a string, or absent for "generic"
+    ("minimal-isogeny", with_prime(F3T_MINIMAL_ISOGENY_DOC, 5),
+     "/lattices/0/prime"),
+    ("minimal-isogeny", with_prime(MINIMAL_ISOGENY_DOC, ["x"]),
+     "/lattices/0/prime"),
+    ("serre-lattice", dict(SERRE_LATTICE_DOC, lattice=dict(
+        SERRE_LATTICE_DOC["lattice"], prime=None)), "/lattice/prime"),
+    # an action matrix of one row on a lattice of rank 2
+    ("serre-lattice", dict(SERRE_LATTICE_DOC, lattice=dict(
+        SERRE_LATTICE_DOC["lattice"], action=[
+            [["1", "0"]], [["0", "1"], ["-3", "0"]]])), "/lattice/action/0"),
 ])
 def test_malformed_document_is_parse_error(tmp_path, capsys, command, doc,
                                            location):
@@ -343,22 +387,9 @@ class TestCommands:
         assert result["rank"] == 2
         assert result["kernel_divisors"] == ["2"]
 
-    MINIMAL_ISOGENY_DOC = {
-        "order": EISENSTEIN_EQUATION_ORDER,
-        "orderPrime": {"basis": [["1", "0"], ["1/2", "1/2"]]},
-        "type": {"factors": [
-            {"label": "E", "dim": 1, "endo": "Q", "mult": 1}]},
-        "lattices": [{
-            "basis": [["1", "0"], ["0", "1"]],
-            "action": [[["1", "0"], ["0", "1"]],
-                       [["0", "1"], ["-3", "0"]]],
-            "prime": "2",
-        }],
-    }
-
     def test_minimal_isogeny(self, tmp_path, capsys):
         code, out, _ = run_cli_capture(tmp_path, capsys,
-                                       self.MINIMAL_ISOGENY_DOC,
+                                       MINIMAL_ISOGENY_DOC,
                                        "minimal-isogeny")
         assert code == 0
         result = json.loads(out)
@@ -370,10 +401,10 @@ class TestCommands:
         # the command does not read the isogeny type, so a document
         # without one gives the same output
         code, out, _ = run_cli_capture(tmp_path, capsys,
-                                       self.MINIMAL_ISOGENY_DOC,
+                                       MINIMAL_ISOGENY_DOC,
                                        "minimal-isogeny")
         code2, out2, _ = run_cli_capture(
-            tmp_path, capsys, without(self.MINIMAL_ISOGENY_DOC, "type"),
+            tmp_path, capsys, without(MINIMAL_ISOGENY_DOC, "type"),
             "minimal-isogeny")
         assert code == code2 == 0
         assert out2 == out

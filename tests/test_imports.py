@@ -59,3 +59,31 @@ def test_no_private_imports(path):
                for alias in node.names if alias.name.startswith("_")]
     assert not private, "private names imported in %s: %s" % (
         path.name, ", ".join(private))
+
+
+# library entry points that no module of the package calls
+ENTRY_POINTS = {"check_naturality"}
+
+
+def test_public_definitions_are_reached():
+    """Every public function, method or class is referenced by name
+    somewhere in src/maxord besides its own definition, or is a library
+    entry point, so that deleting its last caller also deletes it."""
+    defined, used = {}, set()  # public name -> "module:line" of a definition
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    defined.setdefault(node.name, "%s:%d" % (path.name,
+                                                            node.lineno))
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unreached = ["%s (%s)" % (name, where)
+                 for name, where in sorted(defined.items())
+                 if name not in used | ENTRY_POINTS]
+    assert not unreached, "public definitions that nothing reaches: %s" % (
+        ", ".join(unreached))

@@ -29,6 +29,7 @@ from maxord.orders import (
 )
 from maxord.rings import ZZ, Frac, poly_ring
 from ideal_oracle import two_sided_ideals_over_p
+from test_algebras import left_mul_matrix
 from test_acceptance import (
     brute_force_maximal_order,
     lattice_product,
@@ -74,7 +75,7 @@ def order_closure(alg, gens, max_steps=64):
     characteristic polynomial is not over Z."""
     for g in gens:
         if not all(c.is_integral() for c in charpoly(
-                FractionField(alg.ring), alg.left_mul_matrix(g).rows)):
+                FractionField(alg.ring), left_mul_matrix(alg, g).rows)):
             raise NotIntegral("generator %r is not integral" % (g,))
     lat = Lattice.from_rows(
         alg.ring, [alg.one_coords] + [g.coords for g in gens], alg.dim)
@@ -229,7 +230,7 @@ def decomposition_route(start):
     rows = []
     for e, factor, emb in zip(idems, dec.factors, dec.embeddings):
         sols = solve(alg.field, emb.rows,
-                     [(e * b).coords for b in start.basis_elements()])
+                     [(e * alg.element(b)).coords for b in start.bmat.rows])
         sub = order_closure(factor, [factor.element(x) for x in sols])
         for q in candidate_primes(sub):
             sub = p_maximal_order(sub, q)

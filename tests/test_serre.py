@@ -23,6 +23,8 @@ from maxord.cli import main
 from maxord.exactlin import Lattice, Matrix, lattice_index, snf
 from maxord.orders import Order, maximal_order
 from maxord.rings import ZZ, Frac, poly_ring
+from maxord.serialize import (parse_order, parse_period_lattice,
+                              parse_presentation)
 from maxord import serre
 from maxord.selftest import upper_triangular_order
 from maxord.serre import (
@@ -39,9 +41,11 @@ from test_acceptance import (
     _functor_fixture_gaussian,
     _functor_fixture_upper_triangular,
     _functor_fixture_z,
+    ambient_action,
     random_presentation,
     relation_matrix,
 )
+from test_algebras import left_mul_matrix
 from test_exactlin import small_element
 from test_fuzz import CASES
 
@@ -62,7 +66,7 @@ def standard_period_lattice(order, prime="generic"):
     """The order acting on itself by left multiplication, one action
     matrix per order basis element, in ambient coordinates."""
     alg = order.algebra
-    action = [alg.left_mul_matrix(alg.element(order.bmat.rows[i]))
+    action = [left_mul_matrix(alg, alg.element(order.bmat.rows[i]))
               for i in range(order.dim)]
     return PeriodLattice(order, order.lattice, action, prime=prime)
 
@@ -291,6 +295,31 @@ class TestPeriodLatticeValidation:
         stable = Lattice.from_rows(ZZ, [[2, 0], [0, 2]], 2)
         assert PeriodLattice(self.o, stable, t.action).lattice == stable
 
+    def test_first_unstable_basis_element_is_named(self):
+        # Z + 2√-3·Z is stable under neither ω nor √-3, the basis of Z[ω]
+        t = standard_period_lattice(self.o_max)
+        lat = Lattice.from_rows(ZZ, [[1, 0], [0, 2]], 2)
+        assert not any(lat.contains_rows((lat.basis * m).rows)
+                       for m in t.action)
+        with pytest.raises(ActionMismatch, match="not stable under b_0"):
+            PeriodLattice(self.o_max, lat, t.action)
+
+    @pytest.mark.parametrize("alg, rows", [
+        (matrix_algebra(ZZ, 2),
+         [[int(i == j) for j in range(4)] for i in range(4)]),
+        (quaternion_algebra(ZZ, -1, -1),
+         [[HALF] * 4, [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+    ], ids=["Mat2(Z)", "Hurwitz"])
+    def test_stability_is_one_back_substitution(self, alg, rows, monkeypatch):
+        o = Order(alg, Lattice.from_rows(ZZ, rows, 4))
+        action = [left_mul_matrix(alg, alg.element(b)) for b in o.bmat.rows]
+        calls = count_solves(monkeypatch)
+        t = PeriodLattice(o, o.lattice, action)
+        assert len(calls) == 1
+        b = o.bmat
+        assert [Matrix(ZZ, m, 4) for m in t.basis_action] == [
+            b * m * b.inverse() for m in action]
+
 
 class TestMinimalIsogeny:
     def setup_method(self):
@@ -308,7 +337,7 @@ class TestMinimalIsogeny:
     def test_already_stable_degree_one(self):
         amb = self.o_prime.algebra
         # the bigger order's lattice is already stable under the smaller one
-        act = [amb.left_mul_matrix(amb.basis_element(i)) for i in range(2)]
+        act = [left_mul_matrix(amb, amb.basis_element(i)) for i in range(2)]
         stable = PeriodLattice(self.o, self.o_prime.lattice, act)
         desc = minimal_isogeny(self.o, self.o_prime, [stable])
         assert desc.degree == 1
@@ -324,14 +353,15 @@ class TestMinimalIsogeny:
         calls = []
         real = PeriodLattice.act
 
-        def counted(t, element):
-            calls.append(element)
-            return real(t, element)
+        def counted(t, coords):
+            calls.append(len(coords))
+            return real(t, coords)
 
         monkeypatch.setattr(PeriodLattice, "act", counted)
         lattices = [standard_period_lattice(self.o, prime=p) for p in (2, 3)]
         minimal_isogeny(self.o, self.o_prime, lattices)
-        assert len(calls) == self.o_prime.dim * len(lattices)
+        # one call per lattice, on the rows of all basis elements of O'
+        assert calls == [self.o_prime.dim] * len(lattices)
 
     def test_not_contained_rejected(self):
         t = standard_period_lattice(self.o_prime)
@@ -354,7 +384,8 @@ class TestMinimalIsogeny:
             alg, n = top.algebra, top.dim
             o = Order(alg, Lattice.from_rows(ZZ, [alg.one_coords] + [
                 [x * f for x in row] for row in top.bmat.rows], n))
-            action = [alg.left_mul_matrix(b) for b in o.basis_elements()]
+            action = [left_mul_matrix(alg, alg.element(b))
+                      for b in o.bmat.rows]
             lattices = [PeriodLattice(o, o.lattice, action)]
             while len(lattices) < 3:
                 v = Matrix(ZZ, [[rng.randint(-3, 3) for _ in range(n)]], n)
@@ -367,8 +398,9 @@ class TestMinimalIsogeny:
                 cur = t.lattice
                 while True:
                     nxt = Lattice.from_rows(ZZ, list(cur.basis.rows) + [
-                        r for b in top.basis_elements()
-                        for r in (cur.basis * t.act(b)).rows], n)
+                        r for b in top.bmat.rows for r in (
+                            cur.basis * left_mul_matrix(alg, alg.element(b))
+                        ).rows], n)
                     if nxt == cur:
                         break
                     cur = nxt
@@ -443,7 +475,8 @@ def eager_maps(pres, t):
     binv, rho = b.inverse(), t.lattice.rank
     n = pres.s * rho
     rows = [[x for u in range(pres.s)
-             for x in (b * t.act(pres.alpha[i][u]) * binv).rows[a]]
+             for x in (b * ambient_action(t, pres.alpha[i][u])
+                       * binv).rows[a]]
             for i in range(pres.r) for a in range(rho)]
     s_mat, v = snf(Matrix(ring, rows, n))
     rank = sum(1 for k in range(min(s_mat.nrows, n)) if s_mat.rows[k][k])
@@ -493,6 +526,36 @@ def test_maps_built_on_read_match_an_eager_build():
     out.section = None
     assert out.projection == eager_maps(pres, fixtures[-1][1])[0]
     assert out.section is None
+
+
+def count_solves(monkeypatch):
+    """The list that each solve_echelon call appends to from now on."""
+    calls, real = [], exactlin.solve_echelon
+
+    def counted(ring, basis, rows):
+        calls.append(len(rows))
+        return real(ring, basis, rows)
+
+    for module in (exactlin, serre):
+        monkeypatch.setattr(module, "solve_echelon", counted)
+    return calls
+
+
+def test_tensor_lattice_takes_no_back_substitution(monkeypatch):
+    """The period lattice and the presentation of a serre-lattice document
+    hold their order coordinates from parsing, so tensor_lattice solves
+    nothing, on the seed-1 benchmark documents."""
+    cases = [c.doc for c in CASES if c.command == "serre-lattice"
+             and "alpha" in c.doc]
+    assert len(cases) >= 2
+    for doc in cases:
+        order = parse_order(doc["order"])
+        pres = parse_presentation(doc, order=order)
+        t = parse_period_lattice(doc["lattice"], order)
+        calls = count_solves(monkeypatch)
+        out, _ = tensor_lattice(pres, t)
+        assert out.lattice.rank > 0 and calls == []
+        monkeypatch.undo()
 
 
 def test_serre_lattice_commands_take_no_transforms(tmp_path, monkeypatch,
@@ -616,11 +679,12 @@ def basis_inverse_struct(alg, lat):
 
 @pytest.mark.parametrize("ring", [ZZ, F3T], ids=repr)
 def test_coordinates_match_basis_inverse(ring):
-    """Structure constants, unit and order coordinates, PeriodLattice.act
-    and _in_basis, all read by back-substitution, agree with products by
-    the inverse of the basis, on seeded orders R + c·Λ and R[a] inside the
-    base orders, on period lattices Λ·y, and on lattices containing 1 that
-    are not closed, which raise with the message of the first escape."""
+    """Structure constants, unit and order coordinates, and a period
+    lattice's action on its own basis and PeriodLattice.act, all read by
+    back-substitution, agree with products by the inverse of the basis, on
+    seeded orders R + c·Λ and R[a] inside the base orders, on period
+    lattices Λ·y, and on lattices containing 1 that are not closed, which
+    raise with the message of the first escape."""
     rng = random.Random(37)
 
     def frac(scale):
@@ -676,16 +740,17 @@ def test_coordinates_match_basis_inverse(ring):
             t_rows = [mul(b, y) for b in lat.basis.rows]
             if Lattice.from_rows(ring, t_rows, n).rank != n:
                 t_rows = lat.basis.rows
-            action = [alg.left_mul_matrix(alg.element(b))
+            action = [left_mul_matrix(alg, alg.element(b))
                       for b in lat.basis.rows]
             t = PeriodLattice(o, Lattice.from_rows(ring, t_rows, n), action)
+            tb = t.lattice.basis
+            tb_inv = tb.inverse()
+            assert [Matrix(ring, m, n) for m in t.basis_action] == [
+                tb * m * tb_inv for m in action]
             x = alg.element([frac(0.5) for _ in range(n)])
             ref = Matrix(ring, [[0] * n for _ in range(n)], n)
             for k, m in zip(ref_coords(x.coords), action):
                 ref = ref + m.scaled(k)
-            assert t.act(x) == ref == alg.left_mul_matrix(x)
-            m = Matrix(ring, [[frac(0.5) for _ in range(n)]
-                              for _ in range(n)], n)
-            tb = t.lattice.basis
-            assert serre._in_basis(t, m) == tb * m * tb.inverse()
+            assert ref == left_mul_matrix(alg, x)
+            assert t.act([ref_coords(x.coords)]) == [tb * ref * tb_inv]
     assert kinds["closed"] >= 8 and kinds["escapes"] >= 6, kinds
