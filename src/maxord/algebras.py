@@ -329,7 +329,7 @@ def poly_quotient_algebra(ring, modulus, var="x", trusted_semisimple=False):
                    trusted_semisimple=trusted_semisimple, validate=False)
 
 
-def quaternion_algebra(ring, a, b, trusted_semisimple=True):
+def quaternion_algebra(ring, a, b, trusted_semisimple=False):
     """The quaternion algebra (a, b | K): i^2 = a, j^2 = b, ij = -ji = k."""
     a = Frac.of(ring, a)
     b = Frac.of(ring, b)

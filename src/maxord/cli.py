@@ -161,10 +161,12 @@ def cmd_endo_order(args):
 
     def parse(doc):
         delta = parse_at(doc, "delta", parse_order)
-        ring = delta.algebra.ring
+        ring, d = delta.algebra.ring, delta.algebra.dim
         basis = parse_at(doc, "lattice", lambda rows: parse_matrix(ring, rows))
-        r = integer(doc, "r") if doc.get("r") is not None else None
-        return delta, Lattice.from_rows(ring, basis, basis.ncols), r
+        if doc.get("r") is not None and integer(doc, "r") * d != basis.ncols:
+            raise ParseError("r·dim D must be the lattice width %d, with "
+                             "dim D = %d" % (basis.ncols, d), "/r")
+        return delta, Lattice.from_rows(ring, basis, basis.ncols)
 
     out = endomorphism_order(*_load(args.input, parse))
     _emit(format_order(out), args)

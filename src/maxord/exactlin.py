@@ -2,12 +2,15 @@
 
 Echelon form, quotient spaces, kernels, solving, relations among powers
 and the Hessenberg characteristic polynomial are written once, over a
-field interface with three instances: Frac(R), F_p, and R/p for a prime
-p of F_q[t].  Matrices carry fraction entries.  Over R there is one
-elimination, ``hermite`` on rows of ring elements: Smith forms alternate
-Hermite forms of rows and columns, and a lattice is one Hermite form h
-over R and one denominator d, so that lattice equality is representation
-equality; coordinates are read by back-substitution.
+field interface with two instances: Frac(R) and a prime field F_q.  A
+residue field R/p of F_q[t] is worked in over F_q, on coordinates
+t^e·b_i: the echelon rows of an R/p-subspace are its F_q echelon rows
+with a t⁰ pivot (see orders._basis_over_p).  Matrices carry fraction
+entries.  Over R there is one elimination, ``hermite`` on rows of ring
+elements: Smith forms alternate Hermite forms of rows and columns, and a
+lattice is one Hermite form h over R and one denominator d, so that
+lattice equality is representation equality; coordinates are read by
+back-substitution.
 """
 
 import functools
@@ -68,30 +71,6 @@ class PrimeField:
     def sub_mul(self, row, c, piv):
         p = self.p
         return [(a - c * b) % p for a, b in zip(row, piv)]
-
-
-class ResidueField:
-    """R/p for a prime p of F_q[t], on the remainders mod p."""
-
-    def __init__(self, ring, p):
-        self.ring, self.p, self.zero, self.one = ring, p, ring.zero, ring.one
-
-    def row(self, xs):
-        ring, p = self.ring, self.p
-        return [ring.divmod(x, p)[1] for x in xs]
-
-    def inv(self, x):
-        return self.row([self.ring.xgcd(x, self.p)[1]])[0]
-
-    def scale(self, row, c):
-        mul = self.ring.mul
-        return self.row([mul(x, c) for x in row])
-
-    def sub_mul(self, row, c, piv):
-        """row - c * piv."""
-        sub, mul = self.ring.sub, self.ring.mul
-        return self.row([sub(a, mul(c, b)) if b else a
-                         for a, b in zip(row, piv)])
 
 
 def rref(F, rows):

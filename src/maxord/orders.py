@@ -17,7 +17,6 @@ from .exactlin import (
     Lattice,
     Matrix,
     PrimeField,
-    ResidueField,
     hermite,
     kernel,
     matmul,
@@ -122,17 +121,17 @@ def _closed_products(ring, h, ys, den, what):
 class LatticeIdeal:
     """A two-sided ideal I of an order Λ over a prime p of R: pΛ ⊆ I ⊆ Λ.
 
-    I is pΛ plus the lifts of its residue rows, kept in Λ-coordinates; its
-    lattice in the algebra, Hermite(W·H_Λ)/d_Λ for W its basis over R/p
-    and Λ = H_Λ/d_Λ, is built when first read.
+    I is kept as rows over F_q spanning I/pΛ in the residue coordinates of
+    _residue_maps; its lattice in the algebra, Hermite(W·H_Λ)/d_Λ for W
+    its basis over p and Λ = H_Λ/d_Λ, is built when first read.
     """
 
-    __slots__ = ("order", "prime", "lifts", "_lattice")
+    __slots__ = ("order", "prime", "rows", "_lattice")
 
-    def __init__(self, order, prime, lifts):
+    def __init__(self, order, prime, rows):
         self.order = order
         self.prime = prime
-        self.lifts = lifts
+        self.rows = rows
         self._lattice = None
 
     @property
@@ -140,19 +139,10 @@ class LatticeIdeal:
         if self._lattice is None:
             order = self.order
             ring, lam, n = order.algebra.ring, order.lattice, order.dim
-            w = _basis_over_p(ring, self.prime, self.lifts, n)
+            w = _basis_over_p(ring, self.prime, self.rows, n)
             self._lattice = Lattice(ring, n, hermite(
                 ring, matmul(ring, w, lam.h), n)[0], lam.d)
         return self._lattice
-
-    def __eq__(self, other):
-        return isinstance(other, LatticeIdeal) and self.lattice == other.lattice
-
-    def __hash__(self):
-        return hash(self.lattice)
-
-    def __repr__(self):
-        return "LatticeIdeal(over %r, %r)" % (self.prime, self.lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +186,27 @@ def _residue_maps(ring, p, n):
 
 
 def _basis_over_p(ring, p, rows, n):
-    """The Hermite form of pR^n + R·rows, from the reduced echelon form of
-    rows over R/p: each echelon row on its pivot column, p·e_j on every
+    """The Hermite form of pR^n + R·lift(rows), for residue rows over F_q:
+    each echelon row over R/p, lifted, on its pivot column, p·e_j on every
     other column j.  It is upper triangular with pivots 1 and p, and the
     entries above a pivot p are remainders mod p, so it is in Hermite form
-    (Cohen, GTM 138, §2.4)."""
+    (Cohen, GTM 138, §2.4).
+
+    Lemma: if the rows span, over F_q, an R/p-subspace W, the echelon rows
+    r_l of W over R/p are the rows of W's rref over F_q with a t⁰ pivot
+    (pivot % d = 0).  Proof: r_l is 0 before its pivot column j_l, 1 on
+    it and 0 on the other pivot columns, so t^e·r_l, e < d, is 0 before
+    slot j_l·d + e, 1 there and 0 on every other slot j_m·d + f.  These
+    span W over F_q, W being an R/p-space, so they are its reduced echelon
+    basis over F_q, which is unique; those with pivot j_l·d are the r_l.
+    """
     p = ring.canonical(p)
-    field = ResidueField(ring, p) if ring.characteristic else PrimeField(p)
+    q, d, _, lift, _ = _residue_maps(ring, p, n)
     out = [[p if a == b else ring.zero for b in range(n)] for a in range(n)]
-    red, pivots = rref(field, rows)
+    red, pivots = rref(PrimeField(q), rows)
     for row, j in zip(red, pivots):
-        out[j] = row
+        if j % d == 0:
+            out[j // d] = lift(row)
     return out
 
 
@@ -233,11 +233,6 @@ def residue_algebra(order, p):
 # radicals, idealizers, certificates
 
 
-def _ideal_over_p(order, p, lift, residue_rows):
-    """The two-sided ideal pΛ + (lifts of residue_rows) of Λ."""
-    return LatticeIdeal(order, p, [lift(r) for r in residue_rows])
-
-
 def radical_mod_p(order, p):
     """Two-sided ideal J with J/pΛ = Jacobson radical of Λ/pΛ."""
     return _radical_and_maximal(order, p)[0]
@@ -248,8 +243,9 @@ def idealizer(order, ideal):
     order containing Λ.
 
     y ↦ (I-coordinates of y·w_k mod p)_k, for w_k an R-basis of I, is
-    F_p-linear on Λ/pΛ, so the y form pΛ plus the lifts of a kernel over
-    F_p (Cohen, GTM 138, §6.1).  Λ itself when that kernel is 0.
+    R/p-linear on Λ/pΛ, so the y form pΛ plus the lifts of its kernel, an
+    R/p-subspace found over F_q (Cohen, GTM 138, §6.1).  Λ itself when
+    that kernel is 0.
 
     Lemma: for W the basis of I in Λ-coordinates, M = p·W⁻¹ is integral,
     as pΛ ⊆ I, and v ∈ I has I-coordinates v·M/p.  If v ≡ v′ mod p²Λ then
@@ -258,18 +254,17 @@ def idealizer(order, ideal):
     p², with one exact division by p at the end.  W is the Hermite form of
     _basis_over_p, with rows e_j + r_j (r_j on the columns of pivot p) and
     p·e_f, so M has rows p·e_j − r_j and e_f: p/W_jj on the diagonal, −W
-    off it.  The kernel's lifts give P, the basis of p·O_l(I), the same
-    way.
+    off it.  The kernel gives P, the basis of p·O_l(I), the same way.
     """
     ring, n = order.algebra.ring, order.dim
     p = ring.canonical(ideal.prime)
-    q, d, reduce, lift, powers = _residue_maps(ring, p, n)
+    q, d, reduce, _, powers = _residue_maps(ring, p, n)
     p2 = ring.mul(p, p)
 
     def mod_p2(row):
         return [ring.divmod(x, p2)[1] if x else x for x in row]
 
-    w = _basis_over_p(ring, p, ideal.lifts, n)
+    w = _basis_over_p(ring, p, ideal.rows, n)
     m = [[ring.exact_div(p, x) if a == b else ring.neg(x)
           for b, x in enumerate(row)] for a, row in enumerate(w)]
     if p not in order._mod_p2:  # Λ's constants, for every ideal over p
@@ -285,7 +280,7 @@ def idealizer(order, ideal):
     ker = kernel(PrimeField(q), cond)
     if not ker:
         return order
-    return _grown_order(order, p, _basis_over_p(ring, p, map(lift, ker), n))
+    return _grown_order(order, p, _basis_over_p(ring, p, ker, n))
 
 
 def _grown_order(order, p, big_p):
@@ -373,7 +368,7 @@ def _radical_and_maximal(order, p):
     and its radical; count holds no reference to Λ.  The count is that of
     the simple factors of Λ/J, the F_p-dimension of the Frobenius-fixed
     part of its center: the center is ∏ F_(p^f), fixed part ∏ F_p."""
-    res, _, lift = residue_algebra(order, p)
+    res = residue_algebra(order, p)[0]
     rad = res.radical_basis()
 
     def maximal():
@@ -382,11 +377,11 @@ def _radical_and_maximal(order, p):
         for e in quot.primitive_central_idempotents():
             # Λ/I is the simple factor e·(Λ/J) of the semisimple quotient
             one_minus = [(a - b) % res.p for a, b in zip(quot.one_coords, e)]
-            ideals.append(_ideal_over_p(order, p, lift, rad + [
+            ideals.append(LatticeIdeal(order, p, rad + [
                 lift_q(quot.mul(b, one_minus)) for b in quot.basis()]))
         return ideals
 
-    return (_ideal_over_p(order, p, lift, rad), maximal,
+    return (LatticeIdeal(order, p, rad), maximal,
             lambda: len(res.quotient(rad)[0].frobenius_fixed_center()))
 
 
@@ -485,12 +480,18 @@ def p_maximal_order(order, p):
 def maximal_order(start, extra_primes=None):
     """Maximal order containing the input, by p-saturation at each candidate
     prime.  Unless the algebra is trusted semisimple, its trace form must be
-    nondegenerate: disc(Λ) = det(B)²·det(trace Gram) ≠ 0."""
-    if not start.algebra.trusted_semisimple and \
-            discriminant(start) == start.algebra.ring.zero:
-        raise NotSemisimple(
-            "trace form is degenerate; pass a trusted-semisimple algebra"
-        )
+    nondegenerate: disc(Λ) = det(B)²·det(trace Gram) ≠ 0.  In
+    characteristic 0 it must be, trusted or not: the kernel N of the trace
+    form is a two-sided ideal, each x ∈ N has Tr(x^k) = 0 for all k ≥ 1,
+    so x is nilpotent by Newton's identities, and N ≠ 0 is a nil ideal."""
+    ring = start.algebra.ring
+    if discriminant(start) == ring.zero:
+        if not ring.characteristic:
+            raise NotSemisimple("trace form is degenerate in characteristic "
+                                "0, so the algebra has a nonzero nil ideal")
+        if not start.algebra.trusted_semisimple:
+            raise NotSemisimple(
+                "trace form is degenerate; pass a trusted-semisimple algebra")
     cur = start
     for q in candidate_primes(start, extra_primes):
         cur = p_maximal_order(cur, q)
@@ -522,19 +523,19 @@ def candidate_primes(order, extra_primes=None):
 # endomorphism orders
 
 
-def endomorphism_order(delta, m, r=None):
+def endomorphism_order(delta, m):
     """End_Δ(M) = {x ∈ Mat_r(D) : xM ⊆ M} in the matrix model algebra.
 
-    M lives in D^r with block coordinates (r blocks of dim D each); the
-    matrix model acts by column-vector convention (x·v)_a = Σ_b x_ab v_b.
+    M lives in D^r, r = width / dim D, with block coordinates (r blocks of
+    dim D each); the matrix model acts by column-vector convention
+    (x·v)_a = Σ_b x_ab v_b.
     """
     dalg = delta.algebra
     ring = dalg.ring
     d = dalg.dim
     if m.ambient_dim % d != 0:
         raise RankDeficient("ambient dimension is not a multiple of dim D")
-    if r is None:
-        r = m.ambient_dim // d
+    r = m.ambient_dim // d
     if m.rank != r * d:
         raise RankDeficient("lattice must be full rank in D^r")
     model = matrix_over_algebra(dalg, r)

@@ -176,7 +176,8 @@ def parse_algebra(obj, ring=None):
     if "quaternion" in obj:
         return quaternion_algebra(
             ring, parse_frac(ring, field(obj, "quaternion", "a")),
-            parse_frac(ring, field(obj, "quaternion", "b")))
+            parse_frac(ring, field(obj, "quaternion", "b")),
+            trusted_semisimple=trusted)
     if "poly_quotient" in obj:
         var = obj["poly_quotient"].get("var", "x")
         modulus = field(obj, "poly_quotient", "modulus")

@@ -42,8 +42,8 @@ def all_two_sided_ideals(alg):
 
 def two_sided_ideals_over_p(order, p):
     """All two-sided ideals I with pΛ ⊆ I ⊆ Λ, by index in Λ."""
-    res, _, lift = residue_algebra(order, p)
-    out = [LatticeIdeal(order, p, [lift(list(r)) for r in rows])
+    res = residue_algebra(order, p)[0]
+    out = [LatticeIdeal(order, p, rows)
            for rows in all_two_sided_ideals(res)]
     out.sort(key=lambda i: str(lattice_index(i.lattice, order.lattice)))
     return out

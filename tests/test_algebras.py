@@ -106,6 +106,14 @@ class TestStructure:
         nil = poly_quotient_algebra(ZZ, [F(0), F(0), F(1)])
         with pytest.raises(NotSemisimple):
             maximal_order(Order(nil, Lattice.standard(ZZ, 2)))
+        # (0, 1 | Q) has the nil ideal Q·i + Q·k.  In characteristic 0 its
+        # vanishing discriminant proves that, trusted or not
+        assert not quaternion_algebra(ZZ, -1, -1).trusted_semisimple
+        for trusted in (False, True):
+            alg = quaternion_algebra(ZZ, 0, 1, trusted_semisimple=trusted)
+            with pytest.raises(NotSemisimple):
+                maximal_order(Order(alg, Lattice.standard(ZZ, 4)),
+                              extra_primes=[2])
 
     def test_inseparable_field_needs_trust(self):
         # F_2(t)[x]/(x^2 - t) is a field but its trace form vanishes

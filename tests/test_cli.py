@@ -207,6 +207,13 @@ def without(doc, key):
     ("serre-lattice", dict(SERRE_LATTICE_DOC, lattice=dict(
         SERRE_LATTICE_DOC["lattice"], action=[
             [["1", "0"]], [["0", "1"], ["-3", "0"]]])), "/lattice/action/0"),
+    # an r with r·dim D other than the lattice width: D = Q on width 2,
+    # and D = Z[i] on width 4
+    ("endo-order", {"delta": {"algebra": "Q", "basis": [["1"]]},
+                    "lattice": [["0", "-5"]], "r": 1}, "/r"),
+    ("endo-order", {"delta": GAUSSIAN_ORDER,
+                    "lattice": [["1", "0", "0", "0"], ["0", "1", "0", "0"]],
+                    "r": 1}, "/r"),
 ])
 def test_malformed_document_is_parse_error(tmp_path, capsys, command, doc,
                                            location):
@@ -294,6 +301,28 @@ def test_trusted_algebra_that_is_not_semisimple(tmp_path, capsys):
     assert rec["code"] == "BoundExceeded"
     assert "at t" in rec["message"] and "128 steps" in rec["message"]
     assert "trusted_semisimple" in rec["message"]
+
+
+@pytest.mark.parametrize("trusted", [False, True], ids=["plain", "trusted"])
+@pytest.mark.parametrize("flags", [(), ("--primes", "2")],
+                         ids=["no-primes", "primes-2"])
+def test_vanishing_discriminant_in_characteristic_0(tmp_path, capsys, flags,
+                                                    trusted):
+    # (0, 1 | Q) is not semisimple: i² = 0, and Q·i + Q·k is a nil ideal.
+    # In characteristic 0 the vanishing discriminant proves it, whatever the
+    # document declares, with or without candidate primes
+    algebra = {"quaternion": {"a": "0", "b": "1"}}
+    if trusted:
+        algebra["trusted_semisimple"] = True
+    doc = {"algebra": algebra,
+           "basis": [["1" if a == b else "0" for b in range(4)]
+                     for a in range(4)]}
+    code, out, err = run_cli_capture(tmp_path, capsys, doc,
+                                     "maximal-order", *flags)
+    assert code == 1 and not out
+    rec = json.loads(err)
+    assert rec["code"] == "NotSemisimple"
+    assert "trusted" not in rec["message"]
 
 
 class TestCommands:

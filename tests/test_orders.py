@@ -450,7 +450,7 @@ class TestEndomorphismOrders:
         alg = quadratic_algebra(-1)
         o = Order(alg, Lattice.standard(ZZ, 2))
         delta = o
-        e = endomorphism_order(delta, Lattice.standard(ZZ, 4), r=2)
+        e = endomorphism_order(delta, Lattice.standard(ZZ, 4))
         assert e.lattice == Lattice.standard(ZZ, e.algebra.dim)
 
     def test_non_free_module(self):
@@ -459,7 +459,7 @@ class TestEndomorphismOrders:
         alg = matrix_algebra(ZZ, 1)
         o = Order(alg, Lattice.standard(ZZ, 1))
         lat = Lattice.from_rows(ZZ, [[1, 0], [0, 2]], 2)
-        e = endomorphism_order(o, lat, r=2)
+        e = endomorphism_order(o, lat)
         # a, d integers; c in 2Z; b in (1/2)Z
         assert e.lattice.contains_vector([0, HALF, 0, 0])
         assert not e.lattice.contains_vector([0, 0, 1, 0])

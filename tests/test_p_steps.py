@@ -62,27 +62,36 @@ def lincomb(ring, coeffs, vecs):
     return acc
 
 
+def lifted(order, p, rows):
+    """The residue rows lifted to Λ-coordinates."""
+    lift = scalar_maps(order.algebra.ring, p, order.dim)[3]
+    return [lift(list(r)) for r in rows]
+
+
 def basis_by_hnf(order, ideal):
-    """I's basis in Λ-coordinates, the first n rows of hnf([p·I; lifts])."""
+    """I's basis in Λ-coordinates, the first n rows of hnf([p·I; lifts]),
+    for the lifts of I's residue rows."""
     p, ring, n = ideal.prime, order.algebra.ring, order.dim
     eye = [[p if a == b else ring.zero for b in range(n)] for a in range(n)]
-    h, _ = hnf(Matrix(ring, eye + list(ideal.lifts), n), transform=False)
+    h, _ = hnf(Matrix(ring, eye + lifted(order, p, ideal.rows), n),
+               transform=False)
     return [[x.num for x in row] for row in h.rows[:n]]
 
 
 def idealizer_over_r(order, ideal):
-    """The lattice of O_l(I), by the ambient route from the kernel lifts
-    of kernel_lifts_over_r."""
-    return ambient_route(order, ideal.prime,
-                         kernel_lifts_over_r(order, ideal))
+    """The lattice of O_l(I), by the ambient route from the lifts of the
+    kernel of kernel_over_r."""
+    p = ideal.prime
+    return ambient_route(order, p,
+                         lifted(order, p, kernel_over_r(order, ideal)))
 
 
-def kernel_lifts_over_r(order, ideal):
-    """Lifts of the y ∈ Λ/pΛ with yI ⊆ pI: the I-coordinates of each
-    b_i·w_k solved over R, and each scalar multiple reduced mod p on its
-    own."""
+def kernel_over_r(order, ideal):
+    """The y ∈ Λ/pΛ with yI ⊆ pI, in residue coordinates: the
+    I-coordinates of each b_i·w_k solved over R, and each scalar multiple
+    reduced mod p on its own."""
     p, ring, n = ideal.prime, order.algebra.ring, order.dim
-    q, scalars, reduce, lift = scalar_maps(ring, p, n)
+    q, scalars, reduce, _ = scalar_maps(ring, p, n)
     w = basis_by_hnf(order, ideal)
     struct = order.structure_constants()
     cond = []
@@ -92,7 +101,7 @@ def kernel_lifts_over_r(order, ideal):
         for s in scalars:
             cond.append([x for t in images
                          for x in reduce([ring.mul(s, c) for c in t])])
-    return [lift(v) for v in kernel(PrimeField(q), cond)]
+    return kernel(PrimeField(q), cond)
 
 
 def ambient_route(order, p, lifts):
@@ -121,7 +130,9 @@ def random_poly(rng, ring, deg):
 def seeded_cases():
     """(order, p): equation orders over Z, F_3[t] and F_5[t] made
     non-maximal at p, with nonzero discriminants and primes of degree 1 to
-    3 over F_q[t], and two noncommutative orders over Z."""
+    3 over F_q[t], two noncommutative orders over Z, and F_3[t]⟨i, j⟩ in
+    (π, t | F_3(t)) at π of degree 2 and 3, whose residue algebras are
+    noncommutative over R/π."""
     rng = random.Random(16)
     cases = []
     for ring, primes in [(ZZ, [2, 3, 5])] + list(PRIMES.items()):
@@ -144,18 +155,22 @@ def seeded_cases():
     alg = matrix_algebra(ZZ, 2)
     eichler = Order(alg, Lattice.from_rows(
         ZZ, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 9, 0], [0, 0, 0, 1]], 4))
-    return cases + [(lip, 2), (eichler, 3)]
+    t = (0, 1)
+    quaternions = [(Order(quaternion_algebra(F3T, p, t),
+                          Lattice.standard(F3T, 4)), p)
+                   for p in PRIMES[F3T][1:]]
+    return cases + [(lip, 2), (eichler, 3)] + quaternions
 
 
 def ideals_to_check(order, p, rng):
     """The p-radical, the maximal ideals over p, and two ideals generated
     by random residue elements."""
-    res, _, lift = residue_algebra(order, p)
+    res = residue_algebra(order, p)[0]
     out = orders._p_step_ideals(order, p)
     for _ in range(2):
         x = [rng.randrange(res.p) for _ in range(res.dim)]
-        out.append(orders._ideal_over_p(
-            order, p, lift, two_sided_ideal_generated(res, x)))
+        out.append(orders.LatticeIdeal(
+            order, p, two_sided_ideal_generated(res, x)))
     return out
 
 
@@ -164,9 +179,12 @@ def test_idealizer_matches_a_solve_over_r():
     gives, on every ideal checked along each p-maximalization chain."""
     rng = random.Random(5)
     checked = grown = 0
-    degrees = set()
+    degrees, noncommutative = set(), set()
     for order, p in seeded_cases():
-        degrees.add(len(p) - 1 if isinstance(p, tuple) else 1)
+        degree = len(p) - 1 if isinstance(p, tuple) else 1
+        degrees.add(degree)
+        if not order.algebra.is_commutative():
+            noncommutative.add(degree)
         while order is not None:
             for ideal in ideals_to_check(order, p, rng):
                 fast = idealizer(order, ideal).lattice
@@ -174,7 +192,7 @@ def test_idealizer_matches_a_solve_over_r():
                 checked += 1
                 grown += fast != order.lattice
             order = order.step_at(p)[0]
-    assert degrees == {1, 2, 3}
+    assert degrees == noncommutative == {1, 2, 3}
     assert checked >= 120 and grown >= 40
 
 
@@ -188,12 +206,13 @@ def structure_constants_over_frac(order):
 
 
 def test_p_step_bases_match_the_fraction_route():
-    """On every ideal checked along each chain: the basis over R/p is the
-    Hermite form of [p·I; lifts]; the order grown from the kernel lifts
-    (P from their rref over R/p) has the lattice, with its hash, of the
-    2n-row Lattice.from_rows over Frac(R); and structure constants over
-    R, of each order validated afresh and of each grown one, are those of
-    the products over Frac(R)."""
+    """On every ideal checked along each chain: the basis over p is the
+    Hermite form of [p·I; lifts]; the order grown from the kernel (P from
+    its rref over F_q, the rows with t⁰ pivots lifted) has the lattice,
+    with its hash, of the 2n-row Lattice.from_rows over Frac(R) on the
+    kernel's lifts; and structure constants over R, of each order
+    validated afresh and of each grown one, are those of the products
+    over Frac(R)."""
     rng = random.Random(9)
     grown = residue_fields = 0
     for order, p in seeded_cases():
@@ -204,14 +223,14 @@ def test_p_step_bases_match_the_fraction_route():
             fresh = Order(order.algebra, order.lattice)
             assert fresh.structure_constants() == want, p
             for ideal in ideals_to_check(order, p, rng):
-                assert orders._basis_over_p(ring, p, ideal.lifts, n) == \
+                assert orders._basis_over_p(ring, p, ideal.rows, n) == \
                     basis_by_hnf(order, ideal), p
-                lifts = kernel_lifts_over_r(order, ideal)
-                if not lifts:
+                ker = kernel_over_r(order, ideal)
+                if not ker:
                     continue
-                big_p = orders._basis_over_p(ring, p, lifts, n)
+                big_p = orders._basis_over_p(ring, p, ker, n)
                 lattice = orders._grown_order(order, p, big_p).lattice
-                ref = ambient_route(order, p, lifts)
+                ref = ambient_route(order, p, lifted(order, p, ker))
                 assert lattice == ref and hash(lattice) == hash(ref), p
                 assert idealizer(order, ideal).lattice == ref, p
                 grown += 1

@@ -88,8 +88,11 @@ class TestPolyString:
 class TestAlgebra:
     def test_shorthands(self):
         assert parse_algebra({"matrix": {"n": 2}}).dim == 4
-        q = parse_algebra({"quaternion": {"a": "-1", "b": "-1"}})
-        assert q.dim == 4
+        spec = {"quaternion": {"a": "-1", "b": "-1"}}
+        q = parse_algebra(spec)
+        assert q.dim == 4 and not q.trusted_semisimple
+        assert parse_algebra(dict(spec, trusted_semisimple=True)) \
+            .trusted_semisimple
         i = q.basis_element(1)
         assert (i * i).coords == (-q.one()).coords
         pq = parse_algebra({"poly_quotient": {"modulus": "x^2+3"}})
