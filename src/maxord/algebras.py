@@ -1,5 +1,6 @@
 """Finite-dimensional algebras over the fraction field, presented by
-structure constants.
+structure constants, and R-orders in them with their discriminants; the
+p-steps on orders are in maxord.orders.
 
 Coordinates are row vectors; for an element a, ``coords(a*x) =
 coords(x) * Lmat(a)``.
@@ -14,9 +15,12 @@ from .errors import (
     BadIdempotents,
     InternalError,
     NeedsSuppliedIdempotents,
+    NotFullRank,
+    NotIntegral,
     NotSemisimple,
 )
-from .exactlin import FractionField, kernel, power_relation, rref
+from .exactlin import (FractionField, Lattice, Matrix, kernel, matmul,
+                       power_relation, rref, solve_echelon)
 from .rings import Frac, frac0, frac1
 
 
@@ -416,3 +420,109 @@ def product_algebra(algebras, trusted_semisimple=None):
         trusted_semisimple = all(a.trusted_semisimple for a in algebras)
     return Algebra(ring, table, one_coords, basis_names=names,
                    trusted_semisimple=trusted_semisimple, validate=False)
+
+
+# ---------------------------------------------------------------------------
+# orders
+
+
+class Order:
+    """An R-order: a full-rank multiplicatively closed lattice containing 1."""
+
+    def __init__(self, algebra, lattice, validate=True):
+        self.algebra = algebra
+        if not isinstance(lattice, Lattice):
+            lattice = Lattice.from_rows(algebra.ring, lattice, algebra.dim)
+        self.lattice = lattice
+        self.dim = algebra.dim
+        if lattice.ambient_dim != self.dim or lattice.rank != self.dim:
+            raise NotFullRank("order basis must be square of full rank")
+        self._struct = None
+        self._unit = None
+        self._disc = None
+        self._steps, self._mod_p2 = {}, {}  # per prime p, for maxord.orders
+        if validate:
+            self.structure_constants()
+            if self.unit_coords() is None:
+                raise NotIntegral("order does not contain 1")
+
+    def unit_coords(self):
+        """Order coordinates of 1 (ring elements), or None when 1 is not
+        in the lattice."""
+        if self._unit is None:
+            self._unit = self.order_coords(self.algebra.one_coords)
+        return self._unit
+
+    def order_coords(self, ambient_coords):
+        """Integral order-basis coordinates (ring elements), or None."""
+        row = self.lattice.coordinates([ambient_coords])[0]
+        return [x.num for x in row] if all(
+            x.is_integral() for x in row) else None
+
+    @property
+    def bmat(self):
+        return self.lattice.basis
+
+    def structure_constants(self):
+        """c[i][j] = order coords of b_i * b_j, as ring elements.
+
+        For the basis h/d and the algebra's constants A/e, h and A over R,
+        b_i·b_j = y_ij/(d²·e) with y_ij = Σ_kl h_ik·h_jl·A_kl, whose
+        coordinates c_ij solve c_ij·(d·e·h) = y_ij: all n² products over R
+        in one back-substitution.
+        """
+        if self._struct is None:
+            ring, n, lat = self.algebra.ring, self.dim, self.lattice
+            big_a, e = Matrix._of(ring, [[c for row in t for c in row]
+                                         for t in self.algebra.table],
+                                  n * n).cleared()
+            ys = [y for left in matmul(ring, lat.h, big_a)  # rows Σ_k h_ik A_k
+                  for y in matmul(ring, lat.h, [left[l * n:(l + 1) * n]
+                                                for l in range(n)])]
+            self._struct = closed_products(ring, lat.h, ys, ring.mul(lat.d, e),
+                                           "order basis")
+        return self._struct
+
+    def __eq__(self, other):
+        return isinstance(other, Order) and self.lattice == other.lattice
+
+    def __hash__(self):
+        return hash(self.lattice)
+
+    def __repr__(self):
+        return "Order(%r)" % self.lattice
+
+
+def closed_products(ring, h, ys, den, what):
+    """[[c_ij]] for c_ij·(den·h) = y_ij, the y_ij in row-major order and h
+    in echelon form.  A basis is closed under multiplication exactly when
+    every c_ij is over R, that is when back-substitution over R succeeds;
+    else NotIntegral names the first b_i·b_j, in row-major order, that
+    escapes."""
+    n, h = len(h), [[ring.mul(den, x) for x in row] for row in h]
+    cs = solve_echelon(ring, h, ys)
+    if cs is None:
+        k = next(k for k, y in enumerate(ys)
+                 if solve_echelon(ring, h, [y]) is None)
+        raise NotIntegral("%s is not multiplicatively closed (b_%d * b_%d "
+                          "escapes)" % ((what,) + divmod(k, n)))
+    return [cs[i * n:(i + 1) * n] for i in range(n)]
+
+
+def discriminant(order):
+    """Gram determinant of the trace form on an order basis (ring element):
+    G_ij = Tr(b_i·b_j) = Σ_k c_ijk·Tr(b_k), with Tr(b_k) = Σ_j c_kjj the
+    trace of left multiplication in the order basis.  Computed once per
+    order; a grown order reads it off its parent's (orders._grown_order)."""
+    if order._disc is not None:
+        return order._disc
+    ring = order.algebra.ring
+    struct = order.structure_constants()
+
+    def total(xs):
+        return functools.reduce(ring.add, xs, ring.zero)
+
+    traces = [total(c[j] for j, c in enumerate(row)) for row in struct]
+    gram = [[total(map(ring.mul, c, traces)) for c in row] for row in struct]
+    order._disc = Matrix(ring, gram, order.dim).det().integral_value()
+    return order._disc

@@ -10,15 +10,9 @@ import functools
 import json
 import sys
 
+from .algebras import discriminant
 from .errors import MaxordError, ParseError
 from .exactlin import Lattice, lattice_index
-from .orders import (
-    candidate_primes,
-    discriminant,
-    is_maximal_at_p,
-    maximal_order,
-    radical_mod_p,
-)
 from .serialize import (
     format_certificate,
     format_matrix,
@@ -103,6 +97,7 @@ def cmd_decompose(args):
 
 
 def cmd_maximal_order(args):
+    from .orders import candidate_primes, is_maximal_at_p, maximal_order
     order = _load(args.input, parse_order)
     ring = order.algebra.ring
     extra = parse_primes(ring, args.primes or "") or None
@@ -117,6 +112,7 @@ def cmd_maximal_order(args):
 
 
 def cmd_certify(args):
+    from .orders import candidate_primes, is_maximal_at_p
     order = _load(args.input, parse_order)
     ring = order.algebra.ring
     certs = []
@@ -136,6 +132,7 @@ def cmd_certify(args):
 
 
 def cmd_radical(args):
+    from .orders import radical_mod_p
     order = _load(args.input, parse_order)
     ring = order.algebra.ring
     primes = parse_primes(ring, args.primes or "")
@@ -157,7 +154,7 @@ def cmd_disc(args):
 
 
 def cmd_endo_order(args):
-    from .orders import endomorphism_order
+    from .serre import endomorphism_order
 
     def parse(doc):
         delta = parse_at(doc, "delta", parse_order)

@@ -1,5 +1,7 @@
-"""R-orders in finite-dimensional algebras: radicals, idealizers,
-p-maximalization, maximality certificates, and endomorphism orders."""
+"""The p-steps on R-orders: residue algebras, radicals, idealizers,
+p-maximalization, maximality certificates, and global maximal orders.
+Orders themselves, with their structure constants and discriminants,
+are in maxord.algebras."""
 
 import functools
 
@@ -7,15 +9,11 @@ from .errors import (
     BoundExceeded,
     InternalError,
     NeedsSuppliedPrimes,
-    NotFullRank,
-    NotIntegral,
     NotPrime,
     NotSemisimple,
-    RankDeficient,
 )
 from .exactlin import (
     Lattice,
-    Matrix,
     PrimeField,
     hermite,
     kernel,
@@ -24,98 +22,8 @@ from .exactlin import (
     solve_echelon,
 )
 from .finitealg import FiniteAlgebra
-from .algebras import matrix_over_algebra
-from .rings import Frac, pnorm
-
-
-class Order:
-    """An R-order: a full-rank multiplicatively closed lattice containing 1."""
-
-    def __init__(self, algebra, lattice, validate=True):
-        self.algebra = algebra
-        if not isinstance(lattice, Lattice):
-            lattice = Lattice.from_rows(algebra.ring, lattice, algebra.dim)
-        self.lattice = lattice
-        self.dim = algebra.dim
-        if lattice.ambient_dim != self.dim or lattice.rank != self.dim:
-            raise NotFullRank("order basis must be square of full rank")
-        self._struct = None
-        self._unit = None
-        self._disc = None
-        self._steps, self._mod_p2 = {}, {}  # per prime p
-        if validate:
-            self.structure_constants()
-            if self.unit_coords() is None:
-                raise NotIntegral("order does not contain 1")
-
-    def unit_coords(self):
-        """Order coordinates of 1 (ring elements), or None when 1 is not
-        in the lattice."""
-        if self._unit is None:
-            self._unit = self.order_coords(self.algebra.one_coords)
-        return self._unit
-
-    def order_coords(self, ambient_coords):
-        """Integral order-basis coordinates (ring elements), or None."""
-        row = self.lattice.coordinates([ambient_coords])[0]
-        return [x.num for x in row] if all(
-            x.is_integral() for x in row) else None
-
-    @property
-    def bmat(self):
-        return self.lattice.basis
-
-    def structure_constants(self):
-        """c[i][j] = order coords of b_i * b_j, as ring elements.
-
-        For the basis h/d and the algebra's constants A/e, h and A over R,
-        b_i·b_j = y_ij/(d²·e) with y_ij = Σ_kl h_ik·h_jl·A_kl, whose
-        coordinates c_ij solve c_ij·(d·e·h) = y_ij: all n² products over R
-        in one back-substitution.
-        """
-        if self._struct is None:
-            ring, n, lat = self.algebra.ring, self.dim, self.lattice
-            big_a, e = Matrix._of(ring, [[c for row in t for c in row]
-                                         for t in self.algebra.table],
-                                  n * n).cleared()
-            ys = [y for left in matmul(ring, lat.h, big_a)  # rows Σ_k h_ik A_k
-                  for y in matmul(ring, lat.h, [left[l * n:(l + 1) * n]
-                                                for l in range(n)])]
-            self._struct = _closed_products(ring, lat.h, ys, ring.mul(lat.d, e),
-                                            "order basis")
-        return self._struct
-
-    def step_at(self, p):
-        """p_step(self, p), computed once per prime."""
-        p = self.algebra.ring.canonical(p)
-        if p not in self._steps:
-            self._steps[p] = p_step(self, p)
-        return self._steps[p]
-
-    def __eq__(self, other):
-        return isinstance(other, Order) and self.lattice == other.lattice
-
-    def __hash__(self):
-        return hash(self.lattice)
-
-    def __repr__(self):
-        return "Order(%r)" % self.lattice
-
-
-def _closed_products(ring, h, ys, den, what):
-    """[[c_ij]] for c_ij·(den·h) = y_ij, the y_ij in row-major order and h
-    in echelon form.  A basis is closed under multiplication exactly when
-    every c_ij is over R, that is when back-substitution over R succeeds;
-    else NotIntegral names the first b_i·b_j, in row-major order, that
-    escapes."""
-    n, h = len(h), [[ring.mul(den, x) for x in row] for row in h]
-    cs = solve_echelon(ring, h, ys)
-    if cs is None:
-        k = next(k for k, y in enumerate(ys)
-                 if solve_echelon(ring, h, [y]) is None)
-        raise NotIntegral("%s is not multiplicatively closed (b_%d * b_%d "
-                          "escapes)" % ((what,) + divmod(k, n)))
-    return [cs[i * n:(i + 1) * n] for i in range(n)]
+from .algebras import Order, closed_products, discriminant
+from .rings import pnorm
 
 
 class LatticeIdeal:
@@ -314,7 +222,7 @@ def _grown_order(order, p, big_p):
     ys = [y for row in left for y in matmul(
         ring, big_p, [row[b * n:(b + 1) * n] for b in range(n)])]
     grown = Order(order.algebra, lattice, validate=False)
-    grown._struct = _closed_products(ring, big_p, ys, p, "grown lattice")
+    grown._struct = closed_products(ring, big_p, ys, p, "grown lattice")
     grown._unit = solve_echelon(ring, big_p, [[ring.mul(p, x) for x in
                                                order.unit_coords()]])[0]
     if order._disc is not None:
@@ -325,41 +233,6 @@ def _grown_order(order, p, big_p):
     grown._steps = {q: step for q, step in order._steps.items()
                     if q != p and step[0] is None}
     return grown
-
-
-def _stabilizer_order(alg, lat, maps):
-    """The order {x in alg : x·maps[i] ∈ lat for every i}.
-
-    maps[i] multiplies coordinates by the i-th basis vector w_i of lat:
-    x·maps[i] is x·w_i.  In lattice coordinates x is in the order iff it
-    pairs integrally with every column of maps[i]·basis⁻¹, whose rows are
-    those of maps[i] in lattice coordinates, so the order is the dual of
-    the lattice those columns span.
-    """
-    cols = [col for m in maps for col in zip(*lat.coordinates(m.rows))]
-    col_lat = Lattice.from_rows(alg.ring, cols, alg.dim)
-    if col_lat.rank != alg.dim:
-        raise InternalError("stabilizer condition system is rank-deficient")
-    return Order(alg, col_lat.dual())
-
-
-def discriminant(order):
-    """Gram determinant of the trace form on an order basis (ring element):
-    G_ij = Tr(b_i·b_j) = Σ_k c_ijk·Tr(b_k), with Tr(b_k) = Σ_j c_kjj the
-    trace of left multiplication in the order basis.  Computed once per
-    order; a grown order reads it off its parent's (see _grown_order)."""
-    if order._disc is not None:
-        return order._disc
-    ring = order.algebra.ring
-    struct = order.structure_constants()
-
-    def total(xs):
-        return functools.reduce(ring.add, xs, ring.zero)
-
-    traces = [total(c[j] for j, c in enumerate(row)) for row in struct]
-    gram = [[total(map(ring.mul, c, traces)) for c in row] for row in struct]
-    order._disc = Matrix(ring, gram, order.dim).det().integral_value()
-    return order._disc
 
 
 def _radical_and_maximal(order, p):
@@ -409,8 +282,8 @@ def p_step(order, p):
     (Reiner §§17–18; Ivanyos & Rónyai 1993).  Returns (grown, facts):
     grown is the first of those idealizers that is strictly larger than
     Λ, or None; facts says whether O_l(J) = Λ and how many maximal ideals
-    lie over p.  Callers go through Order.step_at, which runs it once per
-    order and prime.
+    lie over p.  Callers go through step_at, which runs it once per order
+    and prime.
 
     In a commutative semisimple algebra O_l(J) = Λ already proves Λ
     p-maximal (Pohst–Zassenhaus; Cohen, GTM 138, §6.1), so the maximal
@@ -437,10 +310,18 @@ def p_step(order, p):
     return None, facts
 
 
+def step_at(order, p):
+    """p_step(order, p), computed once per order and prime."""
+    p = order.algebra.ring.canonical(p)
+    if p not in order._steps:
+        order._steps[p] = p_step(order, p)
+    return order._steps[p]
+
+
 def is_maximal_at_p(order, p):
     """Per-prime maximality certificate: the verdict of p_step, plus
     whether O_l(J) = Λ and whether exactly one maximal ideal lies over p."""
-    grown, facts = order.step_at(p)
+    grown, facts = step_at(order, p)
     return {
         "prime": p,
         "idealizerFixed": facts["idealizerFixed"],
@@ -454,22 +335,24 @@ def p_maximal_order(order, p):
     discriminant bounds the steps; a vanishing one leaves a budget of
     64·dim steps, which is no proved bound."""
     ring = order.algebra.ring
-    disc = discriminant(order)
+    disc = _checked_discriminant(order)
     if disc != ring.zero:
         bound = order.dim * order.dim * ring.valuation(disc, p) + order.dim + 4
     else:
         bound = 64 * order.dim
     cur = order
     for _ in range(bound):
-        grown, _ = cur.step_at(p)
+        grown, _ = step_at(cur, p)
         if grown is None:
             return cur
         cur = grown
     if disc == ring.zero:
+        declared = (", declared trusted_semisimple,"
+                    if order.algebra.trusted_semisimple else "")
         raise BoundExceeded(
             "p-maximalization at %s ran past its budget of %d steps, no "
-            "proved bound as the discriminant vanishes; is the algebra, "
-            "declared trusted_semisimple, semisimple?" % (ring.to_str(p), bound))
+            "proved bound as the discriminant vanishes; is the algebra%s "
+            "semisimple?" % (ring.to_str(p), bound, declared))
     raise InternalError("p-maximalization did not terminate within its bound")
 
 
@@ -477,21 +360,28 @@ def p_maximal_order(order, p):
 # global maximal orders
 
 
+def _checked_discriminant(order):
+    """disc(Λ), which must not vanish in characteristic 0: the kernel N of
+    the trace form is a two-sided ideal, each x ∈ N has Tr(x^k) = 0 for
+    all k ≥ 1, so x is nilpotent by Newton's identities, and N ≠ 0 is a
+    nil ideal.  NotSemisimple when it does, whatever the algebra declares."""
+    ring = order.algebra.ring
+    disc = discriminant(order)
+    if disc == ring.zero and not ring.characteristic:
+        raise NotSemisimple("trace form is degenerate in characteristic "
+                            "0, so the algebra has a nonzero nil ideal")
+    return disc
+
+
 def maximal_order(start, extra_primes=None):
     """Maximal order containing the input, by p-saturation at each candidate
     prime.  Unless the algebra is trusted semisimple, its trace form must be
     nondegenerate: disc(Λ) = det(B)²·det(trace Gram) ≠ 0.  In
-    characteristic 0 it must be, trusted or not: the kernel N of the trace
-    form is a two-sided ideal, each x ∈ N has Tr(x^k) = 0 for all k ≥ 1,
-    so x is nilpotent by Newton's identities, and N ≠ 0 is a nil ideal."""
-    ring = start.algebra.ring
-    if discriminant(start) == ring.zero:
-        if not ring.characteristic:
-            raise NotSemisimple("trace form is degenerate in characteristic "
-                                "0, so the algebra has a nonzero nil ideal")
-        if not start.algebra.trusted_semisimple:
-            raise NotSemisimple(
-                "trace form is degenerate; pass a trusted-semisimple algebra")
+    characteristic 0 it must be, trusted or not (_checked_discriminant)."""
+    if (_checked_discriminant(start) == start.algebra.ring.zero
+            and not start.algebra.trusted_semisimple):
+        raise NotSemisimple(
+            "trace form is degenerate; pass a trusted-semisimple algebra")
     cur = start
     for q in candidate_primes(start, extra_primes):
         cur = p_maximal_order(cur, q)
@@ -502,9 +392,10 @@ def candidate_primes(order, extra_primes=None):
     """The primes to check the order at: those dividing its discriminant
     (it is maximal at every other prime), then those of extra_primes not
     among them.  A vanishing discriminant names no prime, so then
-    extra_primes must; NeedsSuppliedPrimes when it is empty."""
+    extra_primes must; NeedsSuppliedPrimes when it is empty, and
+    NotSemisimple in characteristic 0 (_checked_discriminant)."""
     ring = order.algebra.ring
-    disc = discriminant(order)
+    disc = _checked_discriminant(order)
     primes = []
     if disc != ring.zero:
         primes = [q for q, _ in ring.factor(disc)]
@@ -517,39 +408,3 @@ def candidate_primes(order, extra_primes=None):
         if q not in primes:
             primes.append(q)
     return primes
-
-
-# ---------------------------------------------------------------------------
-# endomorphism orders
-
-
-def endomorphism_order(delta, m):
-    """End_Δ(M) = {x ∈ Mat_r(D) : xM ⊆ M} in the matrix model algebra.
-
-    M lives in D^r, r = width / dim D, with block coordinates (r blocks of
-    dim D each); the matrix model acts by column-vector convention
-    (x·v)_a = Σ_b x_ab v_b.
-    """
-    dalg = delta.algebra
-    ring = dalg.ring
-    d = dalg.dim
-    if m.ambient_dim % d != 0:
-        raise RankDeficient("ambient dimension is not a multiple of dim D")
-    r = m.ambient_dim // d
-    if m.rank != r * d:
-        raise RankDeficient("lattice must be full rank in D^r")
-    model = matrix_over_algebra(dalg, r)
-    maps = []
-    for w in m.basis.rows:
-        blocks = [w[b * d:(b + 1) * d] for b in range(r)]
-        rows = []
-        for a in range(r):
-            for b in range(r):
-                for c in range(d):
-                    # E_ab (x) d_c applied to w: block a receives d_c * w_b
-                    img = [Frac.of(ring, 0)] * (r * d)
-                    img[a * d:(a + 1) * d] = dalg.mul_coords(
-                        dalg.basis_element(c).coords, blocks[b])
-                    rows.append(img)
-        maps.append(Matrix(ring, rows, r * d))
-    return _stabilizer_order(model, m, maps)

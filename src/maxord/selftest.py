@@ -7,15 +7,9 @@ quadratic-field sweep against the classical closed-form ring of integers.
 
 from .rings import ZZ, Frac, poly_ring
 from .exactlin import Lattice, Matrix, lattice_index
-from .algebras import Algebra, matrix_algebra, poly_quotient_algebra, \
-    quaternion_algebra
-from .orders import (
-    Order,
-    discriminant,
-    is_maximal_at_p,
-    maximal_order,
-    radical_mod_p,
-)
+from .algebras import Algebra, Order, discriminant, matrix_algebra, \
+    poly_quotient_algebra, quaternion_algebra
+from .orders import is_maximal_at_p, maximal_order, radical_mod_p
 from .serre import (
     IsogenyFactor,
     IsogenyType,

@@ -12,11 +12,11 @@ from .errors import ParseError
 from .exactlin import Lattice, Matrix
 from .algebras import (
     Algebra,
+    Order,
     matrix_algebra,
     poly_quotient_algebra,
     quaternion_algebra,
 )
-from .orders import Order
 from .rings import ZZ, Frac, poly_ring
 
 # the largest dimension of an algebra given by a shorthand (Mat_n, or

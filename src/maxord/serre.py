@@ -1,6 +1,7 @@
 """Tensoring abelian-variety data by a finitely presented module over an
 endomorphism order: isogeny-class multiplicities, period-lattice images,
-minimal isogenies to a bigger order, and naturality checks.
+minimal isogenies to a bigger order, naturality checks, and the
+endomorphism orders End_Δ(M) of lattices.
 
 Abelian varieties are modeled formally: an isogeny type (simple factors
 with endomorphism algebras and multiplicities) plus optional period
@@ -14,9 +15,10 @@ from .errors import (
     NotAModuleMap,
     NotContained,
     NotIntegral,
+    RankDeficient,
 )
 from .exactlin import Lattice, Matrix, hnf, matmul, snf, solve_echelon
-from .algebras import matrix_over_algebra, product_algebra
+from .algebras import Order, matrix_over_algebra, product_algebra
 from .rings import Frac
 
 
@@ -405,3 +407,55 @@ def check_naturality(pres1, pres2, phi, t):
     # also forces φ⊗1 to kill the kernel of ξ₁, i.e. well-definedness)
     induced = out1.section * phi_mat * out2.projection
     return phi_mat * out2.projection == out1.projection * induced
+
+
+# ---------------------------------------------------------------------------
+# endomorphism orders
+
+
+def endomorphism_order(delta, m):
+    """End_Δ(M) = {x ∈ Mat_r(D) : xM ⊆ M} in the matrix model algebra.
+
+    M lives in D^r, r = width / dim D, with block coordinates (r blocks of
+    dim D each); the matrix model acts by column-vector convention
+    (x·v)_a = Σ_b x_ab v_b.
+    """
+    dalg = delta.algebra
+    ring = dalg.ring
+    d = dalg.dim
+    if m.ambient_dim % d != 0:
+        raise RankDeficient("ambient dimension is not a multiple of dim D")
+    r = m.ambient_dim // d
+    if m.rank != r * d:
+        raise RankDeficient("lattice must be full rank in D^r")
+    model = matrix_over_algebra(dalg, r)
+    maps = []
+    for w in m.basis.rows:
+        blocks = [w[b * d:(b + 1) * d] for b in range(r)]
+        rows = []
+        for a in range(r):
+            for b in range(r):
+                for c in range(d):
+                    # E_ab (x) d_c applied to w: block a receives d_c * w_b
+                    img = [Frac.of(ring, 0)] * (r * d)
+                    img[a * d:(a + 1) * d] = dalg.mul_coords(
+                        dalg.basis_element(c).coords, blocks[b])
+                    rows.append(img)
+        maps.append(Matrix(ring, rows, r * d))
+    return _stabilizer_order(model, m, maps)
+
+
+def _stabilizer_order(alg, lat, maps):
+    """The order {x in alg : x·maps[i] ∈ lat for every i}.
+
+    maps[i] multiplies coordinates by the i-th basis vector w_i of lat:
+    x·maps[i] is x·w_i.  In lattice coordinates x is in the order iff it
+    pairs integrally with every column of maps[i]·basis⁻¹, whose rows are
+    those of maps[i] in lattice coordinates, so the order is the dual of
+    the lattice those columns span.
+    """
+    cols = [col for m in maps for col in zip(*lat.coordinates(m.rows))]
+    col_lat = Lattice.from_rows(alg.ring, cols, alg.dim)
+    if col_lat.rank != alg.dim:
+        raise InternalError("stabilizer condition system is rank-deficient")
+    return Order(alg, col_lat.dual())

@@ -11,6 +11,8 @@ import time
 
 from maxord.algebras import (
     Algebra,
+    Order,
+    discriminant,
     matrix_algebra,
     poly_quotient_algebra,
     quaternion_algebra,
@@ -19,8 +21,6 @@ from maxord.cli import main
 from maxord.exactlin import Lattice, Matrix, lattice_index
 from maxord.errors import NotIntegral
 from maxord.orders import (
-    Order,
-    discriminant,
     is_maximal_at_p,
     maximal_order,
     p_maximal_order,

@@ -4,6 +4,8 @@ import pytest
 
 from maxord.algebras import (
     Algebra,
+    Order,
+    discriminant,
     matrix_algebra,
     matrix_over_algebra,
     poly_quotient_algebra,
@@ -13,7 +15,7 @@ from maxord.algebras import (
 from maxord.decompose import decompose
 from maxord.errors import BadIdempotents, NotSemisimple
 from maxord.exactlin import FractionField, Lattice, Matrix, charpoly, solve
-from maxord.orders import Order, discriminant, maximal_order
+from maxord.orders import maximal_order
 from maxord.rings import ZZ, Frac, frac1, pnorm, poly_ring
 
 F2T = poly_ring(2)

@@ -8,8 +8,11 @@ import os
 
 import maxord
 import maxord.cli
-# the CLI imports serre only inside the serre commands; the tracer wraps
-# serre's functions too
+# the CLI imports orders and finitealg only inside the commands that take
+# a p-step, and serre only inside the serre commands; the tracer wraps
+# functions of all three
+import maxord.finitealg  # noqa: F401
+import maxord.orders  # noqa: F401
 import maxord.serre  # noqa: F401
 from test_cli import SERRE_CLASS_DOC, SERRE_LATTICE_DOC
 

@@ -6,15 +6,9 @@ import json
 import random
 
 from maxord import cli, orders
-from maxord.algebras import poly_quotient_algebra
+from maxord.algebras import Order, discriminant, poly_quotient_algebra
 from maxord.exactlin import Lattice, lattice_index
-from maxord.orders import (
-    Order,
-    discriminant,
-    is_maximal_at_p,
-    maximal_order,
-    residue_algebra,
-)
+from maxord.orders import is_maximal_at_p, maximal_order, residue_algebra
 from maxord.rings import ZZ, Frac, poly_ring
 from test_acceptance import brute_force_maximal_order
 

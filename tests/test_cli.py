@@ -303,26 +303,45 @@ def test_trusted_algebra_that_is_not_semisimple(tmp_path, capsys):
     assert "trusted_semisimple" in rec["message"]
 
 
+def nil_quaternion_order(trusted):
+    """Z⟨i, j⟩ in (0, 1 | Q), which is not semisimple: i² = 0, and Q·i +
+    Q·k is a nil ideal."""
+    algebra = {"quaternion": {"a": "0", "b": "1"}}
+    if trusted:
+        algebra["trusted_semisimple"] = True
+    return {"algebra": algebra,
+            "basis": [["1" if a == b else "0" for b in range(4)]
+                      for a in range(4)]}
+
+
 @pytest.mark.parametrize("trusted", [False, True], ids=["plain", "trusted"])
 @pytest.mark.parametrize("flags", [(), ("--primes", "2")],
                          ids=["no-primes", "primes-2"])
 def test_vanishing_discriminant_in_characteristic_0(tmp_path, capsys, flags,
                                                     trusted):
-    # (0, 1 | Q) is not semisimple: i² = 0, and Q·i + Q·k is a nil ideal.
     # In characteristic 0 the vanishing discriminant proves it, whatever the
     # document declares, with or without candidate primes
-    algebra = {"quaternion": {"a": "0", "b": "1"}}
-    if trusted:
-        algebra["trusted_semisimple"] = True
-    doc = {"algebra": algebra,
-           "basis": [["1" if a == b else "0" for b in range(4)]
-                     for a in range(4)]}
-    code, out, err = run_cli_capture(tmp_path, capsys, doc,
+    code, out, err = run_cli_capture(tmp_path, capsys,
+                                     nil_quaternion_order(trusted),
                                      "maximal-order", *flags)
     assert code == 1 and not out
     rec = json.loads(err)
     assert rec["code"] == "NotSemisimple"
     assert "trusted" not in rec["message"]
+
+
+@pytest.mark.parametrize("trusted", [False, True], ids=["plain", "trusted"])
+@pytest.mark.parametrize("flags", [(), ("--primes", "2")],
+                         ids=["no-primes", "primes-2"])
+def test_certify_applies_the_characteristic_0_rule(tmp_path, capsys, flags,
+                                                   trusted):
+    # certify takes its primes where maximal-order does, so it gives the
+    # same error, and neither NeedsSuppliedPrimes nor a certificate
+    code, out, err = run_cli_capture(tmp_path, capsys,
+                                     nil_quaternion_order(trusted),
+                                     "certify", *flags)
+    assert code == 1 and not out
+    assert json.loads(err)["code"] == "NotSemisimple"
 
 
 class TestCommands:

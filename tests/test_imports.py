@@ -87,3 +87,41 @@ def test_public_definitions_are_reached():
                  if name not in used | ENTRY_POINTS]
     assert not unreached, "public definitions that nothing reaches: %s" % (
         ", ".join(unreached))
+
+
+def top_level_imports(name):
+    """The maxord modules that maxord.<name> imports when it is loaded:
+    its imports outside any function body."""
+    found = set()
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                continue
+            if isinstance(child, ast.ImportFrom) and child.level == 1:
+                found.update([child.module] if child.module else
+                             [alias.name for alias in child.names])
+            elif isinstance(child, ast.Import):
+                found.update(alias.name.split(".")[1] for alias in child.names
+                             if alias.name.startswith("maxord."))
+            visit(child)
+
+    visit(ast.parse((SRC / (name + ".py")).read_text()))
+    return found
+
+
+def test_cli_loads_no_p_step_module_at_import():
+    """Only the commands that take a p-step import orders and finitealg,
+    inside their handlers; no module that importing maxord.cli loads may
+    import them at its top level."""
+    # a control: the walk reads the top-level imports of orders itself
+    assert {"finitealg"} <= top_level_imports("orders")
+    loaded, todo = set(), ["cli"]
+    while todo:
+        name = todo.pop()
+        if name not in loaded:
+            loaded.add(name)
+            todo.extend(top_level_imports(name))
+    assert {"algebras", "serialize"} <= loaded
+    assert not loaded & {"orders", "finitealg"}, sorted(loaded)

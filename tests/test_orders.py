@@ -5,21 +5,21 @@ from hypothesis import given, settings, strategies as st
 
 from maxord.algebras import (
     Algebra,
+    Order,
+    discriminant,
     matrix_algebra,
     poly_quotient_algebra,
     product_algebra,
     quaternion_algebra,
 )
-from maxord import orders
+from maxord import orders, serre
 from maxord.decompose import decompose
-from maxord.errors import NotFullRank, NotIntegral, NotPrime
+from maxord.errors import (BoundExceeded, NotFullRank, NotIntegral, NotPrime,
+                           NotSemisimple)
 from maxord.exactlin import (FractionField, Lattice, Matrix, charpoly,
                               lattice_index, solve)
 from maxord.orders import (
-    Order,
     candidate_primes,
-    discriminant,
-    endomorphism_order,
     idealizer,
     is_maximal_at_p,
     maximal_order,
@@ -28,6 +28,7 @@ from maxord.orders import (
     residue_algebra,
 )
 from maxord.rings import ZZ, Frac, poly_ring
+from maxord.serre import endomorphism_order
 from ideal_oracle import two_sided_ideals_over_p
 from test_algebras import left_mul_matrix
 from test_acceptance import (
@@ -220,6 +221,32 @@ class TestIdealizerAndSaturation:
         assert is_maximal_at_p(sat, (0, 1))["verdict"]
 
 
+@pytest.mark.parametrize("trusted", [False, True], ids=["plain", "trusted"])
+def test_p_maximal_order_applies_the_characteristic_0_rule(trusted,
+                                                           monkeypatch):
+    # (0, 1 | Q) has the nil ideal Q·i + Q·k, which its vanishing
+    # discriminant proves in characteristic 0, before any step is taken
+    monkeypatch.setattr(orders, "p_step", lambda order, p: pytest.fail(
+        "p_maximal_order took a step"))
+    alg = quaternion_algebra(ZZ, 0, 1, trusted_semisimple=trusted)
+    with pytest.raises(NotSemisimple):
+        p_maximal_order(Order(alg, Lattice.standard(ZZ, 4)), 2)
+
+
+@pytest.mark.parametrize("trusted", [False, True], ids=["plain", "trusted"])
+def test_step_budget_names_only_a_declared_trust(trusted):
+    # F_2(t)[x]/(x^2) is not semisimple, but in characteristic 2 its
+    # vanishing discriminant does not prove that: p-maximalization at t has
+    # only a budget of 64·dim steps, and the order x/t^k grows past it
+    zero, one = Frac.of(F2T, F2T.zero), Frac.of(F2T, F2T.one)
+    alg = poly_quotient_algebra(F2T, [zero, zero, one],
+                                trusted_semisimple=trusted)
+    with pytest.raises(BoundExceeded) as exc:
+        p_maximal_order(Order(alg, Lattice.standard(F2T, 2)), (0, 1))
+    assert "128 steps" in str(exc.value)
+    assert ("trusted_semisimple" in str(exc.value)) == trusted
+
+
 def decomposition_route(start):
     """The maximal order by the former route over Z: split the center over
     Q, close the projection of the start in each factor, maximalize each
@@ -320,12 +347,12 @@ class TestIdealizerOverFp:
                 if fast is not order:
                     assert_inherits_structure(fast)
                 alg, lat = order.algebra, ideal.lattice
-                reference = orders._stabilizer_order(
+                reference = serre._stabilizer_order(
                     alg, lat, right_mul_maps(alg, lat))
                 assert fast.lattice == reference.lattice, p
                 assert fast.lattice == idealizer_over_r(order, ideal), p
                 checked += 1
-            order = order.step_at(p)[0]
+            order = orders.step_at(order, p)[0]
         return checked
 
     def test_cubic_and_quartic_orders(self):
@@ -398,7 +425,7 @@ def test_radical_idealizer_decides_commutative_orders(monkeypatch):
             grows = [idealize(order, ideal).lattice != order.lattice
                      for ideal in orders._p_step_ideals(order, p)]
             calls.clear()
-            grown, facts = order.step_at(p)
+            grown, facts = orders.step_at(order, p)
             assert facts["maximalIdeals"] == len(grows) - 1
             if not grows[0]:
                 assert not any(grows) and grown is None

@@ -1,9 +1,8 @@
 import pytest
 
-from maxord.algebras import matrix_algebra, quaternion_algebra
+from maxord.algebras import Order, matrix_algebra, quaternion_algebra
 from maxord.errors import ParseError
 from maxord.exactlin import Lattice, Matrix
-from maxord.orders import Order
 from maxord.rings import ZZ, Frac, poly_ring
 from maxord.serialize import (
     format_certificate,

@@ -18,10 +18,10 @@ from maxord.errors import (
     NotIntegral,
 )
 from maxord import exactlin
-from maxord.algebras import matrix_algebra
+from maxord.algebras import Order, matrix_algebra
 from maxord.cli import main
 from maxord.exactlin import Lattice, Matrix, lattice_index, snf
-from maxord.orders import Order, maximal_order
+from maxord.orders import maximal_order
 from maxord.rings import ZZ, Frac, poly_ring
 from maxord.serialize import (parse_order, parse_period_lattice,
                               parse_presentation)

@@ -1,8 +1,9 @@
 """sympy is loaded only for integers of 2^32 and above, which trial
 division cannot factor.  Importing the CLI, and running it on documents
 over Z and F_p[t], centers that split over Q included, must not load it.
-A command loads maxord.serre or maxord.decompose only when it runs them.
-Each check runs in a fresh interpreter."""
+A command loads maxord.serre or maxord.decompose only when it runs them,
+and maxord.orders and maxord.finitealg only when it takes a p-step.  Each
+check runs in a fresh interpreter."""
 
 import ast
 import json
@@ -13,7 +14,7 @@ import sys
 
 import pytest
 
-from test_cli import SERRE_LATTICE_DOC
+from test_cli import GAUSSIAN_ORDER, SERRE_LATTICE_DOC
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -37,6 +38,14 @@ F2T_INSEPARABLE = {
     "basis": [["1", "0", "0", "0"], ["0", "1", "0", "0"],
               ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
 }
+
+
+# End_Z[i](Z[i]^2), which takes no p-step
+ENDO_DOC = {"delta": GAUSSIAN_ORDER,
+            "lattice": [["1" if a == b else "0" for b in range(4)]
+                        for a in range(4)]}
+
+P_STEP_MODULES = ["maxord.orders", "maxord.finitealg"]
 
 
 def loaded(tmp_path, module, argv=None, doc=None):
@@ -108,6 +117,31 @@ def test_serre_lattice_loads_serre(tmp_path):
     # the control of the checks above
     assert loaded(tmp_path, "maxord.serre", ["serre-lattice"],
                   SERRE_LATTICE_DOC)
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (None, None),  # import maxord.cli alone
+    (["disc"], HURWITZ),
+    (["center"], HURWITZ["algebra"]),
+    (["serre-lattice"], SERRE_LATTICE_DOC),
+    (["endo-order"], ENDO_DOC),
+], ids=["import", "disc", "center", "serre-lattice", "endo-order"])
+@pytest.mark.parametrize("module", P_STEP_MODULES)
+def test_commands_without_p_steps_load_no_p_step_module(tmp_path, argv, doc,
+                                                        module):
+    assert not loaded(tmp_path, module, argv, doc)
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["maximal-order"], LIPSCHITZ),
+    (["certify"], HURWITZ),
+    (["radical", "--primes", "2"], LIPSCHITZ),
+], ids=["maximal-order", "certify", "radical"])
+@pytest.mark.parametrize("module", P_STEP_MODULES)
+def test_p_step_commands_load_the_p_step_modules(tmp_path, argv, doc,
+                                                 module):
+    # the control of the check above
+    assert loaded(tmp_path, module, argv, doc)
 
 
 def test_large_prime_discriminant_loads_sympy(tmp_path):
