@@ -5,10 +5,9 @@ order under `certify`), 1 error with a structured {code, message,
 location} record.
 """
 
-import argparse
-import functools
 import json
 import sys
+import types
 
 from .algebras import discriminant
 from .errors import MaxordError, ParseError
@@ -264,32 +263,61 @@ COMMANDS = {
 }
 
 
-@functools.cache  # parse_args leaves the parser as it was
-def build_parser():
-    p = argparse.ArgumentParser(
-        prog="maxord",
-        description="Exact construction and certification of maximal orders, "
-                    "and tensor constructions on abelian-variety isogeny data.",
-    )
-    p.add_argument("command", choices=sorted(COMMANDS))
-    p.add_argument("input", nargs="?",
-                   help="input JSON document (not needed for selftest)")
-    p.add_argument("--primes", help="extra candidate primes, e.g. \"2,3\" or \"t\"")
-    p.add_argument("--idempotents-file",
-                   help="decompose: JSON array of central idempotent vectors")
-    p.add_argument("--seed", type=int, default=0, help="decompose: RNG seed")
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("--output", help="write the result document here")
-    return p
+# each option and its default
+OPTIONS = {"--primes": None, "--idempotents-file": None, "--seed": 0,
+           "--format": "json", "--output": None}
+
+USAGE = """usage: maxord COMMAND [INPUT] [--primes P1,P2] [--seed N]
+       [--idempotents-file F] [--format json|text] [--output PATH]
+Options are --name VALUE or --name=VALUE.  Commands: %s.
+""" % ", ".join(sorted(COMMANDS))
+
+
+def parse_argv(argv):
+    """The namespace of COMMAND, INPUT and the OPTIONS, which may come in
+    any order, or None for -h or --help.  A usage error is a ParseError."""
+    opts, words, argv = dict(OPTIONS), [], iter(argv)
+    for arg in argv:
+        if arg in ("-h", "--help"):
+            return None
+        if arg[:1] != "-":
+            words.append(arg)
+            continue
+        name, eq, value = arg.partition("=")
+        if name not in OPTIONS:
+            raise ParseError("unknown option %s" % name, "cli")
+        if not eq:
+            value = next(argv, "--")
+            if value[:2] == "--":
+                raise ParseError("%s needs a value" % name, "cli")
+        try:
+            opts[name] = int(value) if name == "--seed" else value
+        except ValueError:
+            raise ParseError("--seed needs an integer, not %r" % value,
+                             "cli") from None
+    command, path = (words + ["", None])[:2]
+    if command not in COMMANDS:
+        raise ParseError("unknown command %r; try --help" % command, "cli")
+    if len(words) > 2:
+        raise ParseError("unexpected argument %r" % words[2], "cli")
+    if opts["--format"] not in ("json", "text"):
+        raise ParseError("--format is json or text, not %r"
+                         % opts["--format"], "cli")
+    if command != "selftest" and not path:
+        raise ParseError("missing input path", "cli")
+    return types.SimpleNamespace(command=command, input=path, **{
+        name[2:].replace("-", "_"): v for name, v in opts.items()})
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    if args.command != "selftest" and not args.input:
-        print(json.dumps({"code": "ParseError",
-                          "message": "missing input path",
-                          "location": "cli"}), file=sys.stderr)
+    try:
+        args = parse_argv(sys.argv[1:] if argv is None else argv)
+    except ParseError as exc:
+        print(json.dumps(exc.record()), file=sys.stderr)
         return 1
+    if args is None:
+        sys.stdout.write(USAGE)
+        return 0
     try:
         return COMMANDS[args.command](args)
     except MaxordError as exc:

@@ -320,7 +320,9 @@ def step_at(order, p):
 
 def is_maximal_at_p(order, p):
     """Per-prime maximality certificate: the verdict of p_step, plus
-    whether O_l(J) = Λ and whether exactly one maximal ideal lies over p."""
+    whether O_l(J) = Λ and whether exactly one maximal ideal lies over p.
+    NotSemisimple in characteristic 0 (_checked_discriminant)."""
+    _checked_discriminant(order)
     grown, facts = step_at(order, p)
     return {
         "prime": p,

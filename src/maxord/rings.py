@@ -85,16 +85,25 @@ def pdivmod(a, b, p):
 # TRIAL_BOUND**2; sympy is imported only for a larger cofactor.
 
 TRIAL_BOUND = 1 << 16
+_trial_blocks = []  # the primes below 2^8, 2^9, ..., 2^16 by block
 
 
-@functools.lru_cache(maxsize=1)
+def _trial_block(i):
+    """The primes in [2, 2^8) for i = 0, else in [2^(7+i), 2^(8+i)),
+    sieved by those of block 0 the first time trial division reaches it."""
+    if i == len(_trial_blocks):
+        lo, hi = (1 << (7 + i) if i else 2), 1 << (8 + i)
+        sieve = bytearray([1]) * (hi - lo)
+        for q in _trial_blocks[0] if i else range(2, 16):
+            start = max(q * q, -(-lo // q) * q)
+            sieve[start - lo::q] = bytes(len(range(start, hi, q)))
+        _trial_blocks.append(tuple(itertools.compress(range(lo, hi), sieve)))
+    return _trial_blocks[i]
+
+
 def trial_primes():
-    sieve = bytearray([1]) * TRIAL_BOUND
-    sieve[:2] = b"\0\0"
-    for i in range(2, int(TRIAL_BOUND ** 0.5) + 1):
-        if sieve[i]:
-            sieve[i * i::i] = bytes(len(range(i * i, TRIAL_BOUND, i)))
-    return tuple(itertools.compress(range(TRIAL_BOUND), sieve))
+    """The primes below TRIAL_BOUND, in order."""
+    return itertools.chain.from_iterable(map(_trial_block, range(9)))
 
 
 def int_factorization(n):

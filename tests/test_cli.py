@@ -1,7 +1,8 @@
-import argparse
 import json
+import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from maxord import cli
 from maxord.cli import main
@@ -153,6 +154,69 @@ class TestExitCodes:
 
     def test_missing_file_is_one(self, capsys):
         assert main(["certify", "/nonexistent/input.json"]) == 1
+
+
+USAGE_ERRORS = {
+    "unknown command": ["certfy", "IN"],
+    "unknown option": ["disc", "IN", "--prim", "2"],
+    "bad seed": ["disc", "IN", "--seed", "x"],
+    "bad format": ["disc", "IN", "--format", "xml"],
+    "missing value": ["certify", "IN", "--primes"],
+    "three positionals": ["disc", "IN", "IN"],
+    "no command": [],
+}
+
+# words an argv is drawn from; IN is the Gaussian order, maximal at
+# every prime, so no command may certify a negative result on it
+ARGV_WORDS = sorted(cli.COMMANDS) + [
+    "IN", "IN", "OUT", "--primes", "--primes=2", "2", "3", "--seed",
+    "--seed=1", "x", "--format", "--format=text", "text", "xml", "--output",
+    "--idempotents-file", "--prim", "--bogus", "-h", "-", "--", ""]
+
+
+class TestUsage:
+    def argv(self, tmp_path, words):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(GAUSSIAN_ORDER))
+        names = {"IN": str(path), "OUT": str(tmp_path / "out.json")}
+        return [names.get(w, w) for w in words]
+
+    @pytest.mark.parametrize("words", list(USAGE_ERRORS.values()),
+                             ids=list(USAGE_ERRORS))
+    def test_usage_error_is_one_parse_error(self, tmp_path, capsys, words):
+        assert main(self.argv(tmp_path, words)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        rec = json.loads(line)
+        assert (rec["code"], rec["location"]) == ("ParseError", "cli")
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(words=st.lists(st.sampled_from(ARGV_WORDS), max_size=5))
+    def test_no_argv_exits_two(self, tmp_path, capsys, words):
+        assert main(self.argv(tmp_path, words)) in (0, 1)
+        capsys.readouterr()
+
+    def test_equals_form(self, tmp_path, capsys):
+        outs = []
+        for flags in (["--primes", "2"], ["--primes=2"]):
+            assert main(self.argv(tmp_path, ["certify", "IN", *flags])) == 0
+            outs.append(capsys.readouterr())
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0].out)["certificates"][0]["prime"] == "2"
+
+    def test_options_before_command(self, tmp_path, capsys):
+        argv = self.argv(tmp_path, ["--format", "text", "disc", "IN"])
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "discriminant: -4\n"
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help(self, capsys, flag):
+        assert main(["disc", flag]) == 0
+        out = capsys.readouterr().out
+        assert all(name in out for name in cli.COMMANDS)
+        assert all(name in out for name in cli.OPTIONS)
 
 
 def without(doc, key):
@@ -497,21 +561,11 @@ class TestOutputHandling:
         assert "discriminant" in out and "-4" in out
 
     def test_main_builds_one_parser(self, tmp_path, capsys, monkeypatch):
-        # built on the first call and reused: the second call, without
-        # --format, still prints JSON, as parse_args leaves it unchanged
-        built, real = [], argparse.ArgumentParser.__init__
-
-        def counted(self, *args, **kwargs):
-            built.append(self)
-            real(self, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-        cli.build_parser.cache_clear()
-        try:
-            outs = [run_cli_capture(tmp_path, capsys, GAUSSIAN_ORDER, "disc",
-                                    *flags)[1]
-                    for flags in (("--format", "text"), ())]
-        finally:
-            cli.build_parser.cache_clear()
-        assert len(built) == 1
+        # argv is parsed without argparse, and afresh on each call: the
+        # second call, without --format, prints JSON again
+        monkeypatch.setitem(sys.modules, "argparse", None)  # import fails
+        outs = [run_cli_capture(tmp_path, capsys, GAUSSIAN_ORDER, "disc",
+                                *flags)[1]
+                for flags in (("--format", "text"), ())]
+        assert "argparse" not in vars(cli)
         assert outs == ["discriminant: -4\n", '{"discriminant": "-4"}\n']

@@ -11,10 +11,11 @@ import random
 import pytest
 import sympy
 
-from maxord import decompose
+from maxord import decompose, rings
 from maxord.decompose import rational_factors
 from maxord.errors import ZeroElement
-from maxord.rings import TRIAL_BOUND, ZZ, Frac, pmul, pnorm, poly_ring, ptrim
+from maxord.rings import (TRIAL_BOUND, ZZ, Frac, int_factorization, pmul,
+                          pnorm, poly_ring, ptrim, trial_primes)
 
 # strong pseudoprimes to the first 1, 1, 4 and 9 prime bases
 PSEUDOPRIMES = [561, 2047, 3215031751, 3825123056546413051]
@@ -54,6 +55,40 @@ class TestIntegers:
         for n in values:
             assert ZZ.is_prime(n) == sympy.isprime(abs(n)), n
             assert ZZ.factor(n) == sympy_int_factor(n), n
+
+
+# where rings sieves the next block of trial primes
+BLOCK_EDGES = [1 << k for k in range(8, 17)]
+
+
+class TestTrialDivision:
+    def test_trial_primes_are_the_primes_below_the_bound(self):
+        assert list(trial_primes()) == list(sympy.primerange(TRIAL_BOUND))
+
+    def test_factorization_across_block_edges(self, monkeypatch):
+        # from an empty cache, so each block is sieved as trial division
+        # first reaches it
+        monkeypatch.setattr(rings, "_trial_blocks", [])
+        rng = random.Random(11)
+        values = [65521 ** 2, 65521 * 65537]  # the second takes sympy
+        for edge in BLOCK_EDGES:
+            below, above = sympy.prevprime(edge), sympy.nextprime(edge)
+            values += [below ** 2, above ** 2, below * above,
+                       below * rng.randrange(2, edge),
+                       above * rng.randrange(2, edge)]
+        values += [rng.randrange(2, 2 ** rng.randint(2, 40))
+                   for _ in range(200)]
+        for n in sorted(values):
+            assert int_factorization(n) == sympy_int_factor(n), n
+        assert len(rings._trial_blocks) == len(BLOCK_EDGES)
+
+    def test_small_n_sieves_only_the_first_block(self, monkeypatch):
+        monkeypatch.setattr(rings, "_trial_blocks", [])
+        assert int_factorization(720) == [(2, 4), (3, 2), (5, 1)]
+        assert [max(b) for b in rings._trial_blocks] == [251]
+        # the control: 257 * 263 reaches the block [2^8, 2^9)
+        assert int_factorization(257 * 263) == [(257, 1), (263, 1)]
+        assert len(rings._trial_blocks) == 2
 
 
 def sympy_poly_factor(ring, a):

@@ -233,6 +233,20 @@ def test_p_maximal_order_applies_the_characteristic_0_rule(trusted,
         p_maximal_order(Order(alg, Lattice.standard(ZZ, 4)), 2)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("trusted", [False, True], ids=["plain", "trusted"])
+def test_is_maximal_at_p_applies_the_characteristic_0_rule(trusted, p,
+                                                           monkeypatch):
+    # a certificate for Z<i, j> in (0, 1 | Q) would read a step over a nil
+    # ideal; the vanishing discriminant rules the algebra out first, as in
+    # certify and p_maximal_order
+    monkeypatch.setattr(orders, "p_step", lambda order, p: pytest.fail(
+        "is_maximal_at_p took a step"))
+    alg = quaternion_algebra(ZZ, 0, 1, trusted_semisimple=trusted)
+    with pytest.raises(NotSemisimple):
+        is_maximal_at_p(Order(alg, Lattice.standard(ZZ, 4)), p)
+
+
 @pytest.mark.parametrize("trusted", [False, True], ids=["plain", "trusted"])
 def test_step_budget_names_only_a_declared_trust(trusted):
     # F_2(t)[x]/(x^2) is not semisimple, but in characteristic 2 its

@@ -2,8 +2,9 @@
 division cannot factor.  Importing the CLI, and running it on documents
 over Z and F_p[t], centers that split over Q included, must not load it.
 A command loads maxord.serre or maxord.decompose only when it runs them,
-and maxord.orders and maxord.finitealg only when it takes a p-step.  Each
-check runs in a fresh interpreter."""
+and maxord.orders and maxord.finitealg only when it takes a p-step.  No
+command loads argparse, or the gettext and locale it brings.  Each check
+runs in a fresh interpreter."""
 
 import ast
 import json
@@ -142,6 +143,13 @@ def test_p_step_commands_load_the_p_step_modules(tmp_path, argv, doc,
                                                  module):
     # the control of the check above
     assert loaded(tmp_path, module, argv, doc)
+
+
+@pytest.mark.parametrize("argv", [None, ["disc"], ["maximal-order"]],
+                         ids=["import", "disc", "maximal-order"])
+@pytest.mark.parametrize("module", ["argparse", "gettext", "locale"])
+def test_cold_path_loads_no_argparse(tmp_path, argv, module):
+    assert not loaded(tmp_path, module, argv, GAUSSIAN_ORDER)
 
 
 def test_large_prime_discriminant_loads_sympy(tmp_path):
