@@ -19,16 +19,16 @@ from .errors import (
     NotIntegral,
     NotSemisimple,
 )
-from .exactlin import (FractionField, Lattice, Matrix, kernel, matmul,
-                       power_relation, rref, solve_echelon)
+from .exactlin import (FractionField, Matrix, kernel, matmul, power_relation,
+                       rref, solve_echelon)
 from .rings import Frac, frac0, frac1
 
 
 class Algebra:
     """A finite-dimensional unital associative algebra over Frac(R)."""
 
-    def __init__(self, ring, mul_table, one_coords, basis_names=None,
-                 trusted_semisimple=False, validate=True):
+    def __init__(self, ring, mul_table, one_coords, trusted_semisimple=False,
+                 validate=True):
         self.ring = ring
         self.dim = len(mul_table)
         self.table = [
@@ -36,7 +36,6 @@ class Algebra:
             for i in range(self.dim)
         ]
         self.one_coords = [Frac.of(ring, c) for c in one_coords]
-        self.basis_names = basis_names or ["b%d" % i for i in range(self.dim)]
         self.trusted_semisimple = trusted_semisimple
         self.field = FractionField(ring)
         if self.dim < 1:
@@ -50,22 +49,17 @@ class Algebra:
     # -- internals ------------------------------------------------------------
 
     def _validate(self):
-        n = self.dim
-        one = self.element(self.one_coords)
-        for i in range(n):
-            b = self.basis_element(i)
-            if (one * b).coords != b.coords or (b * one).coords != b.coords:
+        """The unit is two-sided, and (b_i·b_j)·b_k = b_i·(b_j·b_k), with
+        b_i·b_j read from the table."""
+        n, t, mul = self.dim, self.table, self.mul_coords
+        basis = [b.coords for b in self.basis()]
+        for b in basis:
+            if mul(self.one_coords, b) != b or mul(b, self.one_coords) != b:
                 raise ValueError("declared unit is not a two-sided identity")
         for i in range(n):
             for j in range(n):
-                ij = self.mul_coords(self.basis_element(i).coords,
-                                     self.basis_element(j).coords)
                 for k in range(n):
-                    left = self.mul_coords(ij, self.basis_element(k).coords)
-                    jk = self.mul_coords(self.basis_element(j).coords,
-                                         self.basis_element(k).coords)
-                    right = self.mul_coords(self.basis_element(i).coords, jk)
-                    if left != right:
+                    if mul(t[i][j], basis[k]) != mul(basis[i], t[j][k]):
                         raise ValueError(
                             "structure constants are not associative at "
                             "(%d, %d, %d)" % (i, j, k)
@@ -127,18 +121,10 @@ class Algebra:
 
     def center(self):
         """Basis of the center, as a list of elements (rref-canonical)."""
-        if self.is_commutative():
+        if is_commutative(self.table):
             return self.basis()
-        n, t = self.dim, self.table
-        ker = kernel(self.field, [
-            [a - b for j in range(n) for a, b in zip(t[i][j], t[j][i])]
-            for i in range(n)])
-        return [self.element(row) for row in rref(self.field, ker)[0]]
-
-    def is_commutative(self):
-        t = self.table
-        return all(t[i][j] == t[j][i]
-                   for i in range(self.dim) for j in range(i))
+        return [self.element(row) for row in
+                rref(self.field, center_rows(self.field, self.table))[0]]
 
     def check_idempotent_system(self, idems):
         one = self.one()
@@ -209,6 +195,21 @@ class Algebra:
         raise InternalError("failed to find a primitive center element")
 
 
+def is_commutative(table):
+    """Whether the structure table is symmetric: b_i·b_j = b_j·b_i."""
+    return all(table[i][j] == table[j][i]
+               for i in range(len(table)) for j in range(i))
+
+
+def center_rows(field, table):
+    """Rows spanning the center of the algebra with this structure table
+    over field, the kernel of x ↦ (x·b_j − b_j·x)_j."""
+    n = len(table)
+    return kernel(field, [
+        [a - b for j in range(n) for a, b in zip(table[i][j], table[j][i])]
+        for i in range(n)])
+
+
 class AlgebraElement:
     __slots__ = ("algebra", "coords")
 
@@ -262,12 +263,7 @@ class AlgebraElement:
         return hash(tuple(self.coords))
 
     def __repr__(self):
-        terms = [
-            "(%s)%s" % (c, n)
-            for c, n in zip(self.coords, self.algebra.basis_names)
-            if c
-        ]
-        return " + ".join(terms) if terms else "0"
+        return "[%s]" % ", ".join(map(str, self.coords))
 
 
 # ---------------------------------------------------------------------------
@@ -278,32 +274,17 @@ class AlgebraElement:
 # Algebra._validate; that check is for tables given in full form.
 
 
-def matrix_algebra(ring, n, trusted_semisimple=True):
-    """Mat_n(K) with basis e_11, e_12, ..., e_nn (row-major)."""
-    dim = n * n
-    zero, one = frac0(ring), frac1(ring)
-
-    def idx(a, b):
-        return a * n + b
-
-    table = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    if b == c:
-                        row = [zero] * dim
-                        row[idx(a, d)] = one
-                        table[idx(a, b)][idx(c, d)] = row
-    one_coords = [zero] * dim
-    for a in range(n):
-        one_coords[idx(a, a)] = one
-    names = ["e%d%d" % (a + 1, b + 1) for a in range(n) for b in range(n)]
-    return Algebra(ring, table, one_coords, basis_names=names,
-                   trusted_semisimple=trusted_semisimple, validate=False)
+def scalar_algebra(ring):
+    """K itself, the one 1-dimensional algebra."""
+    return Algebra(ring, [[[1]]], [1], trusted_semisimple=True, validate=False)
 
 
-def poly_quotient_algebra(ring, modulus, var="x", trusted_semisimple=False):
+def matrix_algebra(ring, n):
+    """Mat_n(K), with basis e_11, e_12, ..., e_nn (row-major)."""
+    return matrix_over_algebra(scalar_algebra(ring), n)
+
+
+def poly_quotient_algebra(ring, modulus, trusted_semisimple=False):
     """K[x]/(modulus); modulus is a monic coefficient list, lowest first."""
     modulus = [Frac.of(ring, c) for c in modulus]
     n = len(modulus) - 1
@@ -328,8 +309,7 @@ def poly_quotient_algebra(ring, modulus, var="x", trusted_semisimple=False):
 
     table = [[xpow(i + j) for j in range(n)] for i in range(n)]
     one_coords = [one] + [zero] * (n - 1)
-    names = ["1"] + [var if k == 1 else "%s^%d" % (var, k) for k in range(1, n)]
-    return Algebra(ring, table, one_coords, basis_names=names,
+    return Algebra(ring, table, one_coords,
                    trusted_semisimple=trusted_semisimple, validate=False)
 
 
@@ -349,77 +329,49 @@ def quaternion_algebra(ring, a, b, trusted_semisimple=False):
         [j, [zero, zero, zero, -one], vec(b), [zero, -b, zero, zero]],
         [k, [zero, zero, -a, zero], [zero, b, zero, zero], vec(-a * b)],
     ]
-    return Algebra(ring, table, e, basis_names=["1", "i", "j", "k"],
-                   trusted_semisimple=trusted_semisimple, validate=False)
+    return Algebra(ring, table, e, trusted_semisimple=trusted_semisimple,
+                   validate=False)
 
 
-def matrix_over_algebra(inner, n, trusted_semisimple=None):
-    """Mat_n(D) for an algebra D, basis E_ab (x) d_c, row-major blocks."""
-    ring = inner.ring
-    m = inner.dim
-    dim = n * n * m
-    zero = frac0(ring)
-
-    def idx(a, b, c):
-        return (a * n + b) * m + c
-
+def matrix_over_algebra(inner, n):
+    """Mat_n(D) for an algebra D, basis E_ab (x) d_c, row-major blocks.
+    The only nonzero products are (E_ab (x) d_c)·(E_bf (x) d_g) =
+    E_af (x) d_c·d_g."""
+    ring, m = inner.ring, inner.dim
+    dim, zero = n * n * m, frac0(ring)
     table = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for a in range(n):
-        for b in range(n):
-            for c in range(m):
-                for e in range(n):
-                    for f in range(n):
-                        if b != e:
-                            continue
-                        for g in range(m):
-                            prod = inner.table[c][g]
-                            row = [zero] * dim
-                            for h in range(m):
-                                if prod[h]:
-                                    row[idx(a, f, h)] = prod[h]
-                            table[idx(a, b, c)][idx(e, f, g)] = row
     one_coords = [zero] * dim
     for a in range(n):
-        for c in range(m):
-            if inner.one_coords[c]:
-                one_coords[idx(a, a, c)] = inner.one_coords[c]
-    names = [
-        "E%d%d.%s" % (a + 1, b + 1, inner.basis_names[c])
-        for a in range(n) for b in range(n) for c in range(m)
-    ]
-    if trusted_semisimple is None:
-        trusted_semisimple = inner.trusted_semisimple
-    return Algebra(ring, table, one_coords, basis_names=names,
-                   trusted_semisimple=trusted_semisimple, validate=False)
+        one_coords[(a * n + a) * m:(a * n + a + 1) * m] = inner.one_coords
+        for b in range(n):
+            for f in range(n):
+                af = (a * n + f) * m
+                for c in range(m):
+                    for g in range(m):
+                        row = [zero] * dim
+                        row[af:af + m] = inner.table[c][g]
+                        table[(a * n + b) * m + c][(b * n + f) * m + g] = row
+    return Algebra(ring, table, one_coords,
+                   trusted_semisimple=inner.trusted_semisimple, validate=False)
 
 
-def product_algebra(algebras, trusted_semisimple=None):
+def product_algebra(algebras):
     """Direct product of algebras over a common ground ring."""
     ring = algebras[0].ring
     dim = sum(a.dim for a in algebras)
     zero = frac0(ring)
-    offsets = []
-    off = 0
-    for a in algebras:
-        offsets.append(off)
-        off += a.dim
     table = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    one_coords = [zero] * dim
-    names = []
-    for t, alg in enumerate(algebras):
-        o = offsets[t]
+    one_coords, o = [], 0
+    for alg in algebras:
+        one_coords += alg.one_coords
         for i in range(alg.dim):
-            one_coords[o + i] = alg.one_coords[i]
-            names.append("f%d.%s" % (t + 1, alg.basis_names[i]))
             for j in range(alg.dim):
                 row = [zero] * dim
-                for k in range(alg.dim):
-                    row[o + k] = alg.table[i][j][k]
+                row[o:o + alg.dim] = alg.table[i][j]
                 table[o + i][o + j] = row
-    if trusted_semisimple is None:
-        trusted_semisimple = all(a.trusted_semisimple for a in algebras)
-    return Algebra(ring, table, one_coords, basis_names=names,
-                   trusted_semisimple=trusted_semisimple, validate=False)
+        o += alg.dim
+    return Algebra(ring, table, one_coords, trusted_semisimple=all(
+        a.trusted_semisimple for a in algebras), validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +383,6 @@ class Order:
 
     def __init__(self, algebra, lattice, validate=True):
         self.algebra = algebra
-        if not isinstance(lattice, Lattice):
-            lattice = Lattice.from_rows(algebra.ring, lattice, algebra.dim)
         self.lattice = lattice
         self.dim = algebra.dim
         if lattice.ambient_dim != self.dim or lattice.rank != self.dim:
@@ -458,10 +408,6 @@ class Order:
         row = self.lattice.coordinates([ambient_coords])[0]
         return [x.num for x in row] if all(
             x.is_integral() for x in row) else None
-
-    @property
-    def bmat(self):
-        return self.lattice.basis
 
     def structure_constants(self):
         """c[i][j] = order coords of b_i * b_j, as ring elements.

@@ -10,7 +10,7 @@ import sys
 import types
 
 from .algebras import discriminant
-from .errors import MaxordError, ParseError
+from .errors import InternalError, MaxordError, ParseError
 from .exactlin import Lattice, lattice_index
 from .serialize import (
     format_certificate,
@@ -171,7 +171,7 @@ def cmd_endo_order(args):
 
 def _order_and_presentation(doc):
     order = parse_at(doc, "order", parse_order)
-    return order, parse_presentation(doc, order=order)
+    return order, parse_presentation(doc, order)
 
 
 def cmd_serre_class(args):
@@ -310,24 +310,20 @@ def parse_argv(argv):
 
 
 def main(argv=None):
+    command = "cli"  # the location of an unexpected error in parse_argv
     try:
         args = parse_argv(sys.argv[1:] if argv is None else argv)
-    except ParseError as exc:
-        print(json.dumps(exc.record()), file=sys.stderr)
-        return 1
-    if args is None:
-        sys.stdout.write(USAGE)
-        return 0
-    try:
-        return COMMANDS[args.command](args)
+        if args is None:
+            sys.stdout.write(USAGE)
+            return 0
+        command = args.command
+        return COMMANDS[command](args)
     except MaxordError as exc:
-        print(json.dumps(exc.record(), sort_keys=True), file=sys.stderr)
-        return 1
+        record = exc.record()
     except Exception as exc:  # unexpected: still emit a structured record
-        print(json.dumps({"code": "InternalError", "message": str(exc),
-                          "location": args.command}, sort_keys=True),
-              file=sys.stderr)
-        return 1
+        record = InternalError(str(exc), command).record()
+    print(json.dumps(record, sort_keys=True), file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

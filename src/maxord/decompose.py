@@ -139,8 +139,7 @@ def rational_factors(coeffs):
 class Decomposition:
     """A = prod A_i realized by central orthogonal idempotents."""
 
-    def __init__(self, parent, idempotents, factors, embeddings):
-        self.parent = parent
+    def __init__(self, idempotents, factors, embeddings):
         self.idempotents = idempotents
         self.factors = factors
         self.embeddings = embeddings  # per factor: d_i x dim matrix of coords
@@ -169,4 +168,4 @@ def decompose(alg, idems):
         embeddings.append(Matrix(ring, basis_rows, alg.dim))
     if total != alg.dim:
         raise BadIdempotents("blocks do not fill the algebra")
-    return Decomposition(alg, list(idems), factors, embeddings)
+    return Decomposition(list(idems), factors, embeddings)

@@ -5,6 +5,7 @@ convention as elsewhere in the package; the linear algebra is the shared
 kernel of ``exactlin`` over ``PrimeField``.
 """
 
+from .algebras import center_rows, is_commutative
 from .errors import InternalError
 from .exactlin import (PrimeField, charpoly, kernel, matmul, power_relation,
                        quotient_space, rref, solve)
@@ -64,9 +65,7 @@ class FiniteAlgebra:
         A commutative algebra (symmetric structure table) takes the
         Frobenius kernel, any other the charpoly tower.
         """
-        n = self.dim
-        if all(self.table[i][j] == self.table[j][i]
-               for i in range(n) for j in range(i)):
+        if is_commutative(self.table):
             return self._frobenius_radical()
         return self._tower_radical()
 
@@ -131,17 +130,11 @@ class FiniteAlgebra:
 
     # -- center and simple factors --------------------------------------------
 
-    def center_basis(self):
-        n, t = self.dim, self.table
-        return kernel(self.field, [
-            [a - b for j in range(n) for a, b in zip(t[i][j], t[j][i])]
-            for i in range(n)])
-
     def frobenius_fixed_center(self):
         """Basis of {z in center : z^p = z}, whose F_p-dimension equals the
         number of simple factors when the algebra is semisimple."""
         p = self.p
-        zb = self.center_basis()
+        zb = center_rows(self.field, self.table)
         if not zb:
             return []
         # matrix of z -> z^p - z on the center, in the zb coordinates

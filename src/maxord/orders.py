@@ -22,7 +22,7 @@ from .exactlin import (
     solve_echelon,
 )
 from .finitealg import FiniteAlgebra
-from .algebras import Order, closed_products, discriminant
+from .algebras import Order, closed_products, discriminant, is_commutative
 from .rings import pnorm
 
 
@@ -296,7 +296,7 @@ def p_step(order, p):
     ya ∈ J, so y ∈ O_l(J) ≠ Λ.
     """
     facts = _StepFacts(idealizerFixed=True)
-    if order.algebra.is_commutative():
+    if is_commutative(order.algebra.table):
         j, _, facts.count = _radical_and_maximal(order, p)
         ideals = [j]
     else:

@@ -8,7 +8,7 @@ quadratic-field sweep against the classical closed-form ring of integers.
 from .rings import ZZ, Frac, poly_ring
 from .exactlin import Lattice, Matrix, lattice_index
 from .algebras import Algebra, Order, discriminant, matrix_algebra, \
-    poly_quotient_algebra, quaternion_algebra
+    poly_quotient_algebra, quaternion_algebra, scalar_algebra
 from .orders import is_maximal_at_p, maximal_order, radical_mod_p
 from .serre import (
     IsogenyFactor,
@@ -24,7 +24,7 @@ def upper_triangular_order():
         [[0, 0, 0], [0, 0, 0], [0, 1, 0]],
         [[0, 0, 0], [0, 0, 0], [0, 0, 1]],
     ]
-    alg = Algebra(ZZ, table, [1, 0, 1], basis_names=["e11", "e12", "e22"])
+    alg = Algebra(ZZ, table, [1, 0, 1])
     return Order(alg, Lattice.standard(ZZ, 3))
 
 
@@ -37,8 +37,7 @@ def run():
     # golden multiplicity vectors
     o = upper_triangular_order()
     alg = o.algebra
-    rational = Algebra(ZZ, [[[1]]], [1], trusted_semisimple=True)
-    itype = IsogenyType([IsogenyFactor("E", 1, rational, 2)])
+    itype = IsogenyType([IsogenyFactor("E", 1, scalar_algebra(ZZ), 2)])
     emb = Matrix(ZZ, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]], 4)
     e11, e12, e22 = (alg.basis_element(i) for i in range(3))
     got = []

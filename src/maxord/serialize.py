@@ -16,6 +16,7 @@ from .algebras import (
     matrix_algebra,
     poly_quotient_algebra,
     quaternion_algebra,
+    scalar_algebra,
 )
 from .rings import ZZ, Frac, poly_ring
 
@@ -96,10 +97,6 @@ def parse_frac(ring, s):
         raise ParseError("bad number %r: %s" % (s, exc))
 
 
-def format_frac(f):
-    return str(f)
-
-
 def parse_matrix(ring, rows, ncols=None):
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise ParseError("matrix must be an array of arrays")
@@ -114,7 +111,7 @@ def parse_matrix(ring, rows, ncols=None):
 
 
 def format_matrix(m):
-    return [[format_frac(x) for x in row] for row in m.rows]
+    return [[str(x) for x in row] for row in m.rows]
 
 
 # -- polynomial strings (for poly_quotient moduli) --------------------------
@@ -158,14 +155,12 @@ def parse_poly_string(ring, s, var="x"):
 # -- algebras ---------------------------------------------------------------
 
 
-def parse_algebra(obj, ring=None):
+def parse_algebra(obj):
     if obj == "Q":
-        return Algebra(ZZ, [[[1]]], [1], basis_names=["1"],
-                       trusted_semisimple=True, validate=False)
+        return scalar_algebra(ZZ)
     if not isinstance(obj, dict):
         raise ParseError("algebra must be an object or \"Q\"")
-    if ring is None:
-        ring = parse_at(obj, "ground", parse_ground) if "ground" in obj else ZZ
+    ring = parse_at(obj, "ground", parse_ground) if "ground" in obj else ZZ
     trusted = bool(obj.get("trusted_semisimple", False))
     if "matrix" in obj:
         n = integer(obj, "matrix", "n")
@@ -183,8 +178,7 @@ def parse_algebra(obj, ring=None):
         modulus = field(obj, "poly_quotient", "modulus")
         with located("/poly_quotient/modulus"):
             coeffs = parse_poly_string(ring, modulus, var)
-        return poly_quotient_algebra(ring, coeffs, var=var,
-                                     trusted_semisimple=trusted)
+        return poly_quotient_algebra(ring, coeffs, trusted_semisimple=trusted)
     if "mul" in obj:
         dim = integer(obj, "dim")
         table = parse_at(obj, "mul", lambda mul: [
@@ -194,9 +188,7 @@ def parse_algebra(obj, ring=None):
         ])
         one = parse_at(obj, "one",
                        lambda one: [parse_frac(ring, c) for c in one])
-        return Algebra(ring, table, one,
-                       basis_names=obj.get("basis"),
-                       trusted_semisimple=trusted)
+        return Algebra(ring, table, one, trusted_semisimple=trusted)
     raise ParseError("unrecognized algebra spec")
 
 
@@ -266,11 +258,9 @@ def parse_isogeny_type(obj):
     return itype
 
 
-def parse_presentation(obj, order=None):
+def parse_presentation(obj, order):
     from .serre import ModulePresentation
 
-    if order is None:
-        order = parse_at(obj, "order", parse_order)
     alg = order.algebra
     alpha = [[alg.element([parse_frac(alg.ring, c) for c in entry])
               for entry in row] for row in field(obj, "alpha")]

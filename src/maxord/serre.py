@@ -18,7 +18,8 @@ from .errors import (
     RankDeficient,
 )
 from .exactlin import Lattice, Matrix, hnf, matmul, snf, solve_echelon
-from .algebras import Order, matrix_over_algebra, product_algebra
+from .algebras import (Order, is_commutative, matrix_over_algebra,
+                       product_algebra)
 from .rings import Frac
 
 
@@ -212,23 +213,20 @@ def tensor_isogeny_class(pres, itype, embedding):
     if embedding.nrows != n or embedding.ncols != itype.model_dim():
         raise EmbeddingNotAlgebraMap("embedding matrix has the wrong shape")
     E, ranges = itype.model()
-    emb = [E.element(row) for row in embedding.rows]
-    struct = o.structure_constants()
-
-    def image(cs):  # of the order element with coordinates cs
-        return sum((e.scaled(Frac.of(ring, c)) for c, e in zip(cs, emb) if c),
-                   E.zero()).coords
-
-    if image(o.unit_coords()) != E.one_coords:
+    # the images of 1, of each b_i·b_j and of α's entries, in one product
+    images = (Matrix(ring, [o.unit_coords()] + [
+        c for row in o.structure_constants() for c in row] + pres.coords,
+        n) * embedding).rows
+    if images[0] != E.one_coords:
         raise EmbeddingNotAlgebraMap("unit is not sent to 1")
-    for i in range(n):
-        for j in range(n):
-            if (emb[i] * emb[j]).coords != image(struct[i][j]):
-                raise EmbeddingNotAlgebraMap(
-                    "multiplicativity fails on basis pair (%d, %d)" % (i, j)
-                )
+    emb = embedding.rows
+    for k in range(n * n):
+        if E.mul_coords(emb[k // n], emb[k % n]) != images[1 + k]:
+            raise EmbeddingNotAlgebraMap(
+                "multiplicativity fails on basis pair (%d, %d)" % divmod(k, n)
+            )
     s = pres.s
-    images = (Matrix(ring, pres.coords, n) * embedding).rows
+    images = images[1 + n * n:]  # of α's entries, row-major
     mults = []
     for f, block in zip(itype.factors, ranges):
         if f.mult == 0:
@@ -296,7 +294,7 @@ class _TensorLattice(PeriodLattice):
             return self.basis_action
         if name == "action":
             action = None
-            if self.order.algebra.is_commutative() and q > 0:
+            if is_commutative(self.order.algebra.table) and q > 0:
                 # the order acts on T^s block-diagonally, by basis_action[i]
                 # on each T: Σ_u section_u·basis_action[i]·proj_u
                 blocks = [range(u, u + rho) for u in range(0, n, rho)]
@@ -352,7 +350,7 @@ def minimal_isogeny(o, o_prime, lattices):
         # O'-stable, as O' is closed under products, and holds R^ρ, as 1
         # lies in O' and acts as I
         rho = t.lattice.rank
-        coords = t.order.lattice.coordinates(o_prime.bmat.rows)
+        coords = t.order.lattice.coordinates(o_prime.lattice.basis.rows)
         cur = Lattice.from_rows(ring, [r for m in t.act(coords)
                                        for r in m.rows], rho)
         # elementary divisors of cur/R^ρ, unit-normalized: their product is
@@ -388,9 +386,10 @@ def check_naturality(pres1, pres2, phi, t):
     # generated by α2's rows
     beta = [[sum((phi[v][u] * row[v] for v in range(pres1.s)), alg.zero())
              for u in range(pres2.s)] for row in pres1.alpha]
+    basis = o.lattice.basis.rows
     imgs = [[x for a in row for x in alg.mul_coords(a.coords, b)]
-            for row in beta for b in o.bmat.rows]
-    gen_lat = Lattice.from_rows(ring, pres2.image_rows(o.bmat.rows),
+            for row in beta for b in basis]
+    gen_lat = Lattice.from_rows(ring, pres2.image_rows(basis),
                                 pres2.s * alg.dim)
     if not gen_lat.contains_rows(imgs):
         raise NotAModuleMap(

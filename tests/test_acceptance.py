@@ -51,7 +51,7 @@ def relation_matrix(pres):
     o, n = pres.order, pres.order.dim
     rows = [[c for u in range(pres.s)
              for c in o.order_coords(row[u * n:(u + 1) * n])]
-            for row in pres.image_rows(o.bmat.rows)]
+            for row in pres.image_rows(o.lattice.basis.rows)]
     return Matrix(o.algebra.ring, rows, pres.s * n)
 
 
@@ -84,7 +84,7 @@ def lattice_product(alg, a, b):
 
 def regular_period_lattice(order, prime="generic"):
     alg = order.algebra
-    action = [left_mul_matrix(alg, alg.element(order.bmat.rows[i]))
+    action = [left_mul_matrix(alg, alg.element(order.lattice.basis.rows[i]))
               for i in range(order.dim)]
     return PeriodLattice(order, order.lattice, action, prime=prime)
 
@@ -95,7 +95,7 @@ def ambient_action(t, element):
     basis, read through the inverse of that basis."""
     o = t.order
     c = (Matrix(o.algebra.ring, [element.coords], o.dim)
-         * o.bmat.inverse()).rows[0]
+         * o.lattice.basis.inverse()).rows[0]
     out = t.action[0].scaled(0)
     for k, m in zip(c, t.action):
         out = out + m.scaled(k)
@@ -136,7 +136,8 @@ def brute_force_maximal_order(order, primes):
                 extra = Matrix(ZZ, [[Frac(ZZ, v, p) for v in row]
                                     for row in rows], n)
                 lat = Lattice.from_rows(
-                    ZZ, list(cur.bmat.rows) + (extra * cur.bmat).rows, n)
+                    ZZ, list(cur.lattice.basis.rows)
+                    + (extra * cur.lattice.basis).rows, n)
                 cand = Order(alg, lat, validate=False)
                 try:
                     cand.structure_constants()
@@ -420,14 +421,15 @@ def test_criterion_7_minimal_isogeny_chains():
         cur = t.lattice
         while True:
             rows = list(cur.basis.rows)
-            for b in o_mid.bmat.rows:
+            for b in o_mid.lattice.basis.rows:
                 rows.extend((cur.basis * ambient_action(
                     t, alg.element(b))).rows)
             nxt = Lattice.from_rows(ZZ, rows, cur.ambient_dim)
             if nxt == cur:
                 break
             cur = nxt
-        action = [left_mul_matrix(alg, alg.element(o_mid.bmat.rows[i]))
+        action = [left_mul_matrix(alg,
+                                  alg.element(o_mid.lattice.basis.rows[i]))
                   for i in range(o_mid.dim)]
         t_mid = PeriodLattice(o_mid, cur, action)
         second = minimal_isogeny(o_mid, o_top, [t_mid])

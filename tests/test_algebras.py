@@ -5,7 +5,9 @@ import pytest
 from maxord.algebras import (
     Algebra,
     Order,
+    center_rows,
     discriminant,
+    is_commutative,
     matrix_algebra,
     matrix_over_algebra,
     poly_quotient_algebra,
@@ -14,9 +16,11 @@ from maxord.algebras import (
 )
 from maxord.decompose import decompose
 from maxord.errors import BadIdempotents, NotSemisimple
-from maxord.exactlin import FractionField, Lattice, Matrix, charpoly, solve
+from maxord.exactlin import (FractionField, Lattice, Matrix, PrimeField,
+                             charpoly, rref, solve)
+from maxord.finitealg import FiniteAlgebra
 from maxord.orders import maximal_order
-from maxord.rings import ZZ, Frac, frac1, pnorm, poly_ring
+from maxord.rings import ZZ, Frac, frac0, frac1, pnorm, poly_ring
 
 F2T = poly_ring(2)
 
@@ -82,7 +86,7 @@ class TestStructure:
     def test_center_of_quaternions(self):
         h = quaternion_algebra(ZZ, -1, -1)
         assert len(h.center()) == 1
-        assert not h.is_commutative()
+        assert not is_commutative(h.table)
 
     def test_charpoly_and_minpoly(self):
         a = poly_quotient_algebra(ZZ, [F(-2), F(0), F(1)])  # Q(sqrt 2)
@@ -101,8 +105,10 @@ class TestStructure:
 
     def test_semisimplicity_detection(self):
         # an algebra not trusted semisimple needs a nonzero discriminant
-        m2 = matrix_algebra(ZZ, 2, trusted_semisimple=False)
-        order = Order(m2, Lattice.standard(ZZ, 4))
+        m2 = matrix_algebra(ZZ, 2)
+        order = Order(Algebra(ZZ, m2.table, m2.one_coords),
+                      Lattice.standard(ZZ, 4))
+        assert not order.algebra.trusted_semisimple
         assert maximal_order(order).lattice == order.lattice
         # Q[x]/(x^2): nilpotents, degenerate trace form
         nil = poly_quotient_algebra(ZZ, [F(0), F(0), F(1)])
@@ -251,6 +257,22 @@ class TestMatrixOverAlgebra:
         m2 = matrix_algebra(ZZ, 2)
         assert m.table == m2.table
 
+    @pytest.mark.parametrize("ring", [ZZ, poly_ring(3)], ids=["Z", "F3[t]"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matrix_algebra_matches_definition(self, ring, n):
+        """e_ab·e_cd = δ_bc·e_ad with unit Σ e_aa, for e_ab at a·n + b."""
+        zero, one = frac0(ring), frac1(ring)
+        pairs = [(a, b) for a in range(n) for b in range(n)]
+
+        def e(a, b):
+            return [one if pair == (a, b) else zero for pair in pairs]
+
+        alg = matrix_algebra(ring, n)
+        assert alg.table == [[e(a, d) if b == c else [zero] * (n * n)
+                              for c, d in pairs] for a, b in pairs]
+        assert alg.one_coords == [one if a == b else zero for a, b in pairs]
+        assert alg.trusted_semisimple
+
 
 class TestSolveLeft:
     def test_basic(self):
@@ -314,6 +336,99 @@ class TestTrustedConstructors:
         table[1][2][0] = -table[1][2][0]
         with pytest.raises(ValueError):
             Algebra(ZZ, table, [1, 0, 0])
+
+
+def seeded_algebras(seed):
+    """Matrix, quaternion and product algebras over Q with small integral
+    structure constants, drawn from seed."""
+    rng = random.Random(seed)
+
+    def quaternions():
+        return quaternion_algebra(ZZ, rng.choice([-3, -1, 1, 2, 5]),
+                                  rng.choice([-7, -1, 1, 3]))
+
+    def part():
+        return rng.choice([
+            lambda: matrix_algebra(ZZ, rng.randint(1, 3)),
+            quaternions,
+            lambda: poly_quotient_algebra(
+                ZZ, [rng.randint(-5, 5) for _ in range(rng.randint(1, 3))]
+                + [1]),
+        ])()
+
+    return [matrix_algebra(ZZ, rng.randint(1, 3)), quaternions(),
+            matrix_over_algebra(quaternions(), 2),
+            product_algebra([part() for _ in range(rng.randint(2, 3))])]
+
+
+def center_by_products(alg):
+    """The center, over Q as sympy rows in rref: the x with x·b = b·x for
+    each basis element b, from products of basis elements."""
+    import sympy
+
+    basis = alg.basis()
+    rows = [[sympy.Rational(c.num, c.den)
+             for b in basis for c in (a * b - b * a).coords] for a in basis]
+    kernel = sympy.Matrix(rows).T.nullspace()
+    return sympy.Matrix([list(v) for v in kernel]).rref()[0] if kernel \
+        else sympy.Matrix(0, alg.dim, [])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_center_rows_over_q_and_mod_p(seed):
+    """center_rows and is_commutative give Algebra.center() over Q and the
+    center of FiniteAlgebra mod a large prime, against the kernel of
+    x ↦ (x·b − b·x)_b built from products of basis elements."""
+    p = 1000003
+    for alg in seeded_algebras(seed):
+        want = center_by_products(alg)
+        commutative = all(x * y == y * x for x in alg.basis()
+                          for y in alg.basis())
+        assert is_commutative(alg.table) == commutative
+        assert [[Frac(ZZ, int(x.p), int(x.q)) for x in want.row(i)]
+                for i in range(want.rows)] == [z.coords for z in alg.center()]
+        # the same table mod p, all of its constants being integral
+        fa = FiniteAlgebra(p, [[[c.num for c in cell] for cell in row]
+                               for row in alg.table],
+                           [c.num for c in alg.one_coords])
+        assert is_commutative(fa.table) == commutative
+        mod_p = [[int(x.p) * pow(int(x.q), -1, p) % p for x in want.row(i)]
+                 for i in range(want.rows)]
+        assert rref(fa.field, center_rows(fa.field, fa.table))[0] == mod_p
+        assert rref(alg.field, center_rows(alg.field, alg.table))[0] == [
+            z.coords for z in alg.center()]
+
+
+def test_validate_names_the_first_nonassociative_triple():
+    """One structure constant changed: _validate raises on the first
+    (i, j, k), in row-major order, with (b_i·b_j)·b_k ≠ b_i·(b_j·b_k) over
+    products of basis elements, or on the unit when it fails first."""
+    rng = random.Random(3)
+    bases = [matrix_algebra(ZZ, 2), quaternion_algebra(ZZ, -1, -3),
+             poly_quotient_algebra(ZZ, [-2, 0, 0, 1])]
+    named = set()
+    for _ in range(60):
+        base = rng.choice(bases)
+        n = base.dim
+        table = [[list(cell) for cell in row] for row in base.table]
+        i, j, k = (rng.randrange(n) for _ in range(3))
+        table[i][j][k] = table[i][j][k] + F(rng.choice([-2, -1, 1, 2]))
+        alg = Algebra(ZZ, table, base.one_coords, validate=False)
+        one, b = alg.one(), alg.basis()
+        if any(one * x != x or x * one != x for x in b):
+            want = "declared unit is not a two-sided identity"
+        else:
+            triple = next(t for t in ((x, y, z) for x in range(n)
+                                      for y in range(n) for z in range(n))
+                          if (b[t[0]] * b[t[1]]) * b[t[2]]
+                          != b[t[0]] * (b[t[1]] * b[t[2]]))
+            named.add(triple)
+            want = "structure constants are not associative at (%d, %d, " \
+                "%d)" % triple
+        with pytest.raises(ValueError) as err:
+            Algebra(ZZ, table, base.one_coords)
+        assert str(err.value) == want
+    assert len(named) > 5
 
 
 def min_poly_by_solves(alg, a):

@@ -155,6 +155,27 @@ class TestExitCodes:
     def test_missing_file_is_one(self, capsys):
         assert main(["certify", "/nonexistent/input.json"]) == 1
 
+    def test_error_records_share_one_key_order(self, capsys):
+        """A usage error and an error raised by a command print the keys
+        of their records in the same, sorted, order."""
+        keys = []
+        for argv in (["disc"], ["disc", "/nonexistent.json"]):
+            assert main(argv) == 1
+            keys.append(list(json.loads(capsys.readouterr().err)))
+        assert keys == [["code", "location", "message"]] * 2
+
+    def test_unexpected_exception_is_internal_error(self, tmp_path, capsys,
+                                                    monkeypatch):
+        def fail(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli.COMMANDS, "disc", fail)
+        code, out, err = run_cli_capture(tmp_path, capsys, GAUSSIAN_ORDER,
+                                         "disc")
+        assert (code, out) == (1, "")
+        assert err == ('{"code": "InternalError", "location": "disc", '
+                       '"message": "boom"}\n')
+
 
 USAGE_ERRORS = {
     "unknown command": ["certfy", "IN"],
@@ -194,7 +215,9 @@ class TestUsage:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(words=st.lists(st.sampled_from(ARGV_WORDS), max_size=5))
-    def test_no_argv_exits_two(self, tmp_path, capsys, words):
+    def test_no_argv_exits_two(self, tmp_path, capsys, monkeypatch, words):
+        # a drawn --output value other than OUT names a file in the cwd
+        monkeypatch.chdir(tmp_path)
         assert main(self.argv(tmp_path, words)) in (0, 1)
         capsys.readouterr()
 

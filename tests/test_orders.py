@@ -271,7 +271,8 @@ def decomposition_route(start):
     rows = []
     for e, factor, emb in zip(idems, dec.factors, dec.embeddings):
         sols = solve(alg.field, emb.rows,
-                     [(e * alg.element(b)).coords for b in start.bmat.rows])
+                     [(e * alg.element(b)).coords
+                      for b in start.lattice.basis.rows])
         sub = order_closure(factor, [factor.element(x) for x in sols])
         for q in candidate_primes(sub):
             sub = p_maximal_order(sub, q)

@@ -9,8 +9,8 @@ import weakref
 import pytest
 
 from maxord import orders
-from maxord.algebras import (Order, discriminant, matrix_algebra,
-                             quaternion_algebra)
+from maxord.algebras import (Order, discriminant, is_commutative,
+                             matrix_algebra, quaternion_algebra)
 from maxord.exactlin import (Lattice, Matrix, PrimeField, hnf, kernel,
                              solve_echelon)
 from maxord.finitealg import FiniteAlgebra
@@ -106,7 +106,7 @@ def kernel_over_r(order, ideal):
 def ambient_route(order, p, lifts):
     """The lattice of Λ + (1/p)·(lifts, in Λ-coordinates), from the
     2n rows of Λ's basis and the lifts' ambient coordinates over Frac(R)."""
-    ring, n, basis = order.algebra.ring, order.dim, order.bmat
+    ring, n, basis = order.algebra.ring, order.dim, order.lattice.basis
     grown = (Matrix(ring, lifts, n) * basis).scaled(Frac(ring, ring.one, p))
     return Lattice.from_rows(ring, basis.rows + grown.rows, n)
 
@@ -182,7 +182,7 @@ def test_idealizer_matches_a_solve_over_r():
     for order, p in seeded_cases():
         degree = len(p) - 1 if isinstance(p, tuple) else 1
         degrees.add(degree)
-        if not order.algebra.is_commutative():
+        if not is_commutative(order.algebra.table):
             noncommutative.add(degree)
         while order is not None:
             for ideal in ideals_to_check(order, p, rng):
@@ -198,7 +198,8 @@ def test_idealizer_matches_a_solve_over_r():
 def structure_constants_over_frac(order):
     """Order coordinates of the b_i·b_j, from products over Frac(R) read
     by Lattice.coordinates."""
-    rows, mul, n = order.bmat.rows, order.algebra.mul_coords, order.dim
+    rows, n = order.lattice.basis.rows, order.dim
+    mul = order.algebra.mul_coords
     flat = [[x.integral_value() for x in t] for t in order.lattice.coordinates(
         [mul(a, b) for a in rows for b in rows])]
     return [flat[i * n:(i + 1) * n] for i in range(n)]
@@ -259,7 +260,7 @@ def test_p_steps_build_no_fractions(monkeypatch):
     monkeypatch.undo()
     assert not made
     assert steps == len(cases)
-    assert any(not o.algebra.is_commutative() for o, _ in cases)
+    assert any(not is_commutative(o.algebra.table) for o, _ in cases)
 
 
 @pytest.mark.parametrize("ring", [ZZ, F3T, F5T], ids=["Z", "F3t", "F5t"])

@@ -22,13 +22,12 @@ F2T = poly_ring(2)
 
 
 def full_form(alg):
-    """The full-form {"ground", "dim", "basis", "mul", "one"} document of
-    an algebra."""
+    """The full-form {"ground", "dim", "mul", "one"} document of an
+    algebra."""
     return {
         "ground": "Z" if alg.ring == ZZ else {"poly": {"p": alg.ring.p,
                                                        "var": alg.ring.var}},
         "dim": alg.dim,
-        "basis": list(alg.basis_names),
         "mul": [[[str(c) for c in cell] for cell in row] for row in alg.table],
         "one": [str(c) for c in alg.one_coords],
     }
@@ -104,6 +103,17 @@ class TestAlgebra:
         assert again.table == alg.table
         assert again.one_coords == alg.one_coords
 
+    @pytest.mark.parametrize("basis", [["1", "i", "j", "k"], ["e"], 7])
+    def test_basis_key_is_ignored(self, basis):
+        """A full-form document parses to the same algebra with or without
+        a "basis" entry, whatever that entry holds."""
+        doc = full_form(quaternion_algebra(F2T, (0, 1), (1, 1)))
+        plain, named = parse_algebra(doc), parse_algebra(dict(doc,
+                                                              basis=basis))
+        assert named.table == plain.table
+        assert named.one_coords == plain.one_coords
+        assert repr(named.one()) == repr(plain.one()) == "[1, 0, 0, 0]"
+
     def test_poly_ground(self):
         doc = {"ground": {"poly": {"p": 2}},
                "poly_quotient": {"modulus": "x^2+t"},
@@ -174,6 +184,6 @@ class TestTensorData:
                       "basis": [["1", "0"], ["0", "1"]]},
             "alpha": [[["2", "0"]]],
         }
-        pres = parse_presentation(doc)
+        pres = parse_presentation(doc, parse_order(doc["order"]))
         assert pres.r == 1 and pres.s == 1
         assert str(pres.alpha[0][0].coords[0]) == "2"

@@ -18,7 +18,7 @@ from maxord.errors import (
     NotIntegral,
 )
 from maxord import exactlin
-from maxord.algebras import Order, matrix_algebra
+from maxord.algebras import Order, is_commutative, matrix_algebra
 from maxord.cli import main
 from maxord.exactlin import Lattice, Matrix, lattice_index, snf
 from maxord.orders import maximal_order
@@ -66,7 +66,7 @@ def standard_period_lattice(order, prime="generic"):
     """The order acting on itself by left multiplication, one action
     matrix per order basis element, in ambient coordinates."""
     alg = order.algebra
-    action = [left_mul_matrix(alg, alg.element(order.bmat.rows[i]))
+    action = [left_mul_matrix(alg, alg.element(order.lattice.basis.rows[i]))
               for i in range(order.dim)]
     return PeriodLattice(order, order.lattice, action, prime=prime)
 
@@ -312,11 +312,12 @@ class TestPeriodLatticeValidation:
     ], ids=["Mat2(Z)", "Hurwitz"])
     def test_stability_is_one_back_substitution(self, alg, rows, monkeypatch):
         o = Order(alg, Lattice.from_rows(ZZ, rows, 4))
-        action = [left_mul_matrix(alg, alg.element(b)) for b in o.bmat.rows]
+        action = [left_mul_matrix(alg, alg.element(b))
+                  for b in o.lattice.basis.rows]
         calls = count_solves(monkeypatch)
         t = PeriodLattice(o, o.lattice, action)
         assert len(calls) == 1
-        b = o.bmat
+        b = o.lattice.basis
         assert [Matrix(ZZ, m, 4) for m in t.basis_action] == [
             b * m * b.inverse() for m in action]
 
@@ -383,9 +384,9 @@ class TestMinimalIsogeny:
         for top, f in cases:
             alg, n = top.algebra, top.dim
             o = Order(alg, Lattice.from_rows(ZZ, [alg.one_coords] + [
-                [x * f for x in row] for row in top.bmat.rows], n))
+                [x * f for x in row] for row in top.lattice.basis.rows], n))
             action = [left_mul_matrix(alg, alg.element(b))
-                      for b in o.bmat.rows]
+                      for b in o.lattice.basis.rows]
             lattices = [PeriodLattice(o, o.lattice, action)]
             while len(lattices) < 3:
                 v = Matrix(ZZ, [[rng.randint(-3, 3) for _ in range(n)]], n)
@@ -398,7 +399,7 @@ class TestMinimalIsogeny:
                 cur = t.lattice
                 while True:
                     nxt = Lattice.from_rows(ZZ, list(cur.basis.rows) + [
-                        r for b in top.bmat.rows for r in (
+                        r for b in top.lattice.basis.rows for r in (
                             cur.basis * left_mul_matrix(alg, alg.element(b))
                         ).rows], n)
                     if nxt == cur:
@@ -485,7 +486,7 @@ def eager_maps(pres, t):
     v = Matrix(ring, cols, n).transpose()
     proj = v.submatrix(range(n), range(rank, n))
     section = v.inverse().submatrix(range(rank, n), range(n))
-    if not o.algebra.is_commutative() or rank == n:
+    if not is_commutative(o.algebra.table) or rank == n:
         return proj, section, None
     action = []
     for m in t.action:
