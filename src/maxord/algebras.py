@@ -27,22 +27,18 @@ from .rings import Frac, frac0, frac1
 class Algebra:
     """A finite-dimensional unital associative algebra over Frac(R)."""
 
-    def __init__(self, ring, mul_table, one_coords, trusted_semisimple=False,
+    def __init__(self, ring, table, one_coords, trusted_semisimple=False,
                  validate=True):
         self.ring = ring
-        self.dim = len(mul_table)
-        self.table = [
-            [[Frac.of(ring, c) for c in mul_table[i][j]] for j in range(self.dim)]
-            for i in range(self.dim)
-        ]
+        self.dim = len(table)
+        # table[i][j]: the nonzero (k, c_ijk) of b_i·b_j, sorted by k
+        self.table = [[[(k, Frac.of(ring, c)) for k, c in cell] for cell in row]
+                      for row in table]
         self.one_coords = [Frac.of(ring, c) for c in one_coords]
         self.trusted_semisimple = trusted_semisimple
         self.field = FractionField(ring)
         if self.dim < 1:
             raise ValueError("algebra must have dim >= 1")
-        # the nonzero structure constants: sparse[i][j] = [(k, c_ijk)]
-        self.sparse = [[[(k, c) for k, c in enumerate(row) if c] for row in ti]
-                       for ti in self.table]
         if validate:
             self._validate()
 
@@ -51,11 +47,12 @@ class Algebra:
     def _validate(self):
         """The unit is two-sided, and (b_i·b_j)·b_k = b_i·(b_j·b_k), with
         b_i·b_j read from the table."""
-        n, t, mul = self.dim, self.table, self.mul_coords
+        n, mul = self.dim, self.mul_coords
         basis = [b.coords for b in self.basis()]
         for b in basis:
             if mul(self.one_coords, b) != b or mul(b, self.one_coords) != b:
                 raise ValueError("declared unit is not a two-sided identity")
+        t = [[mul(x, y) for y in basis] for x in basis]
         for i in range(n):
             for j in range(n):
                 for k in range(n):
@@ -88,11 +85,11 @@ class Algebra:
         out = [frac0(self.ring)] * self.dim
         # a Frac is zero exactly when its numerator is falsy
         ys = [(j, yj) for j, yj in enumerate(y) if yj.num]
-        for xi, si in zip(x, self.sparse):
+        for xi, ti in zip(x, self.table):
             if not xi.num:
                 continue
             for j, yj in ys:
-                terms = si[j]
+                terms = ti[j]
                 if terms:
                     f = xi * yj
                     for k, c in terms:
@@ -195,6 +192,13 @@ class Algebra:
         raise InternalError("failed to find a primitive center element")
 
 
+def nonzero(vec):
+    """The cell of a structure table for the coordinate vector vec: its
+    nonzero (k, c_k), sorted by k.  Two cells are equal exactly when their
+    vectors are, which is_commutative relies on."""
+    return [(k, c) for k, c in enumerate(vec) if c]
+
+
 def is_commutative(table):
     """Whether the structure table is symmetric: b_i·b_j = b_j·b_i."""
     return all(table[i][j] == table[j][i]
@@ -202,12 +206,42 @@ def is_commutative(table):
 
 
 def center_rows(field, table):
-    """Rows spanning the center of the algebra with this structure table
-    over field, the kernel of x ↦ (x·b_j − b_j·x)_j."""
+    """Independent rows spanning the center of the algebra with this
+    structure table over field.
+
+    Z_j, the centralizer of b_0, ..., b_(j-1), shrinks one generator at a
+    time: Z_(j+1) is the kernel of x ↦ x·b_j − b_j·x on Z_j, read from the
+    nonzero constants, and Z_n = Z(A).  Z(A) ⊆ Z_j for every j, and 1 ∈
+    Z(A), so the loop stops at the first Z_j of dimension 1: then Z_j =
+    K·1 = Z(A).  For Mat_n that is Z_n after e_11, ..., e_1n.
+    """
     n = len(table)
-    return kernel(field, [
-        [a - b for j in range(n) for a, b in zip(table[i][j], table[j][i])]
-        for i in range(n)])
+    rows = [field.row([int(a == b) for b in range(n)]) for a in range(n)]
+
+    def bracket(z, j):  # z·b_j − b_j·z
+        out = [field.zero] * n
+        for l, x in enumerate(z):
+            if x:
+                for k, c in table[l][j]:
+                    out[k] = out[k] + x * c
+                for k, c in table[j][l]:
+                    out[k] = out[k] - x * c
+        return field.row(out)
+
+    def combine(ys, zs):  # Σ_r ys[r]·zs[r]
+        out = [field.zero] * n
+        for y, z in zip(ys, zs):
+            if y:
+                out = field.sub_mul(out, -y, z)
+        return out
+
+    for j in range(n):
+        if len(rows) == 1:
+            break
+        brackets = [bracket(z, j) for z in rows]
+        if any(map(any, brackets)):
+            rows = [combine(ys, rows) for ys in kernel(field, brackets)]
+    return rows
 
 
 class AlgebraElement:
@@ -259,9 +293,6 @@ class AlgebraElement:
             and other.coords == self.coords
         )
 
-    def __hash__(self):
-        return hash(tuple(self.coords))
-
     def __repr__(self):
         return "[%s]" % ", ".join(map(str, self.coords))
 
@@ -276,7 +307,8 @@ class AlgebraElement:
 
 def scalar_algebra(ring):
     """K itself, the one 1-dimensional algebra."""
-    return Algebra(ring, [[[1]]], [1], trusted_semisimple=True, validate=False)
+    return Algebra(ring, [[[(0, 1)]]], [1], trusted_semisimple=True,
+                   validate=False)
 
 
 def matrix_algebra(ring, n):
@@ -299,15 +331,9 @@ def poly_quotient_algebra(ring, modulus, trusted_semisimple=False):
         if top:
             shifted = [s - top * m for s, m in zip(shifted, modulus[:n])]
         red.append(shifted)
-
-    def xpow(k):
-        if k < n:
-            row = [zero] * n
-            row[k] = one
-            return row
-        return red[k - n]
-
-    table = [[xpow(i + j) for j in range(n)] for i in range(n)]
+    # the cell of x^k, shared by every b_i·b_j with i + j = k
+    xpow = [[(k, one)] for k in range(n)] + [nonzero(r) for r in red]
+    table = [[xpow[i + j] for j in range(n)] for i in range(n)]
     one_coords = [one] + [zero] * (n - 1)
     return Algebra(ring, table, one_coords,
                    trusted_semisimple=trusted_semisimple, validate=False)
@@ -319,38 +345,31 @@ def quaternion_algebra(ring, a, b, trusted_semisimple=False):
     b = Frac.of(ring, b)
     zero, one = frac0(ring), frac1(ring)
 
-    def vec(c0=None, c1=None, c2=None, c3=None):
-        return [c0 or zero, c1 or zero, c2 or zero, c3 or zero]
+    def term(k, c):  # the cell c·b_k
+        return [(k, c)] if c else []
 
-    e, i, j, k = vec(one), vec(None, one), vec(None, None, one), vec(None, None, None, one)
     table = [
-        [e, i, j, k],
-        [i, vec(a), k, [zero, zero, a, zero]],
-        [j, [zero, zero, zero, -one], vec(b), [zero, -b, zero, zero]],
-        [k, [zero, zero, -a, zero], [zero, b, zero, zero], vec(-a * b)],
+        [[(0, one)], [(1, one)], [(2, one)], [(3, one)]],
+        [[(1, one)], term(0, a), [(3, one)], term(2, a)],
+        [[(2, one)], [(3, -one)], term(0, b), term(1, -b)],
+        [[(3, one)], term(2, -a), term(1, b), term(0, -a * b)],
     ]
-    return Algebra(ring, table, e, trusted_semisimple=trusted_semisimple,
-                   validate=False)
+    return Algebra(ring, table, [one, zero, zero, zero],
+                   trusted_semisimple=trusted_semisimple, validate=False)
 
 
 def matrix_over_algebra(inner, n):
     """Mat_n(D) for an algebra D, basis E_ab (x) d_c, row-major blocks.
     The only nonzero products are (E_ab (x) d_c)·(E_bf (x) d_g) =
-    E_af (x) d_c·d_g."""
+    E_af (x) d_c·d_g, the cell of d_c·d_g offset to the block of E_af."""
     ring, m = inner.ring, inner.dim
-    dim, zero = n * n * m, frac0(ring)
-    table = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    one_coords = [zero] * dim
+    one_coords = [frac0(ring)] * (n * n * m)
     for a in range(n):
         one_coords[(a * n + a) * m:(a * n + a + 1) * m] = inner.one_coords
-        for b in range(n):
-            for f in range(n):
-                af = (a * n + f) * m
-                for c in range(m):
-                    for g in range(m):
-                        row = [zero] * dim
-                        row[af:af + m] = inner.table[c][g]
-                        table[(a * n + b) * m + c][(b * n + f) * m + g] = row
+    table = [[[((a * n + f) * m + k, x) for k, x in inner.table[c][g]]
+              if b == b2 else [] for b2 in range(n) for f in range(n)
+              for g in range(m)]
+             for a in range(n) for b in range(n) for c in range(m)]
     return Algebra(ring, table, one_coords,
                    trusted_semisimple=inner.trusted_semisimple, validate=False)
 
@@ -359,16 +378,13 @@ def product_algebra(algebras):
     """Direct product of algebras over a common ground ring."""
     ring = algebras[0].ring
     dim = sum(a.dim for a in algebras)
-    zero = frac0(ring)
-    table = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    table = [[[] for _ in range(dim)] for _ in range(dim)]
     one_coords, o = [], 0
     for alg in algebras:
         one_coords += alg.one_coords
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                row = [zero] * dim
-                row[o:o + alg.dim] = alg.table[i][j]
-                table[o + i][o + j] = row
+        for i, row in enumerate(alg.table):
+            for j, cell in enumerate(row):
+                table[o + i][o + j] = [(o + k, c) for k, c in cell]
         o += alg.dim
     return Algebra(ring, table, one_coords, trusted_semisimple=all(
         a.trusted_semisimple for a in algebras), validate=False)
@@ -419,24 +435,16 @@ class Order:
         """
         if self._struct is None:
             ring, n, lat = self.algebra.ring, self.dim, self.lattice
-            big_a, e = Matrix._of(ring, [[c for row in t for c in row]
-                                         for t in self.algebra.table],
-                                  n * n).cleared()
+            zero = frac0(ring)
+            big_a, e = Matrix._of(ring, [  # rows (c_ijk)_jk, each cell a dict
+                [c.get(k, zero) for c in map(dict, t) for k in range(n)]
+                for t in self.algebra.table], n * n).cleared()
             ys = [y for left in matmul(ring, lat.h, big_a)  # rows Σ_k h_ik A_k
                   for y in matmul(ring, lat.h, [left[l * n:(l + 1) * n]
                                                 for l in range(n)])]
             self._struct = closed_products(ring, lat.h, ys, ring.mul(lat.d, e),
                                            "order basis")
         return self._struct
-
-    def __eq__(self, other):
-        return isinstance(other, Order) and self.lattice == other.lattice
-
-    def __hash__(self):
-        return hash(self.lattice)
-
-    def __repr__(self):
-        return "Order(%r)" % self.lattice
 
 
 def closed_products(ring, h, ys, den, what):

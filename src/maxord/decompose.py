@@ -7,7 +7,7 @@ import functools
 import itertools
 import math
 
-from .algebras import Algebra
+from .algebras import Algebra, nonzero
 from .errors import BadIdempotents
 from .exactlin import Matrix, rref, solve
 from .rings import (TRIAL_BOUND, ZZ, Frac, distinct_degree_parts,
@@ -161,7 +161,8 @@ def decompose(alg, idems):
         sol = solve(alg.field, basis_rows, prods + [e.coords])
         if sol is None:
             raise BadIdempotents("idempotent block is not closed")
-        table = [sol[i * d:(i + 1) * d] for i in range(d)]
+        table = [[nonzero(c) for c in sol[i * d:(i + 1) * d]]
+                 for i in range(d)]
         factors.append(Algebra(ring, table, sol[-1],
                                trusted_semisimple=alg.trusted_semisimple,
                                validate=False))

@@ -266,14 +266,6 @@ class Matrix:
             and self.rows == other.rows
         )
 
-    def __hash__(self):
-        return hash((self.ncols, tuple(tuple(r) for r in self.rows)))
-
-    def __repr__(self):
-        return "Matrix([%s])" % "; ".join(
-            ", ".join(str(x) for x in row) for row in self.rows
-        )
-
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
@@ -582,9 +574,6 @@ class Lattice:
 
     def __hash__(self):
         return hash((self.ambient_dim, self.d, tuple(map(tuple, self.h))))
-
-    def __repr__(self):
-        return "Lattice(rank %d in dim %d)" % (self.rank, self.ambient_dim)
 
     def coordinates(self, vecs):
         """Rows t with t * basis = v for each v in vecs, or None when some v

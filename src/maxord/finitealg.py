@@ -5,7 +5,7 @@ convention as elsewhere in the package; the linear algebra is the shared
 kernel of ``exactlin`` over ``PrimeField``.
 """
 
-from .algebras import center_rows, is_commutative
+from .algebras import center_rows, is_commutative, nonzero
 from .errors import InternalError
 from .exactlin import (PrimeField, charpoly, kernel, matmul, power_relation,
                        quotient_space, rref, solve)
@@ -24,29 +24,27 @@ class FiniteAlgebra:
         self.p = p
         self.field = PrimeField(p)
         self.dim = len(table)
-        self.table = [
-            [[c % p for c in table[i][j]] for j in range(self.dim)]
-            for i in range(self.dim)
-        ]
+        # table[i][j]: the nonzero (k, c_ijk) of b_i·b_j, sorted by k, with
+        # c_ijk in [1, p)
+        self.table = table
         self.one_coords = [c % p for c in one_coords]
         # trace(x) = sum_k x_k tau_k with tau_k = sum_t c_{k,t,t}
-        self.trace_form = [sum(row[t][t] for t in range(self.dim)) % p
-                           for row in self.table]
+        self.trace_form = [sum(c for t, cell in enumerate(row)
+                               for k, c in cell if k == t) % p
+                           for row in table]
 
     def mul(self, x, y):
         p = self.p
         out = [0] * self.dim
-        for i, xi in enumerate(x):
+        for xi, ti in zip(x, self.table):
             if not xi % p:
                 continue
-            ti = self.table[i]
-            for j, yj in enumerate(y):
+            for yj, terms in zip(y, ti):
                 if not yj % p:
                     continue
                 f = (xi * yj) % p
-                for k, c in enumerate(ti[j]):
-                    if c:
-                        out[k] = (out[k] + f * c) % p
+                for k, c in terms:
+                    out[k] = (out[k] + f * c) % p
         return out
 
     def basis(self):
@@ -124,7 +122,8 @@ class FiniteAlgebra:
         """
         project, lift, q = quotient_space(self.field, ideal_rows, self.dim)
         basis = [lift([int(t == a) for t in range(q)]) for a in range(q)]
-        table = [[project(self.mul(a, b)) for b in basis] for a in basis]
+        table = [[nonzero(project(self.mul(a, b))) for b in basis]
+                 for a in basis]
         quot = FiniteAlgebra(self.p, table, project(self.one_coords))
         return quot, project, lift
 

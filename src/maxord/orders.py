@@ -123,17 +123,21 @@ def residue_algebra(order, p):
 
     For a polynomial ground ring and a prime of degree d the residue field
     F_{p^d} is restricted to F_p, so the output dimension is dim(Λ)·d and
-    basis slot (i, e) stands for b_i·t^e.  Each structure constant is
-    reduced mod p once; t^(e+f)·c_ij comes from it by multiplications by t.
+    basis slot (i, e) stands for b_i·t^e.  Each nonzero structure constant
+    c_ijk is reduced mod p once; t^s·c_ijk, s = e + f < 2d − 1, comes from
+    it by multiplications by t, and its coefficient on t^g is the constant
+    on slot k·d + g.
     """
     ring = order.algebra.ring
     if not ring.is_prime(p):
         raise NotPrime("%s is not prime in the ground ring" % ring.to_str(p))
     struct, n = order.structure_constants(), order.dim
     q, d, reduce, lift, powers = _residue_maps(ring, p, n)
-    pw = [[powers(reduce(c), 2 * d - 1) for c in row] for row in struct]
-    table = [[pw[a // d][b // d][a % d + b % d] for b in range(n * d)]
-             for a in range(n * d)]
+    pw = [[[(k, powers(reduce([c]), 2 * d - 1)) for k, c in enumerate(cs) if c]
+           for cs in row] for row in struct]
+    table = [[[(k * d + g, x) for k, ts in pw[a // d][b // d]
+               for g, x in enumerate(ts[a % d + b % d]) if x]
+              for b in range(n * d)] for a in range(n * d)]
     return FiniteAlgebra(q, table, reduce(order.unit_coords())), reduce, lift
 
 

@@ -599,9 +599,6 @@ class Frac:
             r.mul(self.den, other.den),
         )
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if type(other) is not Frac or other.ring is not self.ring:
             other = self._coerce(other)
@@ -621,9 +618,6 @@ class Frac:
         r = self.ring
         return Frac(r, r.mul(self.num, other.den), r.mul(self.den, other.num))
 
-    def __rtruediv__(self, other):
-        return Frac.of(self.ring, other) / self
-
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
@@ -639,9 +633,6 @@ class Frac:
             and self.num == other.num
             and self.den == other.den
         )
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     def __bool__(self):
         return bool(self.num)

@@ -20,9 +20,9 @@ from .serre import (
 
 def upper_triangular_order():
     table = [
-        [[1, 0, 0], [0, 1, 0], [0, 0, 0]],
-        [[0, 0, 0], [0, 0, 0], [0, 1, 0]],
-        [[0, 0, 0], [0, 0, 0], [0, 0, 1]],
+        [[(0, 1)], [(1, 1)], []],
+        [[], [], [(1, 1)]],
+        [[], [], [(2, 1)]],
     ]
     alg = Algebra(ZZ, table, [1, 0, 1])
     return Order(alg, Lattice.standard(ZZ, 3))

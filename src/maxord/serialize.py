@@ -14,6 +14,7 @@ from .algebras import (
     Algebra,
     Order,
     matrix_algebra,
+    nonzero,
     poly_quotient_algebra,
     quaternion_algebra,
     scalar_algebra,
@@ -155,6 +156,14 @@ def parse_poly_string(ring, s, var="x"):
 # -- algebras ---------------------------------------------------------------
 
 
+def _sized(value, dim, where):
+    """value, when it is an array of dim entries; else a ParseError at
+    where."""
+    if not isinstance(value, list) or len(value) != dim:
+        raise ParseError("expected an array of %d entries" % dim, where)
+    return value
+
+
 def parse_algebra(obj):
     if obj == "Q":
         return scalar_algebra(ZZ)
@@ -181,11 +190,15 @@ def parse_algebra(obj):
         return poly_quotient_algebra(ring, coeffs, trusted_semisimple=trusted)
     if "mul" in obj:
         dim = integer(obj, "dim")
+        if dim < 1:
+            raise ParseError("dim must be >= 1, got %d" % dim, "/dim")
+        for i, row in enumerate(_sized(field(obj, "mul"), dim, "/mul")):
+            for j, cell in enumerate(_sized(row, dim, "/mul/%d" % i)):
+                _sized(cell, dim, "/mul/%d/%d" % (i, j))
+        _sized(field(obj, "one"), dim, "/one")
         table = parse_at(obj, "mul", lambda mul: [
-            [[parse_frac(ring, mul[i][j][k]) for k in range(dim)]
-             for j in range(dim)]
-            for i in range(dim)
-        ])
+            [nonzero([parse_frac(ring, c) for c in cell]) for cell in row]
+            for row in mul])
         one = parse_at(obj, "one",
                        lambda one: [parse_frac(ring, c) for c in one])
         return Algebra(ring, table, one, trusted_semisimple=trusted)

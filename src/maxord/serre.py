@@ -32,9 +32,6 @@ class IsogenyFactor:
         self.endo = endo  # Algebra over Q (the division algebra D_i)
         self.mult = mult
 
-    def __repr__(self):
-        return "%s^%d" % (self.label, self.mult)
-
 
 class IsogenyType:
     def __init__(self, factors):
@@ -72,9 +69,6 @@ class IsogenyType:
             ranges.append(range(offset, offset + size))
             offset += size
         return big, ranges
-
-    def __repr__(self):
-        return "[" + " x ".join(repr(f) for f in self.factors) + "]"
 
 
 class ModulePresentation:

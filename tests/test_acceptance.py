@@ -42,7 +42,7 @@ from ideal_oracle import two_sided_ideals_over_p
 from test_algebras import left_mul_matrix
 
 HALF = Frac(ZZ, 1, 2)
-RATIONAL = Algebra(ZZ, [[[1]]], [1], trusted_semisimple=True)
+RATIONAL = Algebra(ZZ, [[[(0, 1)]]], [1], trusted_semisimple=True)
 
 
 def relation_matrix(pres):

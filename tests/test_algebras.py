@@ -13,14 +13,17 @@ from maxord.algebras import (
     poly_quotient_algebra,
     product_algebra,
     quaternion_algebra,
+    scalar_algebra,
 )
 from maxord.decompose import decompose
 from maxord.errors import BadIdempotents, NotSemisimple
 from maxord.exactlin import (FractionField, Lattice, Matrix, PrimeField,
                              charpoly, rref, solve)
 from maxord.finitealg import FiniteAlgebra
-from maxord.orders import maximal_order
+from maxord.orders import maximal_order, residue_algebra
 from maxord.rings import ZZ, Frac, frac0, frac1, pnorm, poly_ring
+from maxord.serialize import parse_algebra
+from tables import dense, sparse
 
 F2T = poly_ring(2)
 
@@ -65,11 +68,11 @@ class TestConstruction:
     def test_validation_rejects_nonassociative(self):
         # tweak one structure constant of M_2(Q) and expect failure
         m2 = matrix_algebra(ZZ, 2)
-        table = [[list(v) for v in row] for row in m2.table]
+        table = dense(m2.table, F(0))
         table[1][2][0] = F(2)
         from maxord.algebras import Algebra
         with pytest.raises(Exception):
-            Algebra(ZZ, table, m2.one_coords, validate=True)
+            Algebra(ZZ, sparse(table), m2.one_coords, validate=True)
 
     def test_product_algebra(self):
         p = product_algebra([matrix_algebra(ZZ, 1), matrix_algebra(ZZ, 2)])
@@ -268,8 +271,9 @@ class TestMatrixOverAlgebra:
             return [one if pair == (a, b) else zero for pair in pairs]
 
         alg = matrix_algebra(ring, n)
-        assert alg.table == [[e(a, d) if b == c else [zero] * (n * n)
-                              for c, d in pairs] for a, b in pairs]
+        assert dense(alg.table, zero) == [
+            [e(a, d) if b == c else [zero] * (n * n) for c, d in pairs]
+            for a, b in pairs]
         assert alg.one_coords == [one if a == b else zero for a, b in pairs]
         assert alg.trusted_semisimple
 
@@ -319,23 +323,23 @@ class TestTrustedConstructors:
 
     def test_one_wrong_sign_fails(self):
         h = quaternion_algebra(ZZ, -1, -3)
+        full = dense(h.table, F(0))
         flips = 0
         for i in range(4):
             for j in range(4):
                 for k in range(4):
-                    if h.table[i][j][k]:
-                        table = [[list(v) for v in row] for row in h.table]
+                    if full[i][j][k]:
+                        table = dense(h.table, F(0))
                         table[i][j][k] = -table[i][j][k]
                         with pytest.raises(ValueError):
-                            Algebra(ZZ, table, h.one_coords)
+                            Algebra(ZZ, sparse(table), h.one_coords)
                         flips += 1
         assert flips == 16
         # x·x^2 = 2 but x^2·x = -2 in a copy of Q[x]/(x^3 - 2)
-        table = [[list(v) for v in row]
-                 for row in poly_quotient_algebra(ZZ, [-2, 0, 0, 1]).table]
+        table = dense(poly_quotient_algebra(ZZ, [-2, 0, 0, 1]).table, F(0))
         table[1][2][0] = -table[1][2][0]
         with pytest.raises(ValueError):
-            Algebra(ZZ, table, [1, 0, 0])
+            Algebra(ZZ, sparse(table), [1, 0, 0])
 
 
 def seeded_algebras(seed):
@@ -378,9 +382,16 @@ def center_by_products(alg):
 def test_center_rows_over_q_and_mod_p(seed):
     """center_rows and is_commutative give Algebra.center() over Q and the
     center of FiniteAlgebra mod a large prime, against the kernel of
-    x ↦ (x·b − b·x)_b built from products of basis elements."""
+    x ↦ (x·b − b·x)_b built from products of basis elements.  Mat_n, n =
+    seed % 4 + 1, stops at a centralizer of dimension 1, and a product
+    with a noncommutative factor, whose center has dimension above 1,
+    runs the loop over every generator."""
     p = 1000003
-    for alg in seeded_algebras(seed):
+    rng = random.Random(seed)
+    extra = [matrix_algebra(ZZ, seed % 4 + 1), product_algebra([
+        rng.choice([matrix_algebra(ZZ, 2), quaternion_algebra(ZZ, -1, -3)]),
+        poly_quotient_algebra(ZZ, [rng.randint(-5, 5), 0, 1])])]
+    for alg in seeded_algebras(seed) + extra:
         want = center_by_products(alg)
         commutative = all(x * y == y * x for x in alg.basis()
                           for y in alg.basis())
@@ -388,8 +399,8 @@ def test_center_rows_over_q_and_mod_p(seed):
         assert [[Frac(ZZ, int(x.p), int(x.q)) for x in want.row(i)]
                 for i in range(want.rows)] == [z.coords for z in alg.center()]
         # the same table mod p, all of its constants being integral
-        fa = FiniteAlgebra(p, [[[c.num for c in cell] for cell in row]
-                               for row in alg.table],
+        fa = FiniteAlgebra(p, [[[(k, c.num % p) for k, c in cell]
+                                for cell in row] for row in alg.table],
                            [c.num for c in alg.one_coords])
         assert is_commutative(fa.table) == commutative
         mod_p = [[int(x.p) * pow(int(x.q), -1, p) % p for x in want.row(i)]
@@ -397,6 +408,64 @@ def test_center_rows_over_q_and_mod_p(seed):
         assert rref(fa.field, center_rows(fa.field, fa.table))[0] == mod_p
         assert rref(alg.field, center_rows(alg.field, alg.table))[0] == [
             z.coords for z in alg.center()]
+    assert len(extra[1].center()) > 1 and not is_commutative(extra[1].table)
+
+
+def assert_canonical(table, p=None):
+    """Each cell sorted by k, with no zero constant (and, mod p, every
+    constant in [1, p)): the form whose equality is_commutative reads."""
+    n = len(table)
+    for row in table:
+        assert len(row) == n
+        for cell in row:
+            ks = [k for k, _ in cell]
+            assert ks == sorted(set(ks)) and all(0 <= k < n for k in ks)
+            assert all(c and (p is None or 0 < c < p) for _, c in cell)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tables_are_canonical(seed):
+    """Every producer of a structure table gives canonical cells: the
+    constructors, with quaternions of a = 0 or b = 0 and moduli with zero
+    coefficients; a full-form document with explicit zeros; the factors
+    of decompose; residue algebras over Z and over F_3[t] at primes of
+    degree 2 and 3; and their quotients by the radical."""
+    rng = random.Random(seed)
+    f3t = poly_ring(3)
+    algebras = [
+        scalar_algebra(ZZ), matrix_algebra(ZZ, rng.randint(1, 3)),
+        quaternion_algebra(ZZ, 0, rng.choice([-3, 0, 2])),
+        quaternion_algebra(ZZ, rng.choice([-1, 5]), 0),
+        poly_quotient_algebra(ZZ, [rng.choice([0, 0, 1, -2])
+                                   for _ in range(rng.randint(1, 4))] + [1]),
+        matrix_over_algebra(quaternion_algebra(ZZ, -1, rng.choice([-1, -3])),
+                            2),
+    ] + seeded_algebras(seed)  # ending in a product algebra
+    for alg in algebras:
+        assert_canonical(alg.table)
+    # explicit zeros in a full-form document are dropped
+    base = rng.choice(algebras[:5])
+    doc = {"dim": base.dim, "one": [str(c) for c in base.one_coords],
+           "mul": [[[str(c) if c else rng.choice(["0", "-0", "0/7"])
+                     for c in cell] for cell in row]
+                   for row in dense(base.table, F(0))]}
+    assert parse_algebra(doc).table == base.table
+    product = algebras[-1]
+    for factor in decompose(product, product.central_idempotents(
+            seed=seed)).factors:
+        assert_canonical(factor.table)
+    # residue algebras and their semisimple quotients
+    polys = [(1, 0, 1), (0, 1), (2,), (1, 1), (2, 0, 1)]
+    cases = [(Order(alg, Lattice.standard(ZZ, alg.dim)), p)
+             for alg in algebras[1:5] for p in (2, 3)]
+    cases += [(Order(alg, Lattice.standard(f3t, 4)), p)
+              for alg in [quaternion_algebra(f3t, rng.choice(polys),
+                                             rng.choice(polys))]
+              for p in [(1, 0, 1), (1, 2, 0, 1)]]
+    for order, p in cases:
+        res = residue_algebra(order, p)[0]
+        assert_canonical(res.table, res.p)
+        assert_canonical(res.quotient(res.radical_basis())[0].table, res.p)
 
 
 def test_validate_names_the_first_nonassociative_triple():
@@ -410,10 +479,10 @@ def test_validate_names_the_first_nonassociative_triple():
     for _ in range(60):
         base = rng.choice(bases)
         n = base.dim
-        table = [[list(cell) for cell in row] for row in base.table]
+        table = dense(base.table, F(0))
         i, j, k = (rng.randrange(n) for _ in range(3))
         table[i][j][k] = table[i][j][k] + F(rng.choice([-2, -1, 1, 2]))
-        alg = Algebra(ZZ, table, base.one_coords, validate=False)
+        alg = Algebra(ZZ, sparse(table), base.one_coords, validate=False)
         one, b = alg.one(), alg.basis()
         if any(one * x != x or x * one != x for x in b):
             want = "declared unit is not a two-sided identity"
@@ -426,7 +495,7 @@ def test_validate_names_the_first_nonassociative_triple():
             want = "structure constants are not associative at (%d, %d, " \
                 "%d)" % triple
         with pytest.raises(ValueError) as err:
-            Algebra(ZZ, table, base.one_coords)
+            Algebra(ZZ, sparse(table), base.one_coords)
         assert str(err.value) == want
     assert len(named) > 5
 

@@ -301,6 +301,20 @@ def without(doc, key):
     ("endo-order", {"delta": GAUSSIAN_ORDER,
                     "lattice": [["1", "0", "0", "0"], ["0", "1", "0", "0"]],
                     "r": 1}, "/r"),
+    # full-form tables of the wrong size, rejected before any table is
+    # built: a dimension below 1, a third row of a 2-dimensional table, a
+    # row of three cells, a cell of three constants, a unit of two
+    ("center", {"dim": 0, "mul": [], "one": []}, "/dim"),
+    ("center", {"dim": 2, "mul": [[["1", "0"], ["0", "1"]],
+                                  [["0", "1"], ["0", "0"]],
+                                  [["0", "0"], ["0", "0"]]],
+                "one": ["1", "0"]}, "/mul"),
+    ("center", {"dim": 2, "mul": [[["1", "0"], ["0", "1"]],
+                                  [["0", "1"], ["0", "0"], ["0", "0"]]],
+                "one": ["1", "0"]}, "/mul/1"),
+    ("center", {"dim": 1, "mul": [[["1", "0", "9"]]], "one": ["1"]},
+     "/mul/0/0"),
+    ("center", {"dim": 1, "mul": [[["1"]]], "one": ["1", "7"]}, "/one"),
 ])
 def test_malformed_document_is_parse_error(tmp_path, capsys, command, doc,
                                            location):

@@ -10,6 +10,7 @@ from maxord.finitealg import FiniteAlgebra, charpoly_mod
 from maxord.orders import residue_algebra
 from maxord.rings import ZZ, pmul, poly_ring
 from ideal_oracle import all_two_sided_ideals
+from tables import sparse
 from test_certificates import equation_order
 
 F5 = PrimeField(5)
@@ -32,19 +33,19 @@ def f_p_matrix_algebra(p, n):
     one = [0] * dim
     for a in range(n):
         one[idx(a, a)] = 1
-    return FiniteAlgebra(p, table, one)
+    return FiniteAlgebra(p, sparse(table), one)
 
 
 def f_p_group_algebra_c2(p):
     """F_p[C_2]: basis 1, g with g^2 = 1."""
     table = [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
-    return FiniteAlgebra(p, table, [1, 0])
+    return FiniteAlgebra(p, sparse(table), [1, 0])
 
 
 def dual_numbers(p):
     """F_p[x]/(x^2): basis 1, x."""
     table = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
-    return FiniteAlgebra(p, table, [1, 0])
+    return FiniteAlgebra(p, sparse(table), [1, 0])
 
 
 def upper_triangular_2(p):
@@ -54,7 +55,7 @@ def upper_triangular_2(p):
         [[0, 0, 0], [0, 0, 0], [0, 1, 0]],
         [[0, 0, 0], [0, 0, 0], [0, 0, 1]],
     ]
-    return FiniteAlgebra(p, table, [1, 0, 1])
+    return FiniteAlgebra(p, sparse(table), [1, 0, 1])
 
 
 class TestModLinearAlgebra:
@@ -110,7 +111,7 @@ class TestRadical:
             for j in range(4):
                 if i + j < 4:
                     table[i][j][i + j] = 1
-        a = FiniteAlgebra(2, table, [1, 0, 0, 0])
+        a = FiniteAlgebra(2, sparse(table), [1, 0, 0, 0])
         assert len(a.radical_basis()) == 3
 
 
@@ -134,7 +135,7 @@ def poly_quotient_fp(p, f):
 
     table = [[reduce([0] * (i + j) + [1]) for j in range(n)]
              for i in range(n)]
-    return FiniteAlgebra(p, table, [1] + [0] * (n - 1))
+    return FiniteAlgebra(p, sparse(table), [1] + [0] * (n - 1))
 
 
 def random_monic(rng, p, deg):
@@ -270,7 +271,7 @@ class TestSemisimpleStructure:
     def test_field_extension_is_one_factor(self):
         # F_4 = F_2[x]/(x^2 + x + 1)
         table = [[[1, 0], [0, 1]], [[0, 1], [1, 1]]]
-        a = FiniteAlgebra(2, table, [1, 0])
+        a = FiniteAlgebra(2, sparse(table), [1, 0])
         assert simple_factor_count(a) == 1
         assert a.radical_basis() == []
 

@@ -24,6 +24,7 @@ from maxord.orders import (
 )
 from maxord.rings import ZZ, Frac, pnorm, poly_ring, ptrim
 from ideal_oracle import two_sided_ideal_generated
+from tables import sparse
 from test_certificates import equation_order, f5t_kummer_order
 
 F3T, F5T = poly_ring(3), poly_ring(5)
@@ -117,9 +118,9 @@ def residue_table_by_products(order, p):
     _, scalars, reduce, _ = scalar_maps(ring, p, order.dim)
     struct = order.structure_constants()
     slots = [(i, s) for i in range(order.dim) for s in scalars]
-    return FiniteAlgebra(ring.p or abs(p), [
+    return sparse([
         [reduce([ring.mul(ring.mul(si, sj), c) for c in struct[i][j]])
-         for j, sj in slots] for i, si in slots], [0] * len(slots)).table
+         for j, sj in slots] for i, si in slots])
 
 
 def random_poly(rng, ring, deg):

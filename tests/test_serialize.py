@@ -3,7 +3,7 @@ import pytest
 from maxord.algebras import Order, matrix_algebra, quaternion_algebra
 from maxord.errors import ParseError
 from maxord.exactlin import Lattice, Matrix
-from maxord.rings import ZZ, Frac, poly_ring
+from maxord.rings import ZZ, Frac, frac0, poly_ring
 from maxord.serialize import (
     format_certificate,
     format_matrix,
@@ -17,6 +17,7 @@ from maxord.serialize import (
     parse_presentation,
     parse_primes,
 )
+from tables import dense
 
 F2T = poly_ring(2)
 
@@ -28,7 +29,8 @@ def full_form(alg):
         "ground": "Z" if alg.ring == ZZ else {"poly": {"p": alg.ring.p,
                                                        "var": alg.ring.var}},
         "dim": alg.dim,
-        "mul": [[[str(c) for c in cell] for cell in row] for row in alg.table],
+        "mul": [[[str(c) for c in cell] for cell in row]
+                for row in dense(alg.table, frac0(alg.ring))],
         "one": [str(c) for c in alg.one_coords],
     }
 

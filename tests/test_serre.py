@@ -52,7 +52,7 @@ from test_fuzz import CASES
 HALF = Frac(ZZ, 1, 2)
 F3T = poly_ring(3)
 
-RATIONAL = Algebra(ZZ, [[[1]]], [1], trusted_semisimple=True)
+RATIONAL = Algebra(ZZ, [[[(0, 1)]]], [1], trusted_semisimple=True)
 
 
 def quadratic_order(d):
